@@ -15,6 +15,8 @@ comment.  --set overrides win over the file and accept bare strings.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .fieldio import atomic_write_text, dump_field, load_field
-from .grid import Field, GridSpec, inverse_transform
+from .grid import Field, GridSpec, random_band_limited
 from .multiplier import apply as apply_op
 from .neumann import (
     apply_forward,
@@ -216,21 +218,16 @@ def parse_field_spec(text, grid, rng, where="field"):
     name, parts = _parse_call(text, where)
     kw = _kwargs(parts, where)
     if name == "gaussian":
-        width = float(kw.get("width", "1"))
+        width = _get(kw, "width", float, 1.0, where)
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))
     if name == "bump":
-        radius = float(kw.get("radius", "1"))
+        radius = _get(kw, "radius", float, 1.0, where)
         spec = bump_phi0(radius)
         mesh = grid.x_mesh()
         return Field.spatial(grid, spec.evaluate(mesh))
     if name == "random":
-        band = float(kw.get("band", "2"))
-        spec = np.zeros(grid.shape, dtype=complex)
-        mask = grid.xi_radius() <= band
-        count = int(mask.sum())
-        spec[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return inverse_transform(Field.frequency(grid, spec))
+        return random_band_limited(grid, _get(kw, "band", float, 2.0, where), rng)
     raise UsageError(f"{where}: unknown field kind {name!r}")
 
 
@@ -248,48 +245,56 @@ def _format_cell(value):
 
 
 def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        writer.writerow(_format_cell(row[c]) for c in columns)
+    atomic_write_text(path, text.getvalue())
+
+
+_REQUIRED = object()
+
+
+def _get(config, key, kind=float, default=_REQUIRED, where="config key"):
+    """config[key] converted by kind, or default when the key is absent.
+
+    A missing required key, or a value that kind rejects, is a UsageError.
+    """
+    if key not in config:
+        if default is _REQUIRED:
+            raise UsageError(f"{where} {key!r} is required")
+        return default
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where} {key!r}: {exc}")
+
+
+def _int_tuple(values):
+    return tuple(int(v) for v in values)
+
+
+def _float_tuple(values):
+    return tuple(float(v) for v in values)
+
+
+def _linspace(spec):
+    if not (isinstance(spec, list) and len(spec) == 3):
+        raise ValueError("must be [min, max, steps]")
+    return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
 
 
 def _grid_from_config(config, default=None):
     if "grid_size" not in config and default is not None:
         return default
+    dim = _get(config, "grid_dim", int, 1)
+    size = _get(config, "grid_size", int)
+    half_width = _get(config, "grid_half_width")
     try:
-        return GridSpec(
-            int(config.get("grid_dim", 1)),
-            int(config["grid_size"]),
-            float(config["grid_half_width"]),
-        )
-    except KeyError as exc:
-        raise UsageError(f"grid needs grid_size and grid_half_width ({exc} missing)")
+        return GridSpec(dim, size, half_width)
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _require(config, key, kind=float):
-    if key not in config:
-        raise UsageError(f"config key {key!r} is required")
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {key!r}: {exc}")
-
-
-def _complex_key(config, key, default=None):
-    if key not in config:
-        if default is None:
-            raise UsageError(f"config key {key!r} is required")
-        return default
-    value = config[key]
-    if isinstance(value, str):
-        try:
-            return complex(value)
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}")
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,9 @@ def _complex_key(config, key, default=None):
 
 def run_apply(config, out_dir, seed, workers):
     grid = _grid_from_config(config, GridSpec(1, 1024, 16.0))
-    symbol = parse_symbol_spec(str(_require(config, "symbol", str)))
+    symbol = parse_symbol_spec(_get(config, "symbol", str))
     rng = np.random.default_rng(seed)
-    f = parse_field_spec(str(config.get("field", "gaussian(width=1)")), grid, rng)
+    f = parse_field_spec(_get(config, "field", str, "gaussian(width=1)"), grid, rng)
     try:
         out = apply_op(symbol, f)
     except ValueError as exc:
@@ -320,7 +325,7 @@ def run_apply(config, out_dir, seed, workers):
     ]
     checks = []
     if "assert_output_l2_max" in config:
-        bound = float(config["assert_output_l2_max"])
+        bound = _get(config, "assert_output_l2_max")
         checks.append(("output_l2_max", lp_norm(out, 2) <= bound,
                        f"{lp_norm(out, 2)} <= {bound}"))
     extras = {"grid": grid}
@@ -335,50 +340,38 @@ def run_apply(config, out_dir, seed, workers):
 
 
 def run_resolvent_verify(config, out_dir, seed, workers):
-    z = _complex_key(config, "z", 2.0 + 0.0j)
-    delta = float(config.get("delta", 1.0))
-    direction = str(config.get("direction", "both"))
+    z = _get(config, "z", complex, 2.0 + 0.0j)
+    delta = _get(config, "delta", float, 1.0)
+    direction = _get(config, "direction", str, "both")
     if direction not in ("forward", "reverse", "both"):
         raise UsageError(f"direction must be forward, reverse or both, got {direction}")
     grid = _grid_from_config(config, GridSpec(1, 2048, 40.0))
-    tail_tol = float(config.get("tail_tol", 1e-10))
-    op_fields = int(config.get("op_fields", 5))
-    band = float(config.get("band", 3.0))
-    tol_operator = float(config.get("tol_operator", 1e-8))
+    tail_tol = _get(config, "tail_tol", float, 1e-10)
+    op_fields = _get(config, "op_fields", int, 5)
+    band = _get(config, "band", float, 3.0)
+    tol_operator = _get(config, "tol_operator", float, 1e-8)
+    r0 = _get(config, "r0", float, None)
+    truncation = _get(config, "truncation", int, None)
     rng = np.random.default_rng(seed)
-
-    def random_band_limited():
-        spec = np.zeros(grid.shape, dtype=complex)
-        mask = grid.xi_radius() <= band
-        count = int(mask.sum())
-        spec[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return inverse_transform(Field.frequency(grid, spec))
-
-    kwargs = {}
-    if "r0" in config:
-        kwargs["r0"] = float(config["r0"])
-    if "truncation" in config:
-        kwargs["truncation"] = int(config["truncation"])
 
     rows, checks, extras = [], [], {"grid": grid}
     directions = ("forward", "reverse") if direction == "both" else (direction,)
     for direc in directions:
         try:
             plan = make_plan(z, delta, direction=direc, grid=grid, tail_tol=tail_tol,
-                             **kwargs)
+                             r0=r0, truncation=truncation)
+            dec = (forward_decomposition if direc == "forward" else reverse_decomposition)(plan)
         except ValueError as exc:
             raise UsageError(str(exc))
         if direc == "forward":
-            dec = forward_decomposition(plan)
             target = resolvent_symbol(z, delta)
             compose = apply_forward
         else:
-            dec = reverse_decomposition(plan)
             target = bochner_symbol(delta) * dec.psi2
             compose = apply_reverse
         op_err = 0.0
         for _ in range(op_fields):
-            f = random_band_limited()
+            f = random_band_limited(grid, band, rng)
             err = lp_norm(compose(dec, f) - apply_op(target, f), 2) / lp_norm(f, 2)
             op_err = max(op_err, err)
         contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
@@ -412,21 +405,21 @@ def run_resolvent_verify(config, out_dir, seed, workers):
 
 
 def run_kernel_decay(config, out_dir, seed, workers):
-    z = _complex_key(config, "z", 2.0 + 0.0j)
-    delta = float(config.get("delta", 1.0))
+    z = _get(config, "z", complex, 2.0 + 0.0j)
+    delta = _get(config, "delta", float, 1.0)
     grid = _grid_from_config(config, GridSpec(1, 4096, 64.0))
-    alpha0 = int(config.get("alpha0", 2))
-    beta0 = int(config.get("beta0", 0))
-    n_min = int(config.get("n_min", 20))
-    n_max = int(config.get("n_max", 60))
+    alpha0 = _get(config, "alpha0", int, 2)
+    beta0 = _get(config, "beta0", int, 0)
+    n_min = _get(config, "n_min", int, 20)
+    n_max = _get(config, "n_max", int, 60)
     if n_min < 1 or n_max <= n_min:
         raise UsageError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
-    kwargs = {"r0": float(config["r0"])} if "r0" in config else {}
     try:
-        plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0, **kwargs)
+        plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0,
+                         r0=_get(config, "r0", float, None))
+        table = seminorm_table(plan, range(n_min, n_max + 1))
     except ValueError as exc:
         raise UsageError(str(exc))
-    table = seminorm_table(plan, range(n_min, n_max + 1))
     slope = decay_slope(table)
     ratio_cap = (2.0 * plan.r0) ** delta
     rows, checks = [], []
@@ -454,24 +447,23 @@ def _probe_spec_rows(args):
 
 
 def run_probe(config, out_dir, seed, workers):
-    lambdas = config.get("lambdas", [0.25, 0.5, 1.0])
-    ps = config.get("ps", [1.0, 2.0, 4.0])
-    ns = tuple(int(n) for n in config.get("ns", [8, 16, 32, 64, 128]))
-    delta = float(config.get("delta", 1.0))
-    rho = float(config.get("rho", 0.5))
-    weight_a = config.get("weight_a")
+    lambdas = _get(config, "lambdas", _float_tuple, (0.25, 0.5, 1.0))
+    ps = _get(config, "ps", _float_tuple, (1.0, 2.0, 4.0))
+    ns = _get(config, "ns", _int_tuple, (8, 16, 32, 64, 128))
+    delta = _get(config, "delta", float, 1.0)
+    rho = _get(config, "rho", float, 0.5)
+    weight_a = _get(config, "weight_a", float, None)
     if len(ns) < 4:
         raise UsageError("probe sweeps need at least 4 scale values")
     specs = []
     for lam in lambdas:
         for p in ps:
             try:
-                specs.append(ProbeSpec(float(lam), float(p), delta, rho=rho,
-                                       n_values=ns,
-                                       weight_a=None if weight_a is None else float(weight_a)))
+                specs.append(ProbeSpec(lam, p, delta, rho=rho, n_values=ns,
+                                       weight_a=weight_a))
             except ValueError as exc:
                 raise UsageError(str(exc))
-    grid = probe_grid(max(ns), rho, dim=int(config.get("grid_dim", 1)))
+    grid = probe_grid(max(ns), rho, dim=_get(config, "grid_dim", int, 1))
     jobs = [(spec, grid) for spec in specs]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -481,14 +473,14 @@ def run_probe(config, out_dir, seed, workers):
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["lambda"], r["p"], r["n"]))
     checks = []
-    zero_tol = float(config.get("assert_zero_lambda_tol", 1e-12))
+    zero_tol = _get(config, "assert_zero_lambda_tol", float, 1e-12)
     zero_rows = [r for r in rows if r["lambda"] == 0.0]
     if zero_rows:
         worst = max(r["ratio"] for r in zero_rows)
         checks.append(("zero_lambda_annihilation", worst <= zero_tol,
                        f"{worst} <= {zero_tol}"))
     if "assert_max_halving" in config:
-        cap = float(config["assert_max_halving"])
+        cap = _get(config, "assert_max_halving")
         ok, worst = True, 0.0
         for spec in specs:
             if not 0 < spec.lam <= 1:
@@ -503,19 +495,14 @@ def run_probe(config, out_dir, seed, workers):
 
 
 def run_spectrum_map(config, out_dir, seed, workers):
-    re_spec = config.get("re", [-0.5, 1.5, 9])
-    im_spec = config.get("im", [-1.0, 1.0, 9])
-    for name, spec in (("re", re_spec), ("im", im_spec)):
-        if not (isinstance(spec, list) and len(spec) == 3):
-            raise UsageError(f"{name} must be [min, max, steps]")
-    p = float(config.get("p", 2.0))
-    delta = float(config.get("delta", 1.0))
-    ns = tuple(int(n) for n in config.get("ns", [32, 64, 128]))
-    pole_margin = float(config.get("pole_margin", 1e-3))
-    re_values = np.linspace(float(re_spec[0]), float(re_spec[1]), int(re_spec[2]))
-    im_values = np.linspace(float(im_spec[0]), float(im_spec[1]), int(im_spec[2]))
+    re_values = _get(config, "re", _linspace, _linspace([-0.5, 1.5, 9]))
+    im_values = _get(config, "im", _linspace, _linspace([-1.0, 1.0, 9]))
+    p = _get(config, "p", float, 2.0)
+    delta = _get(config, "delta", float, 1.0)
+    ns = _get(config, "ns", _int_tuple, (32, 64, 128))
+    pole_margin = _get(config, "pole_margin", float, 1e-3)
     zs = [complex(a, b) for a in re_values for b in im_values]
-    grid = probe_grid(max(ns), float(config.get("rho", 0.5)))
+    grid = probe_grid(max(ns), _get(config, "rho", float, 0.5))
     rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, pole_margin=pole_margin)
     rows.sort(key=lambda r: (r["re_z"], r["im_z"]))
     for row in rows:
@@ -555,7 +542,7 @@ def _parse_norm_spec(text, field, where="norms"):
 
 
 def run_norms(config, out_dir, seed, workers):
-    base = str(_require(config, "field", str))
+    base = _get(config, "field", str)
     try:
         field = load_field(base)
     except OSError as exc:
@@ -573,16 +560,16 @@ def run_norms(config, out_dir, seed, workers):
 
 
 def run_mikhlin(config, out_dir, seed, workers):
-    symbol = parse_symbol_spec(str(_require(config, "symbol", str)))
-    kmax = int(config.get("kmax", 2))
+    symbol = parse_symbol_spec(_get(config, "symbol", str))
+    kmax = _get(config, "kmax", int, 2)
     try:
         report = mikhlin_check(
             symbol,
             kmax,
-            dim=int(config.get("grid_dim", 1)),
-            xi_max=float(config.get("xi_max", 4.0)),
-            base_points=int(config.get("base_points", 256)),
-            refinements=(int(config["refinements"]) if "refinements" in config else None),
+            dim=_get(config, "grid_dim", int, 1),
+            xi_max=_get(config, "xi_max", float, 4.0),
+            base_points=_get(config, "base_points", int, 256),
+            refinements=_get(config, "refinements", int, None),
         )
     except ValueError as exc:
         raise UsageError(str(exc))

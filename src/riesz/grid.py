@@ -163,6 +163,19 @@ def inverse_transform(big_f):
     return Field.spatial(g, samp)
 
 
+def random_band_limited(grid, band, rng):
+    """Spatial field whose spectrum has iid complex Gaussian coefficients in |xi| <= band.
+
+    All real parts are drawn before all imaginary parts, in lattice order, so
+    a seeded generator gives the same field on every run.
+    """
+    spec = np.zeros(grid.shape, dtype=complex)
+    mask = grid.xi_radius() <= band
+    count = int(mask.sum())
+    spec[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return inverse_transform(Field.frequency(grid, spec))
+
+
 def _as_vector(xi0, dim):
     vec = np.atleast_1d(np.asarray(xi0, dtype=float))
     if vec.size == 1 and dim > 1:

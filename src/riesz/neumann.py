@@ -13,6 +13,10 @@ Two executable directions:
   modulus on supp psi2 is at most q/(1 - q) < 1; the tail certificate uses
   the measured grid sup of that contraction.
 
+One private generator makes every series-term spectrum s_n (b^n psi2 forward,
+w^n psi2 reverse).  The tail kernel is one inverse transform of sum c_n s_n;
+each seminorm row transforms one s_n and drops its kernel afterwards.
+
 Both Decompositions store the certified tail bound next to the measured
 sup-norm reconstruction error so callers can assert one against the other.
 """
@@ -22,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec, inverse_transform
-from .multiplier import Kernel, apply, convolve, kernel_of, schwartz_seminorm
+from .multiplier import Kernel, apply, convolve, schwartz_seminorm
 from .symbols import (
     Symbol,
     ball_power_profile,
     bochner_symbol,
     cutoff_pair,
     dist_to_unit_interval,
+    radial_symbol,
     resolvent_symbol,
 )
 
@@ -143,22 +148,63 @@ class Decomposition:
     contraction_sup: float = None
 
 
-def _series_symbol_forward(z, delta, n0, psi2):
-    """m21 = z^(-1) sum_{n=0}^{n0} z^(-n) b^n psi2 as one evaluation rule."""
+def _contraction_profile(z0, delta):
+    """Radial rule r -> w = 1 - z0 (z0 - b)^(-1) = -b / (z0 - b), b = (1 - r^2)_+^delta."""
     base = ball_power_profile(delta)
+    return lambda r: -base(r) / (z0 - base(r))
 
-    def fn(coords):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        b = base(r)
-        acc = np.zeros_like(b, dtype=np.complex128)
-        term = np.ones_like(b, dtype=np.complex128) / z
-        for _ in range(n0 + 1):
-            acc = acc + term
-            term = term * b / z
-        return acc * psi2.evaluate(coords)
 
-    return Symbol(fn, psi2.support_radius, "piecewise-smooth", (1.0,),
-                  label=f"neumann-section(n0={n0})")
+def _power_sum(x, first, last):
+    """sum_{k=first}^{last} x^k, summed term by term."""
+    term = acc = x**first
+    for _ in range(first, last):
+        term = term * x
+        acc = acc + term
+    return acc
+
+
+def _series_terms(plan, ns, direction):
+    """Yield (n, s_n), the unscaled series-term spectra on the plan's grid.
+
+    forward: s_n = (1 - |xi|^2)_+^(n delta) psi2, for any indices n >= 1;
+    reverse: s_n = w^n psi2 for the range ns, through w^n = w^(n-1) w.
+    psi2 and the radius are sampled once; each s_n is a fresh array.
+    """
+    grid = plan.grid
+    if not grid.covers_support(1.0):  # every s_n vanishes outside the unit ball
+        raise ValueError(f"symbol support radius 1.0 exceeds the grid frequency "
+                         f"window {grid.xi_max}")
+    psi2 = cutoff_pair(plan.r0)[1].sample(grid)
+    r = grid.xi_radius()
+    if direction == "forward":
+        base = np.clip(1.0 - r**2, 0.0, None)
+        for n in ns:
+            if n < 1:
+                raise ValueError(f"series index must be >= 1, got {n}")
+            yield n, base ** (n * plan.delta) * psi2
+        return
+    w = _contraction_profile(plan.z, plan.delta)(r)
+    w_pow = w ** (ns[0] - 1)
+    for n in ns:
+        w_pow = w_pow * w
+        yield n, w_pow * psi2
+
+
+def _kernel(grid, spectrum):
+    return Kernel(grid, inverse_transform(Field.frequency(grid, spectrum)).samples)
+
+
+def _tail_kernel(plan, coefficient):
+    """Kernel of sum_{n0 < n <= T} coefficient(n) s_n, from one inverse transform."""
+    ns = range(plan.n0 + 1, plan.truncation + 1)
+    spectrum = sum(coefficient(n) * s_n for n, s_n in _series_terms(plan, ns, plan.direction))
+    return _kernel(plan.grid, spectrum)
+
+
+def _seminorm_rows(plan, ns, direction):
+    """(n, seminorm of the kernel of s_n); each kernel is dropped after its row."""
+    return [(int(n), schwartz_seminorm(_kernel(plan.grid, s_n), plan.alpha0, plan.beta0))
+            for n, s_n in _series_terms(plan, ns, direction)]
 
 
 def forward_decomposition(plan):
@@ -173,28 +219,19 @@ def forward_decomposition(plan):
     z, delta, grid = plan.z, plan.delta, plan.grid
     psi1, psi2 = cutoff_pair(plan.r0)
     target = resolvent_symbol(z, delta)
-
-    res_profile = ball_power_profile(delta)
-    smooth_part = Symbol(
-        lambda c: psi1.evaluate(c) / (z - res_profile(
-            np.sqrt(sum(np.asarray(ci, dtype=float) ** 2 for ci in c)))),
-        psi1.support_radius,
-        "cinf-compact",
-        label="resolvent*cutoff1",
-    )
-    series_symbol = _series_symbol_forward(z, delta, plan.n0, psi2)
+    smooth_part = target * psi1
+    base = ball_power_profile(delta)
+    # m21 = z^(-1) sum_{n=0}^{n0} (b/z)^n psi2
+    series_symbol = radial_symbol(lambda r: _power_sum(base(r) / z, 0, plan.n0) / z,
+                                  np.inf, "piecewise-smooth", (1.0,),
+                                  label=f"neumann-section(n0={plan.n0})") * psi2
     far_symbol = Symbol(
         lambda c: (1.0 - psi1.evaluate(c) - psi2.evaluate(c)) / z,
         np.inf,
         "cinf-compact",
         label="far-field",
     )
-
-    tail = np.zeros(grid.shape, dtype=np.complex128)
-    for n in range(plan.n0 + 1, plan.truncation + 1):
-        k_n = kernel_of(bochner_symbol(n * delta) * psi2, grid)
-        tail = tail + k_n.samples * z ** (-(n + 1))
-    tail_kernel = Kernel(grid, tail, provenance=None)
+    tail_kernel = _tail_kernel(plan, lambda n: z ** (-(n + 1)))
 
     certified = _forward_tail_certificate(z, plan.q, plan.truncation)
     built = (smooth_part.sample(grid) + series_symbol.sample(grid)
@@ -221,7 +258,7 @@ def apply_forward(dec, f):
         current = apply(b_delta, current)
         acc = acc + z ** (-(n + 1)) * current
     out = apply(dec.smooth_part, f) + acc + convolve(dec.tail_kernel, f)
-    far = (1.0 / z) * (f - apply(dec.psi1, f) - apply(dec.psi2, f))
+    far = (1.0 / z) * (f - apply(dec.psi1, f) - g)
     return out + far
 
 
@@ -235,39 +272,15 @@ def reverse_decomposition(plan):
         raise ValueError("plan direction must be reverse")
     z0, delta, grid = plan.z, plan.delta, plan.grid
     psi1, psi2 = cutoff_pair(plan.r0)
-    base = ball_power_profile(delta)
+    w = _contraction_profile(z0, delta)
 
-    def w_fn(coords):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        b = base(r)
-        return -b / (z0 - b)
-
-    w_symbol = Symbol(w_fn, np.inf, "piecewise-smooth", (1.0,), label="contraction")
-
-    psi2_grid = psi2.sample(grid)
-    on_support = np.abs(psi2_grid) > 0
-    w_grid = w_symbol.sample(grid)
+    on_support = np.abs(psi2.sample(grid)) > 0
+    w_grid = w(grid.xi_radius())
     contraction_sup = float(np.max(np.abs(w_grid[on_support]))) if on_support.any() else 0.0
-
-    def section_fn(coords):
-        w = w_symbol.evaluate(coords)
-        acc = np.zeros_like(w)
-        term = np.ones_like(w)
-        for _ in range(plan.n0):
-            term = term * w
-            acc = acc + term
-        return -z0 * acc * psi2.evaluate(coords)
-
-    series_symbol = Symbol(section_fn, psi2.support_radius, "piecewise-smooth", (1.0,),
-                           label=f"reverse-section(n0={plan.n0})")
-
-    tail = np.zeros(grid.shape, dtype=np.complex128)
-    w_pow = w_grid**plan.n0
-    for n in range(plan.n0 + 1, plan.truncation + 1):
-        w_pow = w_pow * w_grid
-        term_samples = -z0 * w_pow * psi2_grid
-        tail = tail + inverse_transform(Field.frequency(grid, term_samples)).samples
-    tail_kernel = Kernel(grid, tail, provenance=None)
+    series_symbol = radial_symbol(lambda r: -z0 * _power_sum(w(r), 1, plan.n0),
+                                  np.inf, "piecewise-smooth", (1.0,),
+                                  label=f"reverse-section(n0={plan.n0})") * psi2
+    tail_kernel = _tail_kernel(plan, lambda n: -z0)
 
     target = bochner_symbol(delta) * psi2
     certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
@@ -294,16 +307,14 @@ def apply_reverse(dec, f):
 
 def kernel_sequence(plan, n):
     """Kernel of (1 - |xi|^2)_+^(n delta) psi2 and its seminorm."""
-    if n < 1:
-        raise ValueError(f"series index must be >= 1, got {n}")
-    _, psi2 = cutoff_pair(plan.r0)
-    k_n = kernel_of(bochner_symbol(n * plan.delta) * psi2, plan.grid)
+    [(_, s_n)] = _series_terms(plan, [n], "forward")
+    k_n = _kernel(plan.grid, s_n)
     return k_n, schwartz_seminorm(k_n, plan.alpha0, plan.beta0)
 
 
 def seminorm_table(plan, n_values):
     """Seminorm of the kernel sequence at each requested index."""
-    return [(int(n), kernel_sequence(plan, n)[1]) for n in n_values]
+    return _seminorm_rows(plan, n_values, "forward")
 
 
 def tail_term_seminorms(plan):
@@ -312,25 +323,7 @@ def tail_term_seminorms(plan):
     Forward terms are the ball-power kernels; reverse terms use powers of
     the contraction symbol.
     """
-    grid = plan.grid
-    _, psi2 = cutoff_pair(plan.r0)
-    out = []
-    if plan.direction == "forward":
-        for n in range(plan.n0 + 1, plan.truncation + 1):
-            k_n = kernel_of(bochner_symbol(n * plan.delta) * psi2, grid)
-            out.append((n, schwartz_seminorm(k_n, plan.alpha0, plan.beta0)))
-        return out
-    base = ball_power_profile(plan.delta)
-    psi2_grid = psi2.sample(grid)
-    r = grid.xi_radius()
-    w_grid = -base(r) / (plan.z - base(r))
-    w_pow = w_grid**plan.n0
-    for n in range(plan.n0 + 1, plan.truncation + 1):
-        w_pow = w_pow * w_grid
-        term = inverse_transform(Field.frequency(grid, w_pow * psi2_grid))
-        k_n = Kernel(grid, term.samples)
-        out.append((n, schwartz_seminorm(k_n, plan.alpha0, plan.beta0)))
-    return out
+    return _seminorm_rows(plan, range(plan.n0 + 1, plan.truncation + 1), plan.direction)
 
 
 def decay_slope(table):

@@ -1,22 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-from riesz.grid import Field, inverse_transform  # noqa: E402
-
-
-def random_band_limited(grid, band, rng, real=False):
-    """Field whose spectrum has iid Gaussian coefficients inside |xi| <= band."""
-    spec = np.zeros(grid.shape, dtype=complex)
-    mask = grid.xi_radius() <= band
-    count = int(mask.sum())
-    spec[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    f = inverse_transform(Field.frequency(grid, spec))
-    if real:
-        f = Field.spatial(grid, f.samples.real)
-    return f

@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
 from riesz.cli import main as cli_main
-from riesz.grid import GridSpec, snap_to_lattice
+from riesz.grid import GridSpec, random_band_limited, snap_to_lattice
 from riesz.multiplier import apply, dense_oracle
 from riesz.neumann import (
     apply_forward,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -68,6 +69,21 @@ def test_malformed_sweep_is_usage_error(tmp_path):
 def test_precondition_violation_is_usage_error(tmp_path):
     code, out = run_cli(tmp_path, "resolvent-verify", "--set", "z=0.5+0j")
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("kernel-decay", "--set", "delta=abc"),
+    ("resolvent-verify", "--set", "band=abc"),
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=abc)"),
+    ("kernel-decay", "--set", "alpha0=9"),  # seminorm order beyond dim + 1
+    ("resolvent-verify", "--set", "grid_size=32", "--set", "grid_half_width=64"),  # xi_max < 1
+], ids=["delta", "band", "random-band", "alpha0", "grid-window"])
+def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
+    code, out = run_cli(tmp_path, *args)
+    assert code == 1
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
+    assert not (out / f"{args[0]}.csv").exists()
 
 
 def test_probe_zero_level_run(tmp_path):
@@ -152,6 +168,10 @@ def test_apply_dump_and_norms_pipeline(tmp_path):
     record = json.loads((tmp_path / "norms-out" / "norms.json").read_text())
     assert set(record) == {"lp(p=2)", "herz(alpha=0.5,p=2,q=1)"}
     assert all(v > 0 for v in record.values())
+    # spec strings with commas survive a CSV round trip
+    with open(tmp_path / "norms-out" / "norms.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["spec"] for row in rows] == ["lp(p=2)", "herz(alpha=0.5,p=2,q=1)"]
 
 
 def test_spectrum_map_run(tmp_path):

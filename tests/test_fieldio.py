@@ -4,9 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
 from riesz.fieldio import atomic_write_text, dump_field, load_field
-from riesz.grid import GridSpec
+from riesz.grid import GridSpec, random_band_limited
 
 
 def test_dump_and_load_round_trip(tmp_path):

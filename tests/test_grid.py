@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
 from riesz.grid import (
     Field,
     GridSpec,
@@ -9,6 +8,7 @@ from riesz.grid import (
     inverse_transform,
     lattice_offset,
     modulate,
+    random_band_limited,
     snap_to_lattice,
 )
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
-from riesz.grid import Field, GridSpec, forward_transform
+from riesz.grid import Field, GridSpec, forward_transform, random_band_limited
 from riesz.multiplier import (
     Kernel,
     apply,

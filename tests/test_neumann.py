@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
-from riesz.grid import GridSpec
+from riesz.grid import GridSpec, random_band_limited
 from riesz.multiplier import apply
 from riesz.neumann import (
     NeumannPlan,
@@ -151,6 +150,46 @@ def test_forward_gives_resolvent_identity(grid, rng):
         rf = apply_forward(dec, f)
         back = plan.z * rf - apply(b, rf)
         assert lp_norm(back - f, 2) / lp_norm(f, 2) < 1e-9
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Running count of numpy FFT calls made during a test."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=original, **k: calls.append(1) or _fn(*a, **k))
+    return calls
+
+
+def test_transform_counts(grid, rng, transforms):
+    # The tail kernel is one inverse transform whatever the truncation, and
+    # one forward transform measures its reconstruction error.
+    for direction, decompose in (("forward", forward_decomposition),
+                                 ("reverse", reverse_decomposition)):
+        for truncation in (10, 40):
+            plan = make_plan(2.0, 1.0, direction=direction, grid=grid, truncation=truncation)
+            before = len(transforms)
+            decompose(plan)
+            assert len(transforms) - before == 2
+    # apply_forward: two transforms per multiplier (psi2 once, n0 ball powers,
+    # the smooth part, psi1) and three for the tail convolution.
+    dec = forward_decomposition(make_plan(2.0, 1.0, grid=grid))
+    f = random_band_limited(grid, 3.0, rng)
+    before = len(transforms)
+    apply_forward(dec, f)
+    assert len(transforms) - before == 2 * (dec.plan.n0 + 3) + 3
+
+
+def test_series_terms_need_the_unit_ball_in_the_window():
+    small = GridSpec(1, 32, 64.0)  # xi_max = pi/4
+    with pytest.raises(ValueError, match="window"):
+        forward_decomposition(make_plan(2.0, 1.0, grid=small))
+    with pytest.raises(ValueError, match="window"):
+        reverse_decomposition(make_plan(2.0, 1.0, direction="reverse", grid=small))
+    with pytest.raises(ValueError, match="window"):
+        seminorm_table(make_plan(2.0, 1.0, grid=small), [5])
 
 
 def test_forward_direction_guard(grid):

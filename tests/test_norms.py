@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_band_limited
-from riesz.grid import Field, GridSpec
+from riesz.grid import Field, GridSpec, random_band_limited
 from riesz.multiplier import kernel_of
 from riesz.norms import (
     HerzParams,

@@ -144,7 +144,7 @@ def test_localized_symbol_cross_validation(grid):
 
 def test_modulation_covariance(grid):
     # (lambda I - B) M_xi0 g = M_xi0 T_s g with s = lambda - b(. + xi0)
-    from conftest import random_band_limited
+    from riesz.grid import random_band_limited
     from riesz.symbols import scalar_symbol
 
     rng = np.random.default_rng(4)
