@@ -282,6 +282,8 @@ def _float_tuple(values):
 def _linspace(spec):
     if not (isinstance(spec, list) and len(spec) == 3):
         raise ValueError("must be [min, max, steps]")
+    if int(spec[2]) < 1:
+        raise ValueError(f"needs at least one step, got {spec[2]}")
     return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
 
 
@@ -501,9 +503,15 @@ def run_spectrum_map(config, out_dir, seed, workers):
     delta = _get(config, "delta", float, 1.0)
     ns = _get(config, "ns", _int_tuple, (32, 64, 128))
     pole_margin = _get(config, "pole_margin", float, 1e-3)
+    rho = _get(config, "rho", float, 0.5)
+    if not ns:
+        raise UsageError("ns must list at least one probe scale")
     zs = [complex(a, b) for a in re_values for b in im_values]
-    grid = probe_grid(max(ns), _get(config, "rho", float, 0.5))
-    rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, pole_margin=pole_margin)
+    try:
+        grid = probe_grid(max(ns), rho)
+        rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, pole_margin=pole_margin)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows.sort(key=lambda r: (r["re_z"], r["im_z"]))
     for row in rows:
         if not np.isfinite(row["lower_bound"]):

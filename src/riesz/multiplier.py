@@ -4,6 +4,9 @@ A symbol m acts on a spatial field as (m f_hat)^vee.  On the grid this is an
 exact circular convolution, so `apply`, `kernel_of` and `convolve` agree to
 rounding, and `dense_oracle` materializes the same operator as an explicit
 circulant matrix for brute-force comparison on small grids.
+
+`apply` and `convolve` also take a field's spectrum in place of the field, so
+a caller that applies several operators to one field transforms it once.
 """
 
 from dataclasses import dataclass
@@ -44,13 +47,15 @@ def _check_window(m, grid):
         )
 
 
+def _spectrum(f):
+    """Spectrum samples of f: a frequency-side field is its own spectrum."""
+    return (f if f.domain == "frequency" else forward_transform(f)).samples
+
+
 def apply(m, f):
-    """Apply the multiplier with symbol m: inverse(m * forward(f))."""
-    if f.domain != "spatial":
-        raise ValueError("apply expects a spatial field")
+    """Apply the multiplier with symbol m: inverse(m * forward(f)); f may be a spectrum."""
     _check_window(m, f.grid)
-    spec = forward_transform(f)
-    return inverse_transform(Field.frequency(f.grid, m.sample(f.grid) * spec.samples))
+    return inverse_transform(Field.frequency(f.grid, m.sample(f.grid) * _spectrum(f)))
 
 
 def kernel_of(m, grid):
@@ -63,14 +68,10 @@ def kernel_of(m, grid):
 
 
 def convolve(kernel, f):
-    """Periodic convolution K * f through the transform domain."""
-    if f.domain != "spatial":
-        raise ValueError("convolve expects a spatial field")
+    """Periodic convolution K * f through the transform domain; f may be a spectrum."""
     if kernel.grid != f.grid:
         raise ValueError("kernel and field live on different grids")
-    k_spec = forward_transform(Field.spatial(f.grid, kernel.samples)).samples
-    f_spec = forward_transform(f).samples
-    return inverse_transform(Field.frequency(f.grid, k_spec * f_spec))
+    return inverse_transform(Field.frequency(f.grid, kernel.symbol_samples() * _spectrum(f)))
 
 
 def multi_indices(dim, max_total):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, inverse_transform
+from .grid import Field, GridSpec, forward_transform, inverse_transform
 from .multiplier import Kernel, apply, convolve, schwartz_seminorm
 from .symbols import (
     Symbol,
@@ -251,14 +251,15 @@ def apply_forward(dec, f):
     plan = dec.plan
     z = plan.z
     b_delta = bochner_symbol(plan.delta)
-    g = apply(dec.psi2, f)
+    spec = forward_transform(f)
+    g = apply(dec.psi2, spec)
     acc = (1.0 / z) * g
     current = g
     for n in range(1, plan.n0 + 1):
         current = apply(b_delta, current)
         acc = acc + z ** (-(n + 1)) * current
-    out = apply(dec.smooth_part, f) + acc + convolve(dec.tail_kernel, f)
-    far = (1.0 / z) * (f - apply(dec.psi1, f) - g)
+    out = apply(dec.smooth_part, spec) + acc + convolve(dec.tail_kernel, spec)
+    far = (1.0 / z) * (f - apply(dec.psi1, spec) - g)
     return out + far
 
 
@@ -295,14 +296,13 @@ def apply_reverse(dec, f):
     plan = dec.plan
     z0 = plan.z
     res = resolvent_symbol(z0, plan.delta)
-    g = apply(dec.psi2, f)
+    spec = forward_transform(f)
     acc = None
-    current = g
+    current = apply(dec.psi2, spec)
     for _ in range(plan.n0):
         current = current - z0 * apply(res, current)
         acc = current if acc is None else acc + current
-    out = (-z0) * acc + convolve(dec.tail_kernel, f)
-    return out
+    return (-z0) * acc + convolve(dec.tail_kernel, spec)
 
 
 def kernel_sequence(plan, n):

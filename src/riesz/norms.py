@@ -240,7 +240,8 @@ def build_lp_family(ell_max):
     return family
 
 
-def _band_check(f, family):
+def _block_fields(f, alpha, q, family):
+    """Base and level blocks of f, from one transform that also checks the band."""
     spec = forward_transform(f)
     r = f.grid.xi_radius()
     outside = r > family.valid_band
@@ -252,18 +253,14 @@ def _band_check(f, family):
                 f"field has frequency content beyond the family band "
                 f"{family.valid_band} (leak {leak:.2e})"
             )
-
-
-def _block_fields(f, alpha, q, family):
-    base_term = apply(family.base, f)
-    blocks = [apply(family.level_symbol(ell), f) for ell in range(1, family.ell_max + 1)]
+    base_term = apply(family.base, spec)
+    blocks = [apply(family.level_symbol(ell), spec) for ell in range(1, family.ell_max + 1)]
     weights = [2.0 ** (ell * alpha * q) for ell in range(1, family.ell_max + 1)]
     return base_term, blocks, weights
 
 
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
-    _band_check(f, family)
     base_term, blocks, weights = _block_fields(f, alpha, q, family)
     tail = sum(wt * lp_norm(blk, p) ** q for wt, blk in zip(weights, blocks))
     return lp_norm(base_term, p) + tail ** (1.0 / q)
@@ -271,7 +268,6 @@ def besov_norm(f, alpha, p, q, family):
 
 def triebel_norm(f, alpha, p, q, family):
     """Base L^p term plus the L^p norm of the pointwise weighted l^q sum."""
-    _band_check(f, family)
     base_term, blocks, weights = _block_fields(f, alpha, q, family)
     stack = sum(wt * np.abs(blk.samples) ** q for wt, blk in zip(weights, blocks))
     g = f.grid

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, inverse_transform, snap_to_lattice
+from .grid import Field, GridSpec, forward_transform, inverse_transform, snap_to_lattice
 from .multiplier import apply
 from .norms import WeightSpec, _square_mass, lp_norm, weighted_lp_norm
 from .symbols import (
@@ -49,6 +49,8 @@ def probe_grid(n_max, rho, dim=1, spread_factor=16.0, cells_per_bump=8.0):
     """Grid sized for an N sweep: the spatial window holds spread_factor
     periods of the widest probe and the frequency spacing puts at least
     cells_per_bump cells across the narrowest bump radius rho/n_max."""
+    if not rho > 0:
+        raise ValueError(f"bump radius must be positive, got {rho}")
     half_width = max(
         spread_factor * n_max * max(1.0, rho) / rho,
         cells_per_bump * np.pi * n_max / rho,
@@ -100,6 +102,8 @@ class ProbeSpec:
     weight_a: float = None
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not 1 <= self.p < np.inf:
             raise ValueError(f"p must lie in [1, inf), got {self.p}")
         if not self.delta > 0:
@@ -278,11 +282,14 @@ def weighted_probe_report(spec, n_scale, grid=None):
     }
 
 
-def resolvent_norm_oracle(z, delta, points=200001, xi_hi=2.0):
-    """Dense radial scan of sup 1/|z - b(xi)|, the exact bound at p = 2."""
-    r = np.linspace(0.0, xi_hi, points)
-    b = np.clip(1.0 - r**2, 0.0, None) ** delta
-    return float(np.max(1.0 / np.abs(complex(z) - b)))
+def resolvent_norm_oracle(z, delta):
+    """Exact p = 2 resolvent norm sup 1/|z - b(xi)| = 1/dist(z, [0, 1]).
+
+    b = (1 - |xi|^2)_+^delta takes every value in [0, 1] for any delta > 0.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    return 1.0 / dist_to_unit_interval(z)
 
 
 def resolvent_norm_grid_sup(z, delta, grid):
@@ -291,7 +298,8 @@ def resolvent_norm_grid_sup(z, delta, grid):
 
 
 def probe_lower_bound(z, delta, p, grid, probes):
-    """Best resolvent-norm lower bound from a family of probe fields."""
+    """Best resolvent-norm lower bound from (probe, ||probe||_p) pairs; a
+    probe may be given by its spectrum, which saves its forward transform."""
     res = resolvent_symbol(z, delta)
     best = 0.0
     for f, f_norm in probes:
@@ -306,8 +314,13 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
 
     Points closer than pole_margin to [0, 1] are marked as poles and skipped.
     Probe levels follow each point's real part (clamped to [0, 1]) plus the
-    fixed extras; the p = 2 column carries the dense symbol-scan oracle.
+    fixed extras.  Each distinct probe is kept as its spectrum and L^p norm;
+    the p = 2 column carries the closed-form oracle 1/dist(z, [0, 1]).
     """
+    if not (n_values and min(n_values) >= 1):
+        raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
+    if not pole_margin > 0:
+        raise ValueError(f"pole margin must be positive, got {pole_margin}")
     if grid is None:
         grid = probe_grid(max(n_values), rho)
     probe_cache = {}
@@ -316,11 +329,8 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, delta))
         key = tuple(np.round(xi0 / grid.dxi).astype(int))
         if key not in probe_cache:
-            fields = []
-            for n in n_values:
-                f = probe_field(xi0, n, grid, rho=rho)
-                fields.append((f, lp_norm(f, p)))
-            probe_cache[key] = fields
+            fields = (probe_field(xi0, n, grid, rho=rho) for n in n_values)
+            probe_cache[key] = [(forward_transform(f), lp_norm(f, p)) for f in fields]
         return probe_cache[key]
 
     rows = []

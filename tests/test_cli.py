@@ -77,7 +77,18 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=abc)"),
     ("kernel-decay", "--set", "alpha0=9"),  # seminorm order beyond dim + 1
     ("resolvent-verify", "--set", "grid_size=32", "--set", "grid_half_width=64"),  # xi_max < 1
-], ids=["delta", "band", "random-band", "alpha0", "grid-window"])
+    ("spectrum-map", "--set", "re=[0,1,0]"),
+    ("spectrum-map", "--set", "im=[0,1,0]"),
+    ("spectrum-map", "--set", "ns=[0,1]"),
+    ("spectrum-map", "--set", "ns=[]"),
+    ("spectrum-map", "--set", "p=0.5"),
+    ("spectrum-map", "--set", "delta=-1"),
+    ("spectrum-map", "--set", "pole_margin=-1"),
+    ("spectrum-map", "--set", "rho=0"),
+    ("probe", "--set", "lambdas=[nan]"),
+], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
+        "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
+        "map-pole-margin", "map-rho", "probe-nan-lambda"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     code, out = run_cli(tmp_path, *args)
     assert code == 1

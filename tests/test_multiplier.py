@@ -105,6 +105,18 @@ def test_convolution_matches_apply(grid, rng):
         assert np.max(np.abs(direct.samples - via_kernel.samples)) < 1e-10
 
 
+@pytest.mark.parametrize("g", [GridSpec(1, 512, 16.0), GridSpec(2, 64, 8.0)],
+                         ids=["1d", "2d"])
+def test_spectrum_input_matches_spatial_input(g):
+    # a frequency-side field is its own spectrum: same samples, bit for bit
+    f = random_band_limited(g, 1.5, np.random.default_rng(5))
+    spec = forward_transform(f)
+    sym = bochner_symbol(1.0)
+    k = kernel_of(sym, g)
+    assert np.array_equal(apply(sym, spec).samples, apply(sym, f).samples)
+    assert np.array_equal(convolve(k, spec).samples, convolve(k, f).samples)
+
+
 def test_ball_kernel_quadratic_decay():
     # |K(x)| (1 + |x|)^2 stays bounded for the d = 1 unit-power ball symbol;
     # the bound is the grid max computed here, stable across window sizes

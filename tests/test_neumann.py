@@ -152,17 +152,6 @@ def test_forward_gives_resolvent_identity(grid, rng):
         assert lp_norm(back - f, 2) / lp_norm(f, 2) < 1e-9
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Running count of numpy FFT calls made during a test."""
-    calls = []
-    for name in ("fftn", "ifftn"):
-        original = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *a, _fn=original, **k: calls.append(1) or _fn(*a, **k))
-    return calls
-
-
 def test_transform_counts(grid, rng, transforms):
     # The tail kernel is one inverse transform whatever the truncation, and
     # one forward transform measures its reconstruction error.
@@ -173,13 +162,24 @@ def test_transform_counts(grid, rng, transforms):
             before = len(transforms)
             decompose(plan)
             assert len(transforms) - before == 2
-    # apply_forward: two transforms per multiplier (psi2 once, n0 ball powers,
-    # the smooth part, psi1) and three for the tail convolution.
+    # apply_forward: one forward transform of f, one inverse for each
+    # multiplier on its spectrum (psi2, the smooth part, psi1), two per ball
+    # power and two for the tail convolution.
     dec = forward_decomposition(make_plan(2.0, 1.0, grid=grid))
     f = random_band_limited(grid, 3.0, rng)
     before = len(transforms)
     apply_forward(dec, f)
-    assert len(transforms) - before == 2 * (dec.plan.n0 + 3) + 3
+    assert len(transforms) - before == 2 * (dec.plan.n0 + 3)
+
+
+def test_apply_reverse_transforms_its_input_once(grid, rng, transforms):
+    # one forward transform of f, one inverse for psi2, two per resolvent
+    # power and two for the tail convolution
+    dec = reverse_decomposition(make_plan(2.0, 1.0, direction="reverse", grid=grid))
+    f = random_band_limited(grid, 3.0, rng)
+    before = len(transforms)
+    apply_reverse(dec, f)
+    assert len(transforms) - before == 2 * dec.plan.n0 + 4
 
 
 def test_series_terms_need_the_unit_ball_in_the_window():

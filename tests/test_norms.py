@@ -239,6 +239,17 @@ def test_besov_triebel_order_inequalities(grid, rng):
         assert besov_norm(f, 0.3, 2.0, 4.0, family) <= triebel_norm(f, 0.3, 2.0, 4.0, family) * (1 + 1e-10)
 
 
+def test_block_norms_transform_once(grid, rng, transforms):
+    # one forward transform of f (which also checks the band), then one
+    # inverse for the base and one for each level
+    family = build_lp_family(4)
+    f = random_band_limited(grid, 4.0, rng)
+    for norm in (besov_norm, triebel_norm):
+        before = len(transforms)
+        norm(f, 0.3, 2.0, 1.5, family)
+        assert len(transforms) - before == 2 + family.ell_max
+
+
 def test_band_limit_guard(grid, rng):
     family = build_lp_family(2)  # valid band |xi| <= 2
     f = random_band_limited(grid, 4.0, rng)

@@ -213,6 +213,16 @@ def test_oracle_at_reference_points():
         assert oracle == pytest.approx(1.0 / eps, rel=0.01)
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_oracle_is_reciprocal_distance(delta):
+    # left of, right of, above and below the segment [0, 1]
+    for z in (-0.5 + 0.2j, -1.0, 1.7 - 0.3j, 2.0, 0.4 + 0.25j, 0.6 - 0.1j):
+        assert resolvent_norm_oracle(z, delta) == 1.0 / dist_to_unit_interval(z)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            resolvent_norm_oracle(2.0, bad)
+
+
 def test_grid_sup_estimator_matches_distance():
     g = GridSpec(1, 1024, 1000.0)
     for z in (2.0, -1.0, 1 + 1j, 0.5 + 0.25j):
@@ -237,6 +247,16 @@ def test_spectrum_map_rows(grid):
     near = by_z[(0.5, 0.1)]
     assert near["lower_bound"] >= 0.8 / 0.1
     assert by_z[(0.5, 1e-5)]["pole"]
+
+
+def test_spectrum_map_transforms_each_probe_once(grid, transforms):
+    # levels: 1 at z = 2, 1/2 at z = 1/2 + i/10, 0 at z = -1 + i/2, plus the
+    # extras 1/4 and 3/4; five levels of three scales make 15 distinct probes
+    zs = [2.0, 0.5 + 0.1j, 0.5 + 1e-5j, -1.0 + 0.5j]
+    rows = spectrum_map(zs, 2.0, 1.0, grid=grid, n_values=(16, 32, 64))
+    assert sum(row["pole"] for row in rows) == 1
+    # 2 per distinct probe (build, forward) and 1 per (non-pole z, probe)
+    assert len(transforms) == 2 * 15 + 3 * 9
 
 
 def test_probe_lower_bound_never_exceeds_p2_oracle(grid):
