@@ -7,7 +7,9 @@ Subcommands: apply, resolvent-verify, kernel-decay, probe, spectrum-map,
 norms, mikhlin.  Each run writes manifest.json plus <subcommand>.csv into the
 output directory, atomically.  Exit status: 0 when every in-config assertion
 holds, 2 when one fails, 1 on a usage error (bad flags, unparseable config,
-parameters outside module preconditions).
+parameters outside module preconditions).  Every ValueError a module raises
+for a bad input reaches the user through the one handler in main, as a single
+"riesz: <message>" line on stderr.
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, double-quoted strings, and [comma, separated, lists]; # starts a
@@ -16,6 +18,7 @@ comment.  --set overrides win over the file and accept bare strings.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -65,8 +68,8 @@ from .symbols import (
 CSV_SCHEMA_VERSION = 1
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad input; main reports it, like any ValueError, as one line and exit 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +167,14 @@ def _scalar(text, where):
 
 
 def _kwargs(parts, where):
+    """key=value call arguments as a getter: arg(key, kind=float, default)."""
     out = {}
     for part in parts:
         if "=" not in part:
             raise UsageError(f"{where}: expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         out[key.strip()] = value.strip()
-    return out
+    return functools.partial(_get, out, where=f"{where} argument")
 
 
 def parse_symbol_spec(text, where="symbol"):
@@ -194,40 +198,35 @@ def parse_symbol_spec(text, where="symbol"):
         if len(parts) != 1:
             raise UsageError(f"{where}: scalar needs one number")
         return scalar_symbol(_scalar(parts[0], where))
-    kw = _kwargs(parts, where)
-    try:
-        if name == "bochner":
-            return bochner_symbol(float(kw["delta"]))
-        if name == "resolvent":
-            return resolvent_symbol(_scalar(kw["z"], where), float(kw["delta"]))
-        if name == "cutoff1":
-            return cutoff_pair(float(kw["r0"]))[0]
-        if name == "cutoff2":
-            return cutoff_pair(float(kw["r0"]))[1]
-        if name == "bump":
-            return bump_phi0(float(kw["rho"]))
-    except KeyError as exc:
-        raise UsageError(f"{where}: {name} is missing argument {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
+    arg = _kwargs(parts, f"{where}: {name}")
+    if name == "bochner":
+        return bochner_symbol(arg("delta"))
+    if name == "resolvent":
+        return resolvent_symbol(arg("z", complex), arg("delta"))
+    if name == "cutoff1":
+        return cutoff_pair(arg("r0"))[0]
+    if name == "cutoff2":
+        return cutoff_pair(arg("r0"))[1]
+    if name == "bump":
+        return bump_phi0(arg("rho"))
     raise UsageError(f"{where}: unknown symbol kind {name!r}")
 
 
 def parse_field_spec(text, grid, rng, where="field"):
     """Field DSL: gaussian(width=), bump(radius=), random(band=)."""
     name, parts = _parse_call(text, where)
-    kw = _kwargs(parts, where)
+    arg = _kwargs(parts, f"{where}: {name}")
     if name == "gaussian":
-        width = _get(kw, "width", float, 1.0, where)
+        width = arg("width", float, 1.0)
+        if not 0 < width < np.inf:
+            raise UsageError(f"{where}: gaussian width must be positive and finite, got {width}")
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))
     if name == "bump":
-        radius = _get(kw, "radius", float, 1.0, where)
-        spec = bump_phi0(radius)
-        mesh = grid.x_mesh()
-        return Field.spatial(grid, spec.evaluate(mesh))
+        spec = bump_phi0(arg("radius", float, 1.0))
+        return Field.spatial(grid, spec.evaluate(grid.x_mesh()))
     if name == "random":
-        return random_band_limited(grid, _get(kw, "band", float, 2.0, where), rng)
+        return random_band_limited(grid, arg("band", float, 2.0), rng)
     raise UsageError(f"{where}: unknown field kind {name!r}")
 
 
@@ -272,7 +271,10 @@ def _get(config, key, kind=float, default=_REQUIRED, where="config key"):
 
 
 def _int_tuple(values):
-    return tuple(int(v) for v in values)
+    out = tuple(int(v) for v in values)
+    if out != tuple(values):
+        raise ValueError(f"must be a list of integers, got {values}")
+    return out
 
 
 def _float_tuple(values):
@@ -292,11 +294,7 @@ def _grid_from_config(config, default=None):
         return default
     dim = _get(config, "grid_dim", int, 1)
     size = _get(config, "grid_size", int)
-    half_width = _get(config, "grid_half_width")
-    try:
-        return GridSpec(dim, size, half_width)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return GridSpec(dim, size, _get(config, "grid_half_width"))
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +305,7 @@ def run_apply(config, out_dir, seed, workers):
     symbol = parse_symbol_spec(_get(config, "symbol", str))
     rng = np.random.default_rng(seed)
     f = parse_field_spec(_get(config, "field", str, "gaussian(width=1)"), grid, rng)
-    try:
-        out = apply_op(symbol, f)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    out = apply_op(symbol, f)
     rows = [
         {
             "quantity": "input",
@@ -350,6 +345,8 @@ def run_resolvent_verify(config, out_dir, seed, workers):
     grid = _grid_from_config(config, GridSpec(1, 2048, 40.0))
     tail_tol = _get(config, "tail_tol", float, 1e-10)
     op_fields = _get(config, "op_fields", int, 5)
+    if op_fields < 1:
+        raise UsageError(f"op_fields must be at least 1, got {op_fields}")
     band = _get(config, "band", float, 3.0)
     tol_operator = _get(config, "tol_operator", float, 1e-8)
     r0 = _get(config, "r0", float, None)
@@ -359,22 +356,15 @@ def run_resolvent_verify(config, out_dir, seed, workers):
     rows, checks, extras = [], [], {"grid": grid}
     directions = ("forward", "reverse") if direction == "both" else (direction,)
     for direc in directions:
-        try:
-            plan = make_plan(z, delta, direction=direc, grid=grid, tail_tol=tail_tol,
-                             r0=r0, truncation=truncation)
-            dec = (forward_decomposition if direc == "forward" else reverse_decomposition)(plan)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        if direc == "forward":
-            target = resolvent_symbol(z, delta)
-            compose = apply_forward
-        else:
-            target = bochner_symbol(delta) * dec.psi2
-            compose = apply_reverse
+        plan = make_plan(z, delta, direction=direc, grid=grid, tail_tol=tail_tol,
+                         r0=r0, truncation=truncation)
+        forward = direc == "forward"
+        dec = (forward_decomposition if forward else reverse_decomposition)(plan)
+        compose = apply_forward if forward else apply_reverse
         op_err = 0.0
         for _ in range(op_fields):
             f = random_band_limited(grid, band, rng)
-            err = lp_norm(compose(dec, f) - apply_op(target, f), 2) / lp_norm(f, 2)
+            err = lp_norm(compose(dec, f) - apply_op(dec.target, f), 2) / lp_norm(f, 2)
             op_err = max(op_err, err)
         contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
         for n, seminorm in tail_term_seminorms(plan):
@@ -416,12 +406,9 @@ def run_kernel_decay(config, out_dir, seed, workers):
     n_max = _get(config, "n_max", int, 60)
     if n_min < 1 or n_max <= n_min:
         raise UsageError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
-    try:
-        plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0,
-                         r0=_get(config, "r0", float, None))
-        table = seminorm_table(plan, range(n_min, n_max + 1))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0,
+                     r0=_get(config, "r0", float, None))
+    table = seminorm_table(plan, range(n_min, n_max + 1))
     slope = decay_slope(table)
     ratio_cap = (2.0 * plan.r0) ** delta
     rows, checks = [], []
@@ -457,14 +444,8 @@ def run_probe(config, out_dir, seed, workers):
     weight_a = _get(config, "weight_a", float, None)
     if len(ns) < 4:
         raise UsageError("probe sweeps need at least 4 scale values")
-    specs = []
-    for lam in lambdas:
-        for p in ps:
-            try:
-                specs.append(ProbeSpec(lam, p, delta, rho=rho, n_values=ns,
-                                       weight_a=weight_a))
-            except ValueError as exc:
-                raise UsageError(str(exc))
+    specs = [ProbeSpec(lam, p, delta, rho=rho, n_values=ns, weight_a=weight_a)
+             for lam in lambdas for p in ps]
     grid = probe_grid(max(ns), rho, dim=_get(config, "grid_dim", int, 1))
     jobs = [(spec, grid) for spec in specs]
     if workers > 1:
@@ -507,11 +488,8 @@ def run_spectrum_map(config, out_dir, seed, workers):
     if not ns:
         raise UsageError("ns must list at least one probe scale")
     zs = [complex(a, b) for a in re_values for b in im_values]
-    try:
-        grid = probe_grid(max(ns), rho)
-        rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, pole_margin=pole_margin)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    grid = probe_grid(max(ns), rho)
+    rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, rho=rho, pole_margin=pole_margin)
     rows.sort(key=lambda r: (r["re_z"], r["im_z"]))
     for row in rows:
         if not np.isfinite(row["lower_bound"]):
@@ -522,30 +500,23 @@ def run_spectrum_map(config, out_dir, seed, workers):
 
 def _parse_norm_spec(text, field, where="norms"):
     name, parts = _parse_call(text, where)
-    kw = _kwargs(parts, where)
-    try:
-        if name == "lp":
-            return name, text, lp_norm(field, float(kw["p"]))
-        if name == "weighted":
-            p = float(kw["p"])
-            return name, text, weighted_lp_norm(field, p, WeightSpec(float(kw["a"]), p))
-        if name == "herz":
-            params = HerzParams(float(kw["alpha"]), float(kw["p"]), float(kw["q"]))
-            return name, text, herz_norm(field, params)
-        if name in ("besov", "triebel"):
-            family = build_lp_family(int(kw.get("levels", 4)))
-            fn = besov_norm if name == "besov" else triebel_norm
-            return name, text, fn(field, float(kw["alpha"]), float(kw["p"]),
-                                  float(kw["q"]), family)
-        if name == "ap":
-            w = WeightSpec(float(kw["a"]), float(kw["p"]))
-            family = default_cube_family(field.grid.half_width, field.grid.dim,
-                                         int(kw.get("level", 0)))
-            return name, text, ap_constant_estimate(w, family, field.grid.dim)
-    except KeyError as exc:
-        raise UsageError(f"{where}: {name} is missing argument {exc}")
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}")
+    arg = _kwargs(parts, f"{where}: {name}")
+    if name == "lp":
+        return name, text, lp_norm(field, arg("p"))
+    if name == "weighted":
+        p = arg("p")
+        return name, text, weighted_lp_norm(field, p, WeightSpec(arg("a"), p))
+    if name == "herz":
+        return name, text, herz_norm(field, HerzParams(arg("alpha"), arg("p"), arg("q")))
+    if name in ("besov", "triebel"):
+        family = build_lp_family(arg("levels", int, 4))
+        fn = besov_norm if name == "besov" else triebel_norm
+        return name, text, fn(field, arg("alpha"), arg("p"), arg("q"), family)
+    if name == "ap":
+        w = WeightSpec(arg("a"), arg("p"))
+        family = default_cube_family(field.grid.half_width, field.grid.dim,
+                                     arg("level", int, 0))
+        return name, text, ap_constant_estimate(w, family, field.grid.dim)
     raise UsageError(f"{where}: unknown norm kind {name!r}")
 
 
@@ -570,17 +541,14 @@ def run_norms(config, out_dir, seed, workers):
 def run_mikhlin(config, out_dir, seed, workers):
     symbol = parse_symbol_spec(_get(config, "symbol", str))
     kmax = _get(config, "kmax", int, 2)
-    try:
-        report = mikhlin_check(
-            symbol,
-            kmax,
-            dim=_get(config, "grid_dim", int, 1),
-            xi_max=_get(config, "xi_max", float, 4.0),
-            base_points=_get(config, "base_points", int, 256),
-            refinements=_get(config, "refinements", int, None),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = mikhlin_check(
+        symbol,
+        kmax,
+        dim=_get(config, "grid_dim", int, 1),
+        xi_max=_get(config, "xi_max", float, 4.0),
+        base_points=_get(config, "base_points", int, 256),
+        refinements=_get(config, "refinements", int, None),
+    )
     rows = []
     for k in range(report.kmax + 1):
         for level, points in enumerate(report.points):
@@ -646,7 +614,7 @@ def main(argv=None):
         rows, columns, checks, extras = COMMANDS[args.command](
             config, args.out, args.seed, max(1, args.workers)
         )
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError and every module precondition
         print(f"riesz: {exc}", file=sys.stderr)
         return 1
 

@@ -169,6 +169,8 @@ def random_band_limited(grid, band, rng):
     All real parts are drawn before all imaginary parts, in lattice order, so
     a seeded generator gives the same field on every run.
     """
+    if not band > 0:
+        raise ValueError(f"band must be positive, got {band}")
     spec = np.zeros(grid.shape, dtype=complex)
     mask = grid.xi_radius() <= band
     count = int(mask.sum())

@@ -6,6 +6,7 @@ known in closed form; the value at the origin cell is replaced by the cell
 average so negative exponents stay integrable.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,26 +60,22 @@ def _square_mass(a, half_side, dim):
     return 8.0 * half_side ** (a + 2) / (a + 2) * float(np.trapezoid(integrand, theta))
 
 
-_WEIGHT_CACHE = {}
-
-
+@functools.lru_cache(maxsize=8)
 def weight_samples(grid, a):
-    """|x|^a on the grid with the origin cell replaced by its cell average."""
-    key = (grid, a)
-    hit = _WEIGHT_CACHE.get(key)
-    if hit is None:
-        if a == 0:
-            hit = np.ones(grid.shape)
-        else:
-            r = grid.x_radius()
-            with np.errstate(divide="ignore"):
-                hit = np.where(r > 0, r, 1.0) ** a
-            center = (grid.size // 2,) * grid.dim
-            cell = _square_mass(a, grid.h / 2.0, grid.dim) / grid.h**grid.dim
-            hit[center] = cell
-        hit.setflags(write=False)
-        _WEIGHT_CACHE[key] = hit
-    return hit
+    """|x|^a on the grid with the origin cell replaced by its cell average.
+
+    Read-only, and shared by every caller asking for the same (grid, a).
+    """
+    if a == 0:
+        w = np.ones(grid.shape)
+    else:
+        r = grid.x_radius()
+        with np.errstate(divide="ignore"):
+            w = np.where(r > 0, r, 1.0) ** a
+        center = (grid.size // 2,) * grid.dim
+        w[center] = _square_mass(a, grid.h / 2.0, grid.dim) / grid.h**grid.dim
+    w.setflags(write=False)
+    return w
 
 
 def weighted_lp_norm(f, p, w):

@@ -10,6 +10,7 @@ spectrum; the same probes pushed through resolvent symbols give certified
 lower bounds on resolvent norms over the complex plane.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,26 +225,17 @@ def halving_factors(rows):
     return [b / a for a, b in zip(ratios, ratios[1:]) if a > 0]
 
 
-_EPS0_CACHE = {}
-
-
+@functools.lru_cache(maxsize=8)
 def half_peak_radius(grid, rho):
     """Largest radius where the baseband probe keeps half its peak height."""
-    key = (grid, rho)
-    hit = _EPS0_CACHE.get(key)
-    if hit is None:
-        f = probe_field(0.0, 1, grid, rho=rho)
-        if grid.dim == 1:
-            profile = np.abs(f.samples[grid.size // 2 :])
-            axis = grid.x_axis()[grid.size // 2 :]
-        else:
-            profile = np.abs(f.samples[grid.size // 2 :, grid.size // 2])
-            axis = grid.x_axis()[grid.size // 2 :]
-        half = profile[0] / 2.0
-        below = np.nonzero(profile < half)[0]
-        hit = float(axis[below[0] - 1]) if below.size and below[0] > 0 else float(axis[-1])
-        _EPS0_CACHE[key] = hit
-    return hit
+    f = probe_field(0.0, 1, grid, rho=rho)
+    if grid.dim == 1:
+        profile = np.abs(f.samples[grid.size // 2 :])
+    else:
+        profile = np.abs(f.samples[grid.size // 2 :, grid.size // 2])
+    axis = grid.x_axis()[grid.size // 2 :]
+    below = np.nonzero(profile < profile[0] / 2.0)[0]
+    return float(axis[below[0] - 1]) if below.size and below[0] > 0 else float(axis[-1])
 
 
 def weighted_probe_report(spec, n_scale, grid=None):

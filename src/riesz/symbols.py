@@ -7,6 +7,7 @@ cached per GridSpec because sweeps reuse the same symbol on one grid many
 times.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -252,23 +253,16 @@ def cutoff_pair(r0):
     return psi1, psi2
 
 
-_UNIT_BUMP_MASS = {}
-
-
+@functools.lru_cache(maxsize=2)
 def _unit_bump_mass(dim):
     """Integral of exp(-1/(1-|s|^2)) over the unit ball in R^dim."""
-    mass = _UNIT_BUMP_MASS.get(dim)
-    if mass is None:
-        s = np.linspace(0.0, 1.0, 2**20 + 1)
-        vals = _flat_exp(1.0 - s**2)
-        if dim == 1:
-            mass = 2.0 * np.trapezoid(vals, s)
-        elif dim == 2:
-            mass = 2.0 * np.pi * np.trapezoid(vals * s, s)
-        else:
-            raise ValueError(f"unsupported dimension {dim}")
-        _UNIT_BUMP_MASS[dim] = mass
-    return mass
+    if dim not in (1, 2):
+        raise ValueError(f"unsupported dimension {dim}")
+    s = np.linspace(0.0, 1.0, 2**20 + 1)
+    vals = _flat_exp(1.0 - s**2)
+    if dim == 1:
+        return 2.0 * np.trapezoid(vals, s)
+    return 2.0 * np.pi * np.trapezoid(vals * s, s)
 
 
 def bump_phi0(rho):
@@ -277,8 +271,8 @@ def bump_phi0(rho):
     Scaled so that the spatial side takes the value 1 at the origin, i.e.
     (2 pi)^(-d) integral = 1 in every supported dimension.
     """
-    if not rho > 0:
-        raise ValueError(f"radius must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {rho}")
 
     def fn(coords):
         dim = len(coords)
@@ -343,8 +337,16 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
+    if dim not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dim}")
+    if not 0 < xi_max < np.inf:
+        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    if base_points < 2:
+        raise ValueError(f"base_points must be at least 2, got {base_points}")
     if refinements is None:
         refinements = 8 if dim == 1 else 3
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     points, sups = [], []
     for level in range(refinements + 1):
         n = base_points * 2**level + 1

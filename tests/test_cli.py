@@ -3,8 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riesz.cli import UsageError, main, parse_config_text, parse_symbol_spec
+from riesz.cli import (
+    UsageError,
+    main,
+    parse_config_text,
+    parse_field_spec,
+    parse_symbol_spec,
+)
+from riesz.grid import GridSpec
+from riesz.probes import spectrum_map
 
 
 def run_cli(tmp_path, *args):
@@ -86,15 +96,74 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("spectrum-map", "--set", "pole_margin=-1"),
     ("spectrum-map", "--set", "rho=0"),
     ("probe", "--set", "lambdas=[nan]"),
+    ("probe", "--set", "grid_dim=3"),
+    ("probe", "--set", "ns=[1,2,3,4]", "--workers", "1"),  # below the plateau scale
+    ("probe", "--set", "ns=[1,2,3,4]", "--workers", "2"),
+    ("probe", "--set", "weight_a=5"),  # outside the A_p range
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=bump(radius=-1)"),
+    ("apply", "--set", "symbol=bochner()"),
+    # the finest level of a 3D screen would be 2049^3 points
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "grid_dim=3"),
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "base_points=0"),
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "refinements=-1"),
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "xi_max=-1"),
+    ("resolvent-verify", "--set", "op_fields=0"),  # would pass the operator check vacuously
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(width=0)"),
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=-1)"),
+    ("spectrum-map", "--set", "ns=[1.5,2]"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
-        "map-pole-margin", "map-rho", "probe-nan-lambda"])
+        "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
+        "probe-scales-serial", "probe-scales-pool", "probe-weight", "bump-radius",
+        "bochner-no-delta", "mikhlin-dim", "mikhlin-base-points", "mikhlin-refinements",
+        "mikhlin-xi-max", "op-fields", "gaussian-width", "random-band-negative",
+        "map-fractional-scale"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     code, out = run_cli(tmp_path, *args)
     assert code == 1
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
     assert not (out / f"{args[0]}.csv").exists()
+
+
+def test_missing_symbol_argument_is_named(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "apply", "--set", "symbol=bochner()")
+    assert code == 1
+    assert capsys.readouterr().err == "riesz: symbol: bochner argument 'delta' is required\n"
+
+
+_DSL_TOKENS = st.sampled_from([
+    "bochner", "resolvent", "cutoff1", "cutoff2", "bump", "scalar", "product", "sum",
+    "scale", "gaussian", "random", "delta", "z", "r0", "rho", "width", "radius", "band",
+    "(", ")", "[", "]", ",", "=", " ", '"', "#", "\n", "0", "1", "-1", "0.25", "2+1j",
+    "1e400", "nan", "inf", "true", "abc",
+])
+_TEXT = st.one_of(st.text(max_size=40), st.lists(_DSL_TOKENS, max_size=24).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+def test_parsers_raise_only_value_errors(text):
+    # every bad input must reach main's ValueError handler, never a traceback
+    grid = GridSpec(1, 64, 8.0)
+    for parse in (parse_config_text, parse_symbol_spec,
+                  lambda t: parse_field_spec(t, grid, np.random.default_rng(0))):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+def test_spectrum_map_passes_rho_to_the_probes(tmp_path):
+    code, out = run_cli(
+        tmp_path, "spectrum-map", "--set", "re=[2,2,1]", "--set", "im=[0.5,0.5,1]",
+        "--set", "ns=[8,16]", "--set", "rho=2.0",
+    )
+    assert code == 0
+    with open(out / "spectrum-map.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    (expected,) = spectrum_map([2 + 0.5j], 2.0, 1.0, n_values=(8, 16), rho=2.0)
+    assert float(row["lower_bound"]) == expected["lower_bound"]
 
 
 def test_probe_zero_level_run(tmp_path):

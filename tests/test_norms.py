@@ -93,6 +93,12 @@ def test_weighted_translation_noninvariance(grid):
     assert abs(n0 - n1) > 0.1 * n0
 
 
+def test_weight_samples_are_shared_and_read_only(grid):
+    first = weight_samples(grid, 0.5)
+    assert weight_samples(grid, 0.5) is first
+    assert not first.flags.writeable
+
+
 def test_weight_center_cell_average(grid):
     vals = weight_samples(grid, -0.5)
     center = grid.size // 2
