@@ -13,7 +13,8 @@ for a bad input reaches the user through the one handler in main, as a single
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, double-quoted strings, and [comma, separated, lists]; # starts a
-comment.  --set overrides win over the file and accept bare strings.
+comment.  A list item shaped name(...), such as a norm spec, may go unquoted.
+--set overrides win over the file and accept bare strings.
 """
 
 import argparse
@@ -83,7 +84,9 @@ def _parse_value(text, where):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_value(part, where) for part in _split_top(inner)]
+        # an unquoted name(...) item, e.g. a norm spec, stays a string
+        return [part if _is_call(part) else _parse_value(part, where)
+                for part in _split_top(inner)]
     if text == "true":
         return True
     if text == "false":
@@ -99,6 +102,11 @@ def _parse_value(text, where):
     except ValueError:
         pass
     raise UsageError(f"{where}: cannot parse value {text!r}")
+
+
+def _is_call(text):
+    name, paren, _ = text.partition("(")
+    return bool(paren) and text.endswith(")") and name.strip().isidentifier()
 
 
 def _split_top(text):
@@ -270,11 +278,17 @@ def _get(config, key, kind=float, default=_REQUIRED, where="config key"):
         raise UsageError(f"{where} {key!r}: {exc}")
 
 
+def _int(value):
+    """An integer value: 2, 2.0 and "2.0" pass, 2.7 is rejected rather than truncated."""
+    if isinstance(value, str):  # a DSL argument
+        value = float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int_tuple(values):
-    out = tuple(int(v) for v in values)
-    if out != tuple(values):
-        raise ValueError(f"must be a list of integers, got {values}")
-    return out
+    return tuple(_int(v) for v in values)
 
 
 def _float_tuple(values):
@@ -284,16 +298,16 @@ def _float_tuple(values):
 def _linspace(spec):
     if not (isinstance(spec, list) and len(spec) == 3):
         raise ValueError("must be [min, max, steps]")
-    if int(spec[2]) < 1:
+    if _int(spec[2]) < 1:
         raise ValueError(f"needs at least one step, got {spec[2]}")
-    return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
+    return np.linspace(float(spec[0]), float(spec[1]), _int(spec[2]))
 
 
 def _grid_from_config(config, default=None):
     if "grid_size" not in config and default is not None:
         return default
-    dim = _get(config, "grid_dim", int, 1)
-    size = _get(config, "grid_size", int)
+    dim = _get(config, "grid_dim", _int, 1)
+    size = _get(config, "grid_size", _int)
     return GridSpec(dim, size, _get(config, "grid_half_width"))
 
 
@@ -344,13 +358,13 @@ def run_resolvent_verify(config, out_dir, seed, workers):
         raise UsageError(f"direction must be forward, reverse or both, got {direction}")
     grid = _grid_from_config(config, GridSpec(1, 2048, 40.0))
     tail_tol = _get(config, "tail_tol", float, 1e-10)
-    op_fields = _get(config, "op_fields", int, 5)
+    op_fields = _get(config, "op_fields", _int, 5)
     if op_fields < 1:
         raise UsageError(f"op_fields must be at least 1, got {op_fields}")
     band = _get(config, "band", float, 3.0)
     tol_operator = _get(config, "tol_operator", float, 1e-8)
     r0 = _get(config, "r0", float, None)
-    truncation = _get(config, "truncation", int, None)
+    truncation = _get(config, "truncation", _int, None)
     rng = np.random.default_rng(seed)
 
     rows, checks, extras = [], [], {"grid": grid}
@@ -400,10 +414,10 @@ def run_kernel_decay(config, out_dir, seed, workers):
     z = _get(config, "z", complex, 2.0 + 0.0j)
     delta = _get(config, "delta", float, 1.0)
     grid = _grid_from_config(config, GridSpec(1, 4096, 64.0))
-    alpha0 = _get(config, "alpha0", int, 2)
-    beta0 = _get(config, "beta0", int, 0)
-    n_min = _get(config, "n_min", int, 20)
-    n_max = _get(config, "n_max", int, 60)
+    alpha0 = _get(config, "alpha0", _int, 2)
+    beta0 = _get(config, "beta0", _int, 0)
+    n_min = _get(config, "n_min", _int, 20)
+    n_max = _get(config, "n_max", _int, 60)
     if n_min < 1 or n_max <= n_min:
         raise UsageError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
     plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0,
@@ -446,7 +460,7 @@ def run_probe(config, out_dir, seed, workers):
         raise UsageError("probe sweeps need at least 4 scale values")
     specs = [ProbeSpec(lam, p, delta, rho=rho, n_values=ns, weight_a=weight_a)
              for lam in lambdas for p in ps]
-    grid = probe_grid(max(ns), rho, dim=_get(config, "grid_dim", int, 1))
+    grid = probe_grid(max(ns), rho, dim=_get(config, "grid_dim", _int, 1))
     jobs = [(spec, grid) for spec in specs]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -509,13 +523,13 @@ def _parse_norm_spec(text, field, where="norms"):
     if name == "herz":
         return name, text, herz_norm(field, HerzParams(arg("alpha"), arg("p"), arg("q")))
     if name in ("besov", "triebel"):
-        family = build_lp_family(arg("levels", int, 4))
+        family = build_lp_family(arg("levels", _int, 4))
         fn = besov_norm if name == "besov" else triebel_norm
         return name, text, fn(field, arg("alpha"), arg("p"), arg("q"), family)
     if name == "ap":
         w = WeightSpec(arg("a"), arg("p"))
         family = default_cube_family(field.grid.half_width, field.grid.dim,
-                                     arg("level", int, 0))
+                                     arg("level", _int, 0))
         return name, text, ap_constant_estimate(w, family, field.grid.dim)
     raise UsageError(f"{where}: unknown norm kind {name!r}")
 
@@ -540,14 +554,14 @@ def run_norms(config, out_dir, seed, workers):
 
 def run_mikhlin(config, out_dir, seed, workers):
     symbol = parse_symbol_spec(_get(config, "symbol", str))
-    kmax = _get(config, "kmax", int, 2)
+    kmax = _get(config, "kmax", _int, 2)
     report = mikhlin_check(
         symbol,
         kmax,
-        dim=_get(config, "grid_dim", int, 1),
+        dim=_get(config, "grid_dim", _int, 1),
         xi_max=_get(config, "xi_max", float, 4.0),
-        base_points=_get(config, "base_points", int, 256),
-        refinements=_get(config, "refinements", int, None),
+        base_points=_get(config, "base_points", _int, 256),
+        refinements=_get(config, "refinements", _int, None),
     )
     rows = []
     for k in range(report.kmax + 1):

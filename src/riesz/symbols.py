@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SMOOTHNESS_RANK = {"cinf-compact": 2, "piecewise-smooth": 1, "bounded": 0}
+_STRIP_POINTS = 2**17  # mikhlin_check's strip size; the 1D default's levels are one strip
 
 
 def _radius2(coords):
@@ -271,12 +272,15 @@ def bump_phi0(rho):
     Scaled so that the spatial side takes the value 1 at the origin, i.e.
     (2 pi)^(-d) integral = 1 in every supported dimension.
     """
-    if not 0 < rho < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {rho}")
+    if not (0 < rho < np.inf and 0 < rho * rho < np.inf):
+        raise ValueError(f"radius must be positive with a finite nonzero square, got {rho}")
 
     def fn(coords):
         dim = len(coords)
-        scale = (2.0 * np.pi) ** dim / (rho**dim * _unit_bump_mass(dim))
+        with np.errstate(over="ignore"):  # an infinite scale is rejected below
+            scale = (2.0 * np.pi) ** dim / (rho**dim * _unit_bump_mass(dim))
+        if not 0 < scale < np.inf:
+            raise ValueError(f"radius {rho} has no finite {dim}D normalisation")
         r2 = _radius2(coords) / rho**2
         return scale * _flat_exp(1.0 - r2)
 
@@ -316,14 +320,7 @@ class MikhlinReport:
 
 
 def _directional_gradients(tensors, spacing):
-    out = []
-    for t in tensors:
-        if t.ndim == 1:
-            out.append(np.gradient(t, spacing))
-        else:
-            for axis in range(t.ndim):
-                out.append(np.gradient(t, spacing, axis=axis))
-    return out
+    return [np.gradient(t, spacing, axis=axis) for t in tensors for axis in range(t.ndim)]
 
 
 def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
@@ -332,8 +329,11 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
 
     Derivatives are central finite differences on [-xi_max, xi_max]^dim,
     evaluated on a ladder of dyadic refinements.  Points within max(2, k)
-    cells of a declared non-smooth sphere are excluded so stencils never
-    straddle it.  This is a report-only screen, not a proof.
+    cells of a declared non-smooth sphere, and the k-cell frame of one-sided
+    stencils, are excluded.  Each level runs in row strips of _STRIP_POINTS
+    points along the first axis, with a kmax-row halo so the strip's own edge
+    stencils never reach a kept row: the sups equal those of the whole mesh,
+    in O(strip x row) memory per level.  This is a report-only screen.
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
@@ -352,28 +352,27 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
         n = base_points * 2**level + 1
         axis = np.linspace(-xi_max, xi_max, n)
         spacing = axis[1] - axis[0]
-        coords = tuple(np.meshgrid(*([axis] * dim), indexing="ij", sparse=False))
-        vals = m.evaluate(coords)
-        radius = np.sqrt(_radius2(coords))
-        frame = np.zeros(vals.shape, dtype=bool)
-        level_sups = []
-        tensors = [vals]
-        for k in range(kmax + 1):
-            if k > 0:
-                tensors = _directional_gradients(tensors, spacing)
-                sl = [slice(None)] * dim
-                for axis_i in range(dim):
-                    for edge in (slice(0, k), slice(-k, None)):
-                        sl[axis_i] = edge
-                        frame[tuple(sl)] = True
-                        sl[axis_i] = slice(None)
-            band = max(2, k) * spacing
-            keep = ~frame
-            for r_ns in m.nonsmooth_radii:
-                keep &= np.abs(radius - r_ns) > band
-            mag = np.sqrt(sum(np.abs(t) ** 2 for t in tensors))
-            weighted = radius**k * mag
-            level_sups.append(float(weighted[keep].max()) if keep.any() else 0.0)
+        rows = max(1, _STRIP_POINTS // n ** (dim - 1))
+        level_sups = [0.0] * (kmax + 1)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            lo, hi = max(start - kmax, 0), min(stop + kmax, n)
+            coords = tuple(np.meshgrid(axis[lo:hi], *([axis] * (dim - 1)), indexing="ij"))
+            radius = np.sqrt(_radius2(coords))
+            tensors = [m.evaluate(coords)]
+            for k in range(kmax + 1):
+                if k > 0:
+                    tensors = _directional_gradients(tensors, spacing)
+                # global rows and columns k..n-k-1: the frame's stencils are one-sided
+                row0, row1 = max(start, k) - lo, min(stop, n - k) - lo
+                if row0 >= row1:
+                    continue
+                inner = (slice(row0, row1),) + (slice(k, n - k),) * (dim - 1)
+                r = radius[inner]
+                keep = np.all([np.abs(r - r_ns) > max(2, k) * spacing
+                               for r_ns in m.nonsmooth_radii], axis=0)
+                mag = np.sqrt(sum(np.abs(t[inner]) ** 2 for t in tensors))
+                level_sups[k] = float(np.max(r**k * mag, where=keep, initial=level_sups[k]))
         points.append(n)
         sups.append(level_sups)
     growth, flagged = [], []

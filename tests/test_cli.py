@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riesz.cli import (
     UsageError,
+    _int,
     main,
     parse_config_text,
     parse_field_spec,
@@ -111,19 +112,44 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(width=0)"),
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=-1)"),
     ("spectrum-map", "--set", "ns=[1.5,2]"),
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=1024.7",
+     "--set", "grid_half_width=16"),
+    ("kernel-decay", "--set", "n_min=20.9"),
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "refinements=1.7"),
+    ("spectrum-map", "--set", "re=[0,1,2.5]"),
+    # rho**2 underflows to 0: the bump would be all zeros
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=bump(radius=1e-200)"),
+    ("mikhlin", "--set", "symbol=bump(rho=1e-200)"),
+    ("mikhlin", "--set", "symbol=bump(rho=1e200)"),  # rho**2 overflows
+    # rho**2 is positive but the 2D normalising scale overflows
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_dim=2",
+     "--set", "grid_size=64", "--set", "grid_half_width=8", "--set", "field=bump(radius=1e-155)"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
         "probe-scales-serial", "probe-scales-pool", "probe-weight", "bump-radius",
         "bochner-no-delta", "mikhlin-dim", "mikhlin-base-points", "mikhlin-refinements",
         "mikhlin-xi-max", "op-fields", "gaussian-width", "random-band-negative",
-        "map-fractional-scale"])
+        "map-fractional-scale", "fractional-grid-size", "fractional-n-min",
+        "fractional-refinements", "map-fractional-steps", "bump-radius-underflow",
+        "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     code, out = run_cli(tmp_path, *args)
     assert code == 1
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
     assert not (out / f"{args[0]}.csv").exists()
+
+
+@pytest.mark.parametrize("value", [2, 2.0, "2", "2.0", " 2 "])
+def test_integer_values_pass_whole(value):
+    assert _int(value) == 2 and isinstance(_int(value), int)
+
+
+@pytest.mark.parametrize("value", [2.7, "2.7", float("inf"), float("nan"), "abc", [2]])
+def test_integer_values_are_not_truncated(value):
+    with pytest.raises((TypeError, ValueError)):
+        _int(value)
 
 
 def test_missing_symbol_argument_is_named(tmp_path, capsys):
@@ -252,6 +278,24 @@ def test_apply_dump_and_norms_pipeline(tmp_path):
     with open(tmp_path / "norms-out" / "norms.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [row["spec"] for row in rows] == ["lp(p=2)", "herz(alpha=0.5,p=2,q=1)"]
+
+
+def test_norms_list_items_need_no_quotes(tmp_path):
+    assert parse_config_text('norms = [lp(p=2), "lp(p=1)", [herz(alpha=0.5,p=2,q=1)]]') == {
+        "norms": ["lp(p=2)", "lp(p=1)", ["herz(alpha=0.5,p=2,q=1)"]]}
+    code, out = run_cli(tmp_path, "apply", "--set", "symbol=bochner(delta=1)",
+                        "--set", "dump_fields=true")
+    assert code == 0
+    bodies = []
+    for i, value in enumerate(['["lp(p=2)","herz(alpha=0.5,p=2,q=1)"]',
+                               "[lp(p=2),herz(alpha=0.5,p=2,q=1)]"]):
+        norms_out = tmp_path / f"norms-{i}"
+        code = main(["norms", "--set", f"field={out / 'fields' / 'output'}",
+                     "--set", f"norms={value}", "--out", str(norms_out)])
+        assert code == 0
+        bodies.append((norms_out / "norms.csv").read_text())
+    assert bodies[0] == bodies[1]
+    assert bodies[0].splitlines()[1:] and "herz" in bodies[0]
 
 
 def test_spectrum_map_run(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesz.grid import (
     Field,
@@ -64,6 +66,20 @@ def test_round_trip(dim, size, half_width):
     f = Field.spatial(g, samples)
     back = inverse_transform(forward_transform(f))
     assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * np.max(np.abs(f.samples))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), half_size=st.integers(1, 32),
+       half_width=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_property(dim, half_size, half_width, seed):
+    g = GridSpec(dim, 2 * half_size, half_width)
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    spec = forward_transform(Field.spatial(g, samples))
+    assert spec.domain == "frequency" and spec.samples.shape == g.shape
+    back = inverse_transform(spec)
+    assert back.domain == "spatial"
+    assert np.max(np.abs(back.samples - samples)) < 1e-12 * np.max(np.abs(samples))
 
 
 def test_inverse_linearity():

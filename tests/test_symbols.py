@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from riesz import symbols
 
 from riesz.grid import Field, GridSpec, inverse_transform
 from riesz.symbols import (
@@ -177,6 +181,19 @@ def test_bump_normalization_2d():
     assert abs(spatial.samples[g.size // 2, g.size // 2] - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("rho", [1e-200, 1e200, -1.0, 0.0, np.inf, np.nan])
+def test_bump_rejects_a_radius_it_cannot_normalise(rho):
+    with pytest.raises(ValueError):
+        bump_phi0(rho)
+
+
+def test_bump_rejects_a_radius_without_a_finite_2d_scale():
+    phi = bump_phi0(1e-155)  # rho**2 > 0, but (2 pi)^2 / (rho^2 mass) overflows
+    assert ev1(phi, [0.0])[0].real > 0.0
+    with pytest.raises(ValueError):
+        phi.evaluate((np.zeros(1), np.zeros(1)))
+
+
 # -- critical exponent -------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -252,6 +269,35 @@ def test_mikhlin_flags_square_root_ball():
 def test_mikhlin_smooth_ball_power_not_flagged():
     report = mikhlin_check(bochner_symbol(1.0), 1)
     assert not report.any_flagged
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("symbol", [bochner_symbol(0.5), resolvent_symbol(2.0, 1.0),
+                                    scalar_symbol(1.0)], ids=["bochner", "resolvent", "scalar"])
+def test_mikhlin_sups_do_not_depend_on_the_strip(monkeypatch, dim, symbol):
+    # levels of 17, 33, 65 points per axis (2D) or 65, 129, 257 (1D); budgets of
+    # one row, of 5 rows of the middle level (odd counts, several strips with
+    # halos) and of the whole level
+    base = 16 if dim == 2 else 64
+    for kmax in range(4):
+        reprs = set()
+        for budget in (1, 5 * (2 * base + 1) ** (dim - 1), 10**9):
+            monkeypatch.setattr(symbols, "_STRIP_POINTS", budget)
+            report = mikhlin_check(symbol, kmax, dim=dim, base_points=base, refinements=2)
+            reprs.add(repr(report.sups))
+        assert len(reprs) == 1, (kmax, reprs)
+
+
+def test_mikhlin_memory_is_bounded_by_the_strip():
+    # the 2D default's finest level is 2049^2 points; holding it whole with its
+    # k <= 2 derivative tensors made tracemalloc peak near 680 MiB
+    tracemalloc.start()
+    try:
+        mikhlin_check(resolvent_symbol(2.0, 1.0), 2, dim=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_mikhlin_rejects_large_order():
