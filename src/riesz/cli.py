@@ -56,7 +56,14 @@ from .norms import (
     triebel_norm,
     weighted_lp_norm,
 )
-from .probes import ProbeSpec, decay_curve, halving_factors, probe_grid, spectrum_map
+from .probes import (
+    ProbeSpec,
+    baseband_grid,
+    decay_curve,
+    halving_factors,
+    probe_grid,
+    spectrum_map,
+)
 from .symbols import (
     bochner_symbol,
     bump_phi0,
@@ -231,7 +238,11 @@ def parse_field_spec(text, grid, rng, where="field"):
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))
     if name == "bump":
-        spec = bump_phi0(arg("radius", float, 1.0))
+        radius = arg("radius", float, 1.0)
+        spec = bump_phi0(radius)
+        if radius < 4.0 * grid.h:
+            raise UsageError(f"{where}: bump radius {radius} spans fewer than 4 grid "
+                             f"spacings (h={grid.h:.3g})")
         return Field.spatial(grid, spec.evaluate(grid.x_mesh()))
     if name == "random":
         return random_band_limited(grid, arg("band", float, 2.0), rng)
@@ -309,6 +320,24 @@ def _grid_from_config(config, default=None):
     dim = _get(config, "grid_dim", _int, 1)
     size = _get(config, "grid_size", _int)
     return GridSpec(dim, size, _get(config, "grid_half_width"))
+
+
+def _json_value(value):
+    """value as JSON: a grid as its fields, numbers and containers as
+    themselves, anything else (a non-finite float too) as its str()."""
+    if isinstance(value, GridSpec):
+        value = {"dim": value.dim, "size": value.size, "half_width": value.half_width}
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and np.isfinite(value):
+        return float(value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +422,13 @@ def run_resolvent_verify(config, out_dir, seed, workers):
                     "operator_rel_err": op_err,
                 }
             )
-        extras[f"{direc}_plan"] = (
-            f"r0={plan.r0} n0={plan.n0} T={plan.truncation} q={plan.q} "
-            f"tail_series_bound={tail_kernel_bound(plan)}"
-        )
+        extras[f"{direc}_plan"] = {
+            "r0": plan.r0,
+            "n0": plan.n0,
+            "truncation": plan.truncation,
+            "q": plan.q,
+            "tail_series_bound": tail_kernel_bound(plan),
+        }
         checks.append(
             (f"{direc}_reconstruction",
              dec.reconstruction_error <= dec.certified_tail + 1e-10,
@@ -509,7 +541,8 @@ def run_spectrum_map(config, out_dir, seed, workers):
         if not np.isfinite(row["lower_bound"]):
             row["lower_bound"] = -1.0
             row["oracle_p2"] = -1.0
-    return rows, ["re_z", "im_z", "pole", "lower_bound", "oracle_p2"], [], {"grid": grid}
+    extras = {"grid": grid, "baseband_sizes": {n: baseband_grid(grid, n, rho).size for n in ns}}
+    return rows, ["re_z", "im_z", "pole", "lower_bound", "oracle_p2"], [], extras
 
 
 def _parse_norm_spec(text, field, where="norms"):
@@ -643,7 +676,7 @@ def main(argv=None):
         "package_version": __version__,
         "numpy_version": np.__version__,
         "checks": [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
-        "extras": {k: str(v) for k, v in extras.items()},
+        "extras": _json_value(extras),
         "wall_time_s": time.time() - started,
         "outputs": [csv_path],
     }

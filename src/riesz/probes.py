@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, forward_transform, inverse_transform, snap_to_lattice
+from .grid import (
+    Field,
+    GridSpec,
+    forward_transform,
+    inverse_transform,
+    lattice_offset,
+    snap_to_lattice,
+)
 from .multiplier import apply
 from .norms import WeightSpec, _square_mass, lp_norm, weighted_lp_norm
 from .symbols import (
@@ -60,12 +67,8 @@ def probe_grid(n_max, rho, dim=1, spread_factor=16.0, cells_per_bump=8.0):
     return GridSpec(dim, size, half_width)
 
 
-def probe_field(xi0, n_scale, grid, rho=0.5, profile=None):
-    """Spatial probe whose transform is profile(n_scale * (xi - xi0)).
-
-    xi0 must sit on the frequency lattice (so modulation identities are
-    exact) and the bump must span at least 4 frequency cells.
-    """
+def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
+    """Spectrum symbol of `probe_field`, after its lattice and 4-cell checks."""
     if n_scale < 1:
         raise ValueError(f"scale must be >= 1, got {n_scale}")
     snapped = snap_to_lattice(grid, xi0)
@@ -82,8 +85,72 @@ def probe_field(xi0, n_scale, grid, rho=0.5, profile=None):
         )
     if profile is None:
         profile = bump_phi0(rho)
-    spec = profile.dilated(n_scale).shifted(snapped)
+    return profile.dilated(n_scale).shifted(snapped)
+
+
+def probe_field(xi0, n_scale, grid, rho=0.5, profile=None):
+    """Spatial probe whose transform is profile(n_scale * (xi - xi0)).
+
+    xi0 must sit on the frequency lattice (so modulation identities are
+    exact) and the bump must span at least 4 frequency cells.
+    """
+    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
     return inverse_transform(Field.frequency(grid, spec.sample(grid)))
+
+
+BASEBAND_OVERSAMPLING = 32
+"""Frequency half-width of a probe's baseband grid, in units of its bump radius.
+
+A probe of scale N and radius rho/N runs on `baseband_grid`: the sweep grid's
+half-width L with M_N points per axis, where M_N is the smallest power of two
+dividing the sweep grid's size with eta_max = pi M_N / (2L) >= c rho / N
+(c is this constant), or the sweep grid's size if none is.  p = 2 bounds do
+not depend on c (Parseval).  A p != 2 norm is a Riemann sum of |f|^p with the
+spatial step pi / eta_max, so it converges as c grows.  The rule: c is the
+smallest power of two at which doubling it moves no p = 1 bound by 1e-4
+relative or more.  On the 15 x 15 map over [-0.5, 1.5] x [-1, 1] with
+ns = (32, 64, 128) and rho = 0.5, doubling 16 moves them by up to 1.8e-4 and
+doubling 32 by up to 3.4e-5.
+"""
+
+
+def baseband_grid(grid, n_scale, rho):
+    """Grid of a probe of scale n_scale: grid's half-width, so grid's frequency
+    lattice, with the fewest points BASEBAND_OVERSAMPLING allows."""
+    need = BASEBAND_OVERSAMPLING * rho / n_scale
+    size = 2
+    while np.pi * size / (2.0 * grid.half_width) < need and grid.size % (2 * size) == 0:
+        size *= 2
+    small = GridSpec(grid.dim, size, grid.half_width)
+    return small if small.xi_max >= need else grid
+
+
+def _baseband_probe(grid, xi0, n_scale, rho):
+    """Probe of scale n_scale at the lattice frequency xi0, on its baseband grid.
+
+    Returns the absolute lattice frequencies of the baseband grid, xi0 + k dxi
+    per axis with -M/2 <= k < M/2, as a sparse mesh, and the probe spectrum
+    sampled there as a frequency Field on the baseband grid.  Those samples
+    equal the sweep grid's on the probe's support, and the field's spatial
+    samples are the sweep grid's field, demodulated by xi0, at every
+    (size / M)-th point.
+    """
+    spec = _probe_spectrum(xi0, n_scale, grid, rho)
+    small = baseband_grid(grid, n_scale, rho)
+    k = np.arange(small.size) - small.size // 2
+    axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
+    xi = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+    return xi, Field.frequency(small, np.broadcast_to(spec.evaluate(xi), small.shape))
+
+
+def _spectrum_lp_norm(spectrum, p):
+    """L^p norm of the field with this spectrum: Parseval at p = 2, with no
+    transform; one inverse transform otherwise."""
+    if p == 2:
+        g = spectrum.grid
+        mass = np.sum(np.abs(spectrum.samples) ** 2) * (g.dxi / (2.0 * np.pi)) ** g.dim
+        return float(np.sqrt(mass))
+    return lp_norm(inverse_transform(spectrum), p)
 
 
 @dataclass(frozen=True)
@@ -290,13 +357,25 @@ def resolvent_norm_grid_sup(z, delta, grid):
 
 
 def probe_lower_bound(z, delta, p, grid, probes):
-    """Best resolvent-norm lower bound from (probe, ||probe||_p) pairs; a
-    probe may be given by its spectrum, which saves its forward transform."""
+    """Best resolvent-norm lower bound ||R f||_p / ||f||_p from (probe, ||f||_p) pairs.
+
+    A probe is a field on grid, spatial or given by its spectrum (which saves
+    its forward transform), or a baseband pair (xi, spectrum) from
+    `_baseband_probe`: a spectrum on a small grid of grid's half-width with
+    its absolute lattice frequencies xi.  The resolvent is sampled at the
+    probe's frequencies; ||R f||_2 is a Parseval sum with no transform, and
+    any other p takes one inverse transform per probe on the probe's grid.
+    """
     res = resolvent_symbol(z, delta)
     best = 0.0
-    for f, f_norm in probes:
-        value = lp_norm(apply(res, f), p) / f_norm
-        best = max(best, value)
+    for probe, f_norm in probes:
+        if isinstance(probe, Field):
+            spectrum = probe if probe.domain == "frequency" else forward_transform(probe)
+            xi = probe.grid.xi_mesh()
+        else:
+            xi, spectrum = probe
+        image = Field.frequency(spectrum.grid, res.evaluate(xi) * spectrum.samples)
+        best = max(best, _spectrum_lp_norm(image, p) / f_norm)
     return best
 
 
@@ -306,8 +385,18 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
 
     Points closer than pole_margin to [0, 1] are marked as poles and skipped.
     Probe levels follow each point's real part (clamped to [0, 1]) plus the
-    fixed extras.  Each distinct probe is kept as its spectrum and L^p norm;
-    the p = 2 column carries the closed-form oracle 1/dist(z, [0, 1]).
+    fixed extras; the p = 2 column carries the closed-form oracle
+    1/dist(z, [0, 1]).
+
+    Each distinct probe lives on its own baseband grid (`baseband_grid`): the
+    sweep grid's half-width, so its frequency lattice, snapped xi0 and 4-cell
+    rule, with only as many points as BASEBAND_OVERSAMPLING asks for the
+    probe's radius rho/N.  Its spectrum and the resolvent are sampled at the
+    absolute lattice frequencies around xi0, where they equal the sweep
+    grid's samples.  At p = 2 the bound is the Parseval ratio
+    sqrt(sum |R F|^2 / sum |F|^2) and the map makes no transform; otherwise it
+    makes one inverse transform per distinct probe, for ||f||_p, and one per
+    (non-pole z, probe), all on baseband grids.
     """
     if not (n_values and min(n_values) >= 1):
         raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
@@ -319,10 +408,10 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
 
     def probes_for(lam):
         xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, delta))
-        key = tuple(np.round(xi0 / grid.dxi).astype(int))
+        key = lattice_offset(grid, xi0)
         if key not in probe_cache:
-            fields = (probe_field(xi0, n, grid, rho=rho) for n in n_values)
-            probe_cache[key] = [(forward_transform(f), lp_norm(f, p)) for f in fields]
+            bands = (_baseband_probe(grid, xi0, n, rho) for n in n_values)
+            probe_cache[key] = [((xi, spec), _spectrum_lp_norm(spec, p)) for xi, spec in bands]
         return probe_cache[key]
 
     rows = []

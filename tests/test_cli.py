@@ -15,7 +15,7 @@ from riesz.cli import (
     parse_symbol_spec,
 )
 from riesz.grid import GridSpec
-from riesz.probes import spectrum_map
+from riesz.probes import baseband_grid, probe_grid, spectrum_map
 
 
 def run_cli(tmp_path, *args):
@@ -124,6 +124,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # rho**2 is positive but the 2D normalising scale overflows
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_dim=2",
      "--set", "grid_size=64", "--set", "grid_half_width=8", "--set", "field=bump(radius=1e-155)"),
+    # a 1D bump far inside one grid spacing: one huge sample and l2 = inf
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+     "--set", "grid_half_width=8", "--set", "field=bump(radius=1e-155)"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -132,7 +135,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "mikhlin-xi-max", "op-fields", "gaussian-width", "random-band-negative",
         "map-fractional-scale", "fractional-grid-size", "fractional-n-min",
         "fractional-refinements", "map-fractional-steps", "bump-radius-underflow",
-        "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale"])
+        "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale",
+        "bump-radius-cells"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     code, out = run_cli(tmp_path, *args)
     assert code == 1
@@ -224,6 +228,12 @@ def test_resolvent_verify_run_and_csv_schema(tmp_path):
     first = rows[0]
     assert float(first["reconstruction_error"]) <= float(first["certified_tail"]) + 1e-10
     assert float(first["operator_rel_err"]) <= 1e-8
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    assert extras["grid"] == {"dim": 1, "size": 2048, "half_width": 40.0}
+    plan = extras["forward_plan"]
+    assert sorted(plan) == ["n0", "q", "r0", "tail_series_bound", "truncation"]
+    assert isinstance(plan["n0"], int) and isinstance(plan["truncation"], int)
+    assert isinstance(plan["q"], float) and 0 < plan["tail_series_bound"] < 1
 
 
 def test_assertion_failure_exits_two_with_outputs(tmp_path):
@@ -313,6 +323,24 @@ def test_spectrum_map_run(tmp_path):
     assert len(rows) == 4
     pole_row = [r for r in rows if r[0] == "0.5" and r[1] == "0.0"][0]
     assert pole_row[2] == "true"
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    grid = probe_grid(32, 0.5)
+    assert extras["grid"] == {"dim": 1, "size": grid.size, "half_width": grid.half_width}
+    assert extras["baseband_sizes"] == {
+        str(n): baseband_grid(grid, n, 0.5).size for n in (8, 16, 32)
+    }
+
+
+def test_spectrum_map_is_reproducible_across_runs_and_workers(tmp_path):
+    args = ["spectrum-map", "--set", "re=[-0.5, 1.5, 5]", "--set", "im=[-1.0, 1.0, 5]",
+            "--set", "p=1.0"]
+    bodies = []
+    for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / name
+        assert main([*args, "--out", str(out), "--workers", workers]) == 0
+        bodies.append((out / "spectrum-map.csv").read_bytes())
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert len(bodies[0].splitlines()) == 1 + 25
 
 
 def test_mikhlin_run_flags_rough_symbol(tmp_path):

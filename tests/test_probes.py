@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from riesz.grid import GridSpec, forward_transform, modulate, snap_to_lattice
+from riesz import probes
+from riesz.grid import (
+    GridSpec,
+    forward_transform,
+    inverse_transform,
+    lattice_offset,
+    modulate,
+    snap_to_lattice,
+)
 from riesz.multiplier import apply
 from riesz.norms import lp_norm
 from riesz.probes import (
@@ -255,8 +263,82 @@ def test_spectrum_map_transforms_each_probe_once(grid, transforms):
     zs = [2.0, 0.5 + 0.1j, 0.5 + 1e-5j, -1.0 + 0.5j]
     rows = spectrum_map(zs, 2.0, 1.0, grid=grid, n_values=(16, 32, 64))
     assert sum(row["pole"] for row in rows) == 1
-    # 2 per distinct probe (build, forward) and 1 per (non-pole z, probe)
-    assert len(transforms) == 2 * 15 + 3 * 9
+    # p = 2 is Parseval on the probe spectra: no transform at all
+    assert len(transforms) == 0
+    spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=(16, 32, 64))
+    # 1 per distinct probe (its L^1 norm) and 1 per (non-pole z, probe)
+    assert len(transforms) == 15 + 3 * 9
+
+
+def _full_grid_probes(z, grid, n_values, rho=0.5, lam_extra=(0.25, 0.75)):
+    """The map's probes for z as spatial fields on the sweep grid, with L^2 norms."""
+    pairs = []
+    for lam in sorted({min(max(z.real, 0.0), 1.0), *lam_extra}):
+        xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
+        for n in n_values:
+            f = probe_field(xi0, n, grid, rho=rho)
+            pairs.append((f, lp_norm(f, 2)))
+    return pairs
+
+
+@pytest.mark.parametrize("z", [2.0, 0.5 + 0.1j, -1.0 + 0.5j, 1.2 - 0.3j])
+def test_baseband_map_matches_full_grid_probes_at_p2(grid, z):
+    # Re z <= 0 is where the bound meets the oracle 1/dist(z, [0, 1])
+    ns = (16, 32, 64)
+    (row,) = spectrum_map([z], 2.0, 1.0, grid=grid, n_values=ns)
+    full = probe_lower_bound(z, 1.0, 2.0, grid, _full_grid_probes(complex(z), grid, ns))
+    assert row["lower_bound"] == pytest.approx(full, rel=1e-12, abs=0)
+    assert row["lower_bound"] <= row["oracle_p2"] * (1 + 1e-12)
+
+
+def test_baseband_map_matches_full_grid_probes_at_p2_2d():
+    # a 2D sweep grid: N = 4 takes the whole grid, N = 8 half of each axis
+    grid2 = GridSpec(2, 1024, 128.0)
+    ns = (4, 8)
+    assert [probes.baseband_grid(grid2, n, 1.0).size for n in ns] == [1024, 512]
+    z = 0.5 + 0.1j
+    (row,) = spectrum_map([z], 2.0, 1.0, grid=grid2, n_values=ns, rho=1.0)
+    expected = probe_lower_bound(z, 1.0, 2.0, grid2, _full_grid_probes(z, grid2, ns, rho=1.0))
+    assert row["lower_bound"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_p1_map_is_converged_in_the_oversampling(grid, monkeypatch):
+    zs = [2.0, 0.5 + 0.1j, 0.5 + 0.02j, 0.3 - 0.05j, -1.0 + 0.5j, 1.2 - 0.3j]
+    ns = (16, 32, 64)
+    base = [row["lower_bound"] for row in spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=ns)]
+    monkeypatch.setattr(probes, "BASEBAND_OVERSAMPLING", 2 * probes.BASEBAND_OVERSAMPLING)
+    finer = [row["lower_bound"] for row in spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=ns)]
+    assert finer == pytest.approx(base, rel=1e-4, abs=0)
+
+
+def test_baseband_grid_divides_the_sweep_grid():
+    ns, rho = (32, 64, 128), 0.5
+    sweep = probe_grid(max(ns), rho)
+    for n in range(1, max(ns) + 1):
+        small = probes.baseband_grid(sweep, n, rho)
+        assert small.size <= sweep.size and sweep.size % small.size == 0
+        assert small.half_width == sweep.half_width and small.dim == sweep.dim
+        need = probes.BASEBAND_OVERSAMPLING * rho / n
+        assert small.xi_max >= need or small == sweep
+        # the fewest points: half as many would miss the window
+        assert small.size == 2 or np.pi * small.size / 4.0 / sweep.half_width < need
+
+
+def test_baseband_probe_is_the_demodulated_full_grid_probe(grid):
+    xi0 = snap_to_lattice(grid, lambda_to_xi0(0.5, 1.0))
+    (k0,) = lattice_offset(grid, xi0)
+    for n in (16, 64):
+        xi, spec = probes._baseband_probe(grid, xi0, n, 0.5)
+        m = spec.grid.size
+        window = slice(grid.size // 2 + k0 - m // 2, grid.size // 2 + k0 + m // 2)
+        # the sweep grid's frequencies and spectrum samples, bit for bit
+        assert np.array_equal(xi[0], grid.xi_axis()[window])
+        full_spec = bump_phi0(0.5).dilated(n).shifted(xi0).sample(grid)
+        assert np.array_equal(spec.samples, full_spec[window])
+        # the sweep grid's field, demodulated, at every (size / m)-th point
+        small = inverse_transform(spec).samples
+        full = probe_field(xi0, n, grid).samples[:: grid.size // m]
+        assert np.max(np.abs(np.abs(small) - np.abs(full))) < 1e-12 * np.max(np.abs(full))
 
 
 def test_probe_lower_bound_never_exceeds_p2_oracle(grid):
