@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -227,6 +228,13 @@ def parse_symbol_spec(text, where="symbol"):
     raise UsageError(f"{where}: unknown symbol kind {name!r}")
 
 
+def _check_resolved(where, what, length, grid):
+    """A field's length scale must span at least 4 grid spacings."""
+    if length < 4.0 * grid.h:
+        raise UsageError(f"{where}: {what} {length} spans fewer than 4 grid "
+                         f"spacings (h={grid.h:.3g})")
+
+
 def parse_field_spec(text, grid, rng, where="field"):
     """Field DSL: gaussian(width=), bump(radius=), random(band=)."""
     name, parts = _parse_call(text, where)
@@ -235,14 +243,13 @@ def parse_field_spec(text, grid, rng, where="field"):
         width = arg("width", float, 1.0)
         if not 0 < width < np.inf:
             raise UsageError(f"{where}: gaussian width must be positive and finite, got {width}")
+        _check_resolved(where, "gaussian width", width, grid)
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))
     if name == "bump":
         radius = arg("radius", float, 1.0)
         spec = bump_phi0(radius)
-        if radius < 4.0 * grid.h:
-            raise UsageError(f"{where}: bump radius {radius} spans fewer than 4 grid "
-                             f"spacings (h={grid.h:.3g})")
+        _check_resolved(where, "bump radius", radius, grid)
         return Field.spatial(grid, spec.evaluate(grid.x_mesh()))
     if name == "random":
         return random_band_limited(grid, arg("band", float, 2.0), rng)
@@ -678,6 +685,7 @@ def main(argv=None):
         "checks": [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
         "extras": _json_value(extras),
         "wall_time_s": time.time() - started,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": [csv_path],
     }
     atomic_write_text(f"{args.out}/manifest.json", json.dumps(manifest, indent=2) + "\n")

@@ -238,7 +238,13 @@ def build_lp_family(ell_max):
 
 
 def _block_fields(f, alpha, q, family):
-    """Base and level blocks of f, from one transform that also checks the band."""
+    """Base block of f and a generator of its weighted level blocks.
+
+    One transform gives the spectrum, which is checked against the band at
+    once; each level block 2^(ell alpha q), apply(level_symbol(ell), spec) is
+    made only when the caller asks for it, so a caller that folds the blocks
+    in one pass holds one block at a time.
+    """
     spec = forward_transform(f)
     r = f.grid.xi_radius()
     outside = r > family.valid_band
@@ -250,23 +256,24 @@ def _block_fields(f, alpha, q, family):
                 f"field has frequency content beyond the family band "
                 f"{family.valid_band} (leak {leak:.2e})"
             )
-    base_term = apply(family.base, spec)
-    blocks = [apply(family.level_symbol(ell), spec) for ell in range(1, family.ell_max + 1)]
-    weights = [2.0 ** (ell * alpha * q) for ell in range(1, family.ell_max + 1)]
-    return base_term, blocks, weights
+    blocks = (
+        (2.0 ** (ell * alpha * q), apply(family.level_symbol(ell), spec))
+        for ell in range(1, family.ell_max + 1)
+    )
+    return apply(family.base, spec), blocks
 
 
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
-    base_term, blocks, weights = _block_fields(f, alpha, q, family)
-    tail = sum(wt * lp_norm(blk, p) ** q for wt, blk in zip(weights, blocks))
+    base_term, blocks = _block_fields(f, alpha, q, family)
+    tail = sum(wt * lp_norm(blk, p) ** q for wt, blk in blocks)
     return lp_norm(base_term, p) + tail ** (1.0 / q)
 
 
 def triebel_norm(f, alpha, p, q, family):
     """Base L^p term plus the L^p norm of the pointwise weighted l^q sum."""
-    base_term, blocks, weights = _block_fields(f, alpha, q, family)
-    stack = sum(wt * np.abs(blk.samples) ** q for wt, blk in zip(weights, blocks))
+    base_term, blocks = _block_fields(f, alpha, q, family)
+    stack = sum(wt * np.abs(blk.samples) ** q for wt, blk in blocks)
     g = f.grid
     inner = float(np.sum(stack ** (p / q)) ** (1.0 / p) * g.h ** (g.dim / p))
     return lp_norm(base_term, p) + inner

@@ -1,12 +1,5 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
 
 
 @pytest.fixture

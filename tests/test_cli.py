@@ -127,6 +127,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # a 1D bump far inside one grid spacing: one huge sample and l2 = inf
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
      "--set", "grid_half_width=8", "--set", "field=bump(radius=1e-155)"),
+    # width**2 underflows to 0: 0/0 at the origin and nan norms
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(width=1e-200)"),
+    ("norms", "--set", "field=TRUNCATED_DUMP"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -136,8 +139,17 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "map-fractional-scale", "fractional-grid-size", "fractional-n-min",
         "fractional-refinements", "map-fractional-steps", "bump-radius-underflow",
         "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale",
-        "bump-radius-cells"])
+        "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
+    if "field=TRUNCATED_DUMP" in args:
+        base = tmp_path / "dump" / "fields" / "output"
+        assert main(["apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+                     "--set", "grid_half_width=8", "--dump-field",
+                     "--out", str(tmp_path / "dump")]) == 0
+        csv_path = base.with_suffix(".csv")
+        csv_path.write_text("".join(csv_path.read_text().splitlines(True)[:40]))
+        args = tuple(a.replace("TRUNCATED_DUMP", str(base)) for a in args)
+        capsys.readouterr()
     code, out = run_cli(tmp_path, *args)
     assert code == 1
     stderr = capsys.readouterr().err.splitlines()
@@ -288,6 +300,14 @@ def test_apply_dump_and_norms_pipeline(tmp_path):
     with open(tmp_path / "norms-out" / "norms.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [row["spec"] for row in rows] == ["lp(p=2)", "herz(alpha=0.5,p=2,q=1)"]
+
+
+def test_manifest_records_peak_rss(tmp_path):
+    code, out = run_cli(tmp_path, "apply", "--set", "symbol=bochner(delta=1)",
+                        "--set", "grid_size=64", "--set", "grid_half_width=8", "--dump-field")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert isinstance(manifest["peak_rss_mib"], float) and manifest["peak_rss_mib"] > 0
 
 
 def test_norms_list_items_need_no_quotes(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,30 @@ def test_block_norms_transform_once(grid, rng, transforms):
         before = len(transforms)
         norm(f, 0.3, 2.0, 1.5, family)
         assert len(transforms) - before == 2 + family.ell_max
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dyadic_norms_hold_one_block_at_a_time():
+    # the level blocks are made and folded one by one, so adding a level
+    # adds no memory; a 512^2 block is 4 MiB
+    g = GridSpec(2, 512, 16.0)
+    f = random_band_limited(g, 2.0, np.random.default_rng(8))
+    values = {}
+    for norm in (besov_norm, triebel_norm):
+        peaks = [_traced_peak(norm, f, 0.5, 3.0, 1.5, build_lp_family(levels))
+                 for levels in (2, 3)]
+        assert peaks[1][1] - peaks[0][1] <= 2**20, norm.__name__
+        values[norm.__name__] = peaks[1][0]
+    # levels = 3 gives the values the list-of-blocks implementation gave, bit for bit
+    assert values == {"besov_norm": 0.4296055689712979, "triebel_norm": 0.42960556897129787}
 
 
 def test_band_limit_guard(grid, rng):
