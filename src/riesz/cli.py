@@ -11,6 +11,13 @@ parameters outside module preconditions).  Every ValueError a module raises
 for a bad input reaches the user through the one handler in main, as a single
 "riesz: <message>" line on stderr.
 
+--workers N (at least 1) spreads independent work: probe runs its sweeps on
+N threads; apply --dump-field writes its two dumps, and resolvent-verify runs
+its two directions, in forked processes, at most one per dump or direction.
+Output is byte-identical for any N, and the forked work runs serially where
+the platform cannot fork.  manifest.json counts the workers' CPU time and
+peak RSS with the process's own.
+
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, double-quoted strings, and [comma, separated, lists]; # starts a
 comment.  A list item shaped name(...), such as a norm spec, may go unquoted.
@@ -32,7 +39,13 @@ import numpy as np
 
 from . import __version__
 from .fieldio import atomic_write_text, dump_field, load_field
-from .grid import Field, GridSpec, random_band_limited
+from .grid import (
+    Field,
+    GridSpec,
+    band_coefficients,
+    band_limited_field,
+    random_band_limited,
+)
 from .multiplier import apply as apply_op
 from .neumann import (
     apply_forward,
@@ -348,6 +361,48 @@ def _json_value(value):
 
 
 # ---------------------------------------------------------------------------
+# forked workers
+
+# (fn, items) of the running _fork_map; forked workers inherit it, so items
+# are never pickled.
+_FORK_JOB = None
+
+
+def _fork_item(index):
+    fn, items = _FORK_JOB
+    return fn(items[index])
+
+
+def _fork_map(fn, items, workers):
+    """[fn(x) for x in items], computed in up to `workers` forked processes.
+
+    Serial and in-process when workers == 1, for a single item, or where the
+    platform cannot fork.  Otherwise min(workers, len(items)) processes
+    inherit fn and items by fork and receive only an index; only fn's
+    results, which must pickle, come back, in item order.  An exception fn
+    raises in a worker is raised here.  The pool modules are imported only
+    when a pool is made, so importing this module stays cheap.
+    """
+    global _FORK_JOB
+    if workers > 1 and len(items) > 1:
+        import multiprocessing
+        from concurrent.futures import process
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            sys.stdout.flush()  # a forked child must not write buffered output again
+            sys.stderr.flush()
+            _FORK_JOB = (fn, items)
+            try:
+                with process.ProcessPoolExecutor(
+                        max_workers=min(workers, len(items)),
+                        mp_context=multiprocessing.get_context("fork")) as pool:
+                    return list(pool.map(_fork_item, range(len(items))))
+            finally:
+                _FORK_JOB = None
+    return [fn(x) for x in items]
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def run_apply(config, out_dir, seed, workers):
@@ -377,13 +432,57 @@ def run_apply(config, out_dir, seed, workers):
                        f"{lp_norm(out, 2)} <= {bound}"))
     extras = {"grid": grid}
     if config.get("dump_fields", False):
-        base_in = f"{out_dir}/fields/input"
-        base_out = f"{out_dir}/fields/output"
+        bases = [f"{out_dir}/fields/input", f"{out_dir}/fields/output"]
         os.makedirs(f"{out_dir}/fields", exist_ok=True)
-        dump_field(f, base_in)
-        dump_field(out, base_out)
-        extras["field_dumps"] = [base_in, base_out]
+        _fork_map(lambda job: dump_field(*job), list(zip((f, out), bases)), workers)
+        extras["field_dumps"] = bases
     return rows, ["quantity", "l1", "l2", "sup"], checks, extras
+
+
+def _verify_direction(z, delta, plan_options, band, tol_operator, job):
+    """CSV rows, checks and manifest extras of one resolvent-verify direction.
+
+    job is (direction, band coefficients of each operator-check field).
+    """
+    direc, coefficients = job
+    plan = make_plan(z, delta, direction=direc, **plan_options)
+    forward = direc == "forward"
+    dec = (forward_decomposition if forward else reverse_decomposition)(plan)
+    compose = apply_forward if forward else apply_reverse
+    op_err = 0.0
+    for coeffs in coefficients:
+        f = band_limited_field(plan_options["grid"], band, coeffs)
+        err = lp_norm(compose(dec, f) - apply_op(dec.target, f), 2) / lp_norm(f, 2)
+        op_err = max(op_err, err)
+    contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
+    rows = [
+        {
+            "direction": direc,
+            "n": n,
+            "seminorm": seminorm,
+            "certified_tail": dec.certified_tail,
+            "reconstruction_error": dec.reconstruction_error,
+            "contraction_sup": contraction,
+            "operator_rel_err": op_err,
+        }
+        for n, seminorm in tail_term_seminorms(plan)
+    ]
+    extras = {
+        f"{direc}_plan": {
+            "r0": plan.r0,
+            "n0": plan.n0,
+            "truncation": plan.truncation,
+            "q": plan.q,
+            "tail_series_bound": tail_kernel_bound(plan),
+        }
+    }
+    checks = [
+        (f"{direc}_reconstruction",
+         dec.reconstruction_error <= dec.certified_tail + 1e-10,
+         f"{dec.reconstruction_error} <= {dec.certified_tail} + 1e-10"),
+        (f"{direc}_operator", op_err <= tol_operator, f"{op_err} <= {tol_operator}"),
+    ]
+    return rows, checks, extras
 
 
 def run_resolvent_verify(config, out_dir, seed, workers):
@@ -403,47 +502,18 @@ def run_resolvent_verify(config, out_dir, seed, workers):
     truncation = _get(config, "truncation", _int, None)
     rng = np.random.default_rng(seed)
 
-    rows, checks, extras = [], [], {"grid": grid}
     directions = ("forward", "reverse") if direction == "both" else (direction,)
-    for direc in directions:
-        plan = make_plan(z, delta, direction=direc, grid=grid, tail_tol=tail_tol,
-                         r0=r0, truncation=truncation)
-        forward = direc == "forward"
-        dec = (forward_decomposition if forward else reverse_decomposition)(plan)
-        compose = apply_forward if forward else apply_reverse
-        op_err = 0.0
-        for _ in range(op_fields):
-            f = random_band_limited(grid, band, rng)
-            err = lp_norm(compose(dec, f) - apply_op(dec.target, f), 2) / lp_norm(f, 2)
-            op_err = max(op_err, err)
-        contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
-        for n, seminorm in tail_term_seminorms(plan):
-            rows.append(
-                {
-                    "direction": direc,
-                    "n": n,
-                    "seminorm": seminorm,
-                    "certified_tail": dec.certified_tail,
-                    "reconstruction_error": dec.reconstruction_error,
-                    "contraction_sup": contraction,
-                    "operator_rel_err": op_err,
-                }
-            )
-        extras[f"{direc}_plan"] = {
-            "r0": plan.r0,
-            "n0": plan.n0,
-            "truncation": plan.truncation,
-            "q": plan.q,
-            "tail_series_bound": tail_kernel_bound(plan),
-        }
-        checks.append(
-            (f"{direc}_reconstruction",
-             dec.reconstruction_error <= dec.certified_tail + 1e-10,
-             f"{dec.reconstruction_error} <= {dec.certified_tail} + 1e-10")
-        )
-        checks.append(
-            (f"{direc}_operator", op_err <= tol_operator, f"{op_err} <= {tol_operator}")
-        )
+    # Every check field's coefficients are drawn here, forward's before
+    # reverse's, so each field is the same whichever process builds it.
+    jobs = [(direc, [band_coefficients(grid, band, rng) for _ in range(op_fields)])
+            for direc in directions]
+    plan_options = {"grid": grid, "tail_tol": tail_tol, "r0": r0, "truncation": truncation}
+    verify = functools.partial(_verify_direction, z, delta, plan_options, band, tol_operator)
+    rows, checks, extras = [], [], {"grid": grid}
+    for direc_rows, direc_checks, direc_extras in _fork_map(verify, jobs, workers):
+        rows += direc_rows
+        checks += direc_checks
+        extras.update(direc_extras)
     columns = ["direction", "n", "seminorm", "certified_tail",
                "reconstruction_error", "contraction_sup", "operator_rel_err"]
     return rows, columns, checks, extras
@@ -661,12 +731,14 @@ def main(argv=None):
                 raise UsageError(f"cannot read config {args.config!r}: {exc}")
             config = parse_config_text(text)
         apply_overrides(config, args.overrides)
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if args.dump_field:
             config["dump_fields"] = True
 
         os.makedirs(args.out, exist_ok=True)
         rows, columns, checks, extras = COMMANDS[args.command](
-            config, args.out, args.seed, max(1, args.workers)
+            config, args.out, args.seed, args.workers
         )
     except ValueError as exc:  # UsageError and every module precondition
         print(f"riesz: {exc}", file=sys.stderr)
@@ -674,6 +746,9 @@ def main(argv=None):
 
     csv_path = f"{args.out}/{args.command}.csv"
     write_csv(csv_path, columns, rows)
+    # Worker processes have been reaped by now, so RUSAGE_CHILDREN holds their cost.
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
     manifest = {
         "command": args.command,
         "config": {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()},
@@ -685,7 +760,8 @@ def main(argv=None):
         "checks": [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
         "extras": _json_value(extras),
         "wall_time_s": time.time() - started,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "cpu_s": own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime,
+        "peak_rss_mib": max(own.ru_maxrss, reaped.ru_maxrss) / 1024,
         "outputs": [csv_path],
     }
     atomic_write_text(f"{args.out}/manifest.json", json.dumps(manifest, indent=2) + "\n")

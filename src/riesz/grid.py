@@ -163,19 +163,32 @@ def inverse_transform(big_f):
     return Field.spatial(g, samp)
 
 
-def random_band_limited(grid, band, rng):
-    """Spatial field whose spectrum has iid complex Gaussian coefficients in |xi| <= band.
+def band_coefficients(grid, band, rng):
+    """iid complex Gaussian coefficients for the lattice cells |xi| <= band.
 
-    All real parts are drawn before all imaginary parts, in lattice order, so
-    a seeded generator gives the same field on every run.
+    All real parts are drawn before all imaginary parts, so a seeded
+    generator gives the same coefficients on every run.
     """
     if not band > 0:
         raise ValueError(f"band must be positive, got {band}")
+    count = int(np.count_nonzero(grid.xi_radius() <= band))
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+
+def band_limited_field(grid, band, coefficients):
+    """Spatial field whose spectrum holds coefficients, in lattice order, on |xi| <= band."""
     spec = np.zeros(grid.shape, dtype=complex)
-    mask = grid.xi_radius() <= band
-    count = int(mask.sum())
-    spec[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    spec[grid.xi_radius() <= band] = coefficients
     return inverse_transform(Field.frequency(grid, spec))
+
+
+def random_band_limited(grid, band, rng):
+    """Spatial field whose spectrum has iid complex Gaussian coefficients in |xi| <= band.
+
+    The coefficients are band_coefficients(grid, band, rng), so a seeded
+    generator gives the same field on every run.
+    """
+    return band_limited_field(grid, band, band_coefficients(grid, band, rng))
 
 
 def _as_vector(xi0, dim):

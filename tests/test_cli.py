@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +134,11 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # width**2 underflows to 0: 0/0 at the origin and nan norms
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(width=1e-200)"),
     ("norms", "--set", "field=TRUNCATED_DUMP"),
+    ("kernel-decay", "--workers", "0"),
+    ("kernel-decay", "--workers", "-3"),
+    # make_plan rejects the grid inside a forked worker
+    ("resolvent-verify", "--set", "grid_size=32", "--set", "grid_half_width=64",
+     "--workers", "2"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -139,7 +148,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "map-fractional-scale", "fractional-grid-size", "fractional-n-min",
         "fractional-refinements", "map-fractional-steps", "bump-radius-underflow",
         "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale",
-        "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump"])
+        "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump", "workers-zero",
+        "workers-negative", "grid-window-pool"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if "field=TRUNCATED_DUMP" in args:
         base = tmp_path / "dump" / "fields" / "output"
@@ -272,11 +282,63 @@ def test_reproducible_csv_bodies(tmp_path):
 def test_workers_do_not_change_output(tmp_path):
     cfg = tmp_path / "probe.toml"
     cfg.write_text('lambdas = [0.25, 0.5]\nps = [1.0, 2.0]\nns = [8, 16, 32, 64]\n')
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "pool"
-    assert main(["probe", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["probe", "--config", str(cfg), "--out", str(out2), "--workers", "4"]) == 0
-    assert (out1 / "probe.csv").read_bytes() == (out2 / "probe.csv").read_bytes()
+    small_2d = ("--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=8")
+    runs = [
+        (("probe", "--config", str(cfg)), ["probe.csv"], "4"),
+        # one forked process per dump
+        (("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=2)",
+          *small_2d, "--dump-field"),
+         ["apply.csv", "fields/input.csv", "fields/input.json", "fields/output.csv",
+          "fields/output.json"], "2"),
+        # one forked process per direction
+        (("resolvent-verify", "--set", "direction=both", "--set", "grid_size=512",
+          "--set", "grid_half_width=20"), ["resolvent-verify.csv"], "2"),
+    ]
+    for args, files, workers in runs:
+        out1 = tmp_path / args[0] / "serial"
+        out2 = tmp_path / args[0] / "pool"
+        assert main([*args, "--out", str(out1), "--seed", "3"]) == 0
+        assert main([*args, "--out", str(out2), "--seed", "3", "--workers", workers]) == 0
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_fork_pool_is_capped_at_the_item_count(tmp_path, monkeypatch):
+    from concurrent.futures import process
+
+    asked = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor and runs its calls in this process."""
+
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", SerialPool)
+    code, out = run_cli(tmp_path, "apply", "--set", "symbol=bochner(delta=1)",
+                        "--set", "grid_size=64", "--set", "grid_half_width=8",
+                        "--dump-field", "--workers", "8")
+    assert code == 0 and asked == [2]
+    assert (out / "fields" / "input.csv").exists() and (out / "fields" / "output.csv").exists()
+
+
+def test_import_loads_no_process_pool():
+    # the pool modules cost 16-28 ms of start-up; only a forked run should load them
+    probe = ("import sys, riesz.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.stdout.strip() == "[]"
 
 
 def test_apply_dump_and_norms_pipeline(tmp_path):
@@ -308,6 +370,25 @@ def test_manifest_records_peak_rss(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert isinstance(manifest["peak_rss_mib"], float) and manifest["peak_rss_mib"] > 0
+
+
+def test_manifest_counts_worker_cost(tmp_path):
+    def total_cpu():
+        own, reaped = (resource.getrusage(who)
+                       for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        return own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime
+
+    before = total_cpu()
+    code, out = run_cli(tmp_path, "apply", "--set", "symbol=bochner(delta=1)",
+                        "--set", "grid_size=64", "--set", "grid_half_width=8",
+                        "--dump-field", "--workers", "2")
+    after = total_cpu()
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # cpu_s is this process's time plus that of its reaped workers
+    assert isinstance(manifest["cpu_s"], float) and before <= manifest["cpu_s"] <= after
+    workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert manifest["peak_rss_mib"] >= workers_peak > 0
 
 
 def test_norms_list_items_need_no_quotes(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,38 @@ def test_ap_constant_p1_form():
     family = default_cube_family(16.0, 1)
     value = ap_constant_estimate(WeightSpec(-0.5, 1.0), family)
     assert np.isfinite(value) and value > 1.0
+
+
+def _ap_constant_loop(w, family, dim):
+    """Reference: the A_p estimate one cube at a time."""
+    npts = family.quad_points if dim == 1 else max(64, math.isqrt(family.quad_points))
+    worst = 0.0
+    for side, center in family.cubes:
+        axes = [c - side / 2.0 + (np.arange(npts) + 0.5) * (side / npts) for c in center]
+        if dim == 1:
+            r = np.abs(axes[0])
+        else:
+            xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+            r = np.hypot(xx, yy)
+        wvals = r**w.a
+        if w.p > 1:
+            product = wvals.mean() * (wvals ** (-1.0 / (w.p - 1))).mean() ** (w.p - 1)
+        else:
+            product = wvals.mean() / wvals.min()
+        worst = max(worst, float(product))
+    return worst
+
+
+@pytest.mark.parametrize("a, p, dim, half_width, level", [
+    (0.5, 2.0, 2, 40.0, 0),  # the benchmark's ap(a=0.5,p=2) on its 2D dump
+    (-0.5, 1.0, 2, 40.0, 0),
+    (-0.4, 2.0, 2, 16.0, 1),  # 90 x 90 nodes per cube
+    (0.5, 2.0, 1, 16.0, 0),
+    (-0.5, 1.0, 1, 16.0, 1),
+])
+def test_ap_constant_matches_cube_loop(a, p, dim, half_width, level):
+    w, family = WeightSpec(a, p), default_cube_family(half_width, dim, level)
+    assert ap_constant_estimate(w, family, dim) == _ap_constant_loop(w, family, dim)
 
 
 # -- Herz ----------------------------------------------------------------------
