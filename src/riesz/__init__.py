@@ -13,7 +13,7 @@ Submodules:
 """
 
 from .grid import Field, GridSpec, forward_transform, inverse_transform, modulate
-from .multiplier import Kernel, apply, convolve, dense_oracle, kernel_of, schwartz_seminorm
+from .multiplier import apply, convolve, dense_oracle, kernel_of, schwartz_seminorm
 from .neumann import (
     NeumannPlan,
     choose_r0,

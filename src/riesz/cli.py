@@ -334,8 +334,9 @@ def _linspace(spec):
     return np.linspace(float(spec[0]), float(spec[1]), _int(spec[2]))
 
 
-def _grid_from_config(config, default=None):
-    if "grid_size" not in config and default is not None:
+def _grid_from_config(config, default):
+    """default when no grid key is set; any grid key needs grid_size and grid_half_width."""
+    if not any(key in config for key in ("grid_dim", "grid_size", "grid_half_width")):
         return default
     dim = _get(config, "grid_dim", _int, 1)
     size = _get(config, "grid_size", _int)

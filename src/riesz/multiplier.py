@@ -5,38 +5,17 @@ exact circular convolution, so `apply`, `kernel_of` and `convolve` agree to
 rounding, and `dense_oracle` materializes the same operator as an explicit
 circulant matrix for brute-force comparison on small grids.
 
-`apply` and `convolve` also take a field's spectrum in place of the field, so
-a caller that applies several operators to one field transforms it once.
+A kernel is a `Field`.  `apply` and `convolve` take either side of the
+transform for the field, and `convolve` for the kernel too, so a caller that
+applies several operators to one field transforms it once, and a kernel kept
+as its spectrum is never transformed at all.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .grid import Field, forward_transform, inverse_transform
-
-
-@dataclass(eq=False)
-class Kernel:
-    """Spatial convolution kernel with a record of the symbol it came from."""
-
-    grid: object
-    samples: np.ndarray
-    provenance: object = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"kernel shape {arr.shape} does not match grid shape {self.grid.shape}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def symbol_samples(self):
-        """Frequency-side values of the kernel (forward transform)."""
-        return forward_transform(Field.spatial(self.grid, self.samples)).samples
 
 
 def _check_window(m, grid):
@@ -59,19 +38,18 @@ def apply(m, f):
 
 
 def kernel_of(m, grid):
-    """Spatial kernel of a compactly supported symbol on the given grid."""
+    """Kernel of a compactly supported symbol on the grid, as a spatial Field."""
     if not np.isfinite(m.support_radius):
         raise ValueError("kernel extraction needs a compactly supported symbol")
     _check_window(m, grid)
-    samp = inverse_transform(Field.frequency(grid, m.sample(grid))).samples
-    return Kernel(grid, samp, provenance=m)
+    return inverse_transform(Field.frequency(grid, m.sample(grid)))
 
 
 def convolve(kernel, f):
-    """Periodic convolution K * f through the transform domain; f may be a spectrum."""
+    """Periodic convolution K * f through the transform domain; K and f may be spectra."""
     if kernel.grid != f.grid:
         raise ValueError("kernel and field live on different grids")
-    return inverse_transform(Field.frequency(f.grid, kernel.symbol_samples() * _spectrum(f)))
+    return inverse_transform(Field.frequency(f.grid, _spectrum(kernel) * _spectrum(f)))
 
 
 def multi_indices(dim, max_total):
@@ -91,8 +69,11 @@ def schwartz_seminorm(kernel, alpha0, beta0):
     """Sum over |alpha| <= alpha0, |beta| <= beta0 of sup |x^alpha D^beta K|.
 
     Derivatives are periodic central differences; weights use the grid
-    coordinates.  Supported orders: beta0 <= 2 and alpha0 <= dim + 1.
+    coordinates.  The kernel is a spatial Field.  Supported orders: beta0 <= 2
+    and alpha0 <= dim + 1.
     """
+    if kernel.domain != "spatial":
+        raise ValueError("schwartz_seminorm expects a spatial kernel")
     grid = kernel.grid
     if not (isinstance(alpha0, (int, np.integer)) and isinstance(beta0, (int, np.integer))):
         raise ValueError("seminorm orders must be integers")

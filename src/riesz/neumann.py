@@ -14,8 +14,9 @@ Two executable directions:
   the measured grid sup of that contraction.
 
 One private generator makes every series-term spectrum s_n (b^n psi2 forward,
-w^n psi2 reverse).  The tail kernel is one inverse transform of sum c_n s_n;
-each seminorm row transforms one s_n and drops its kernel afterwards.
+w^n psi2 reverse).  The tail kernel is kept as its spectrum sum c_n s_n, a
+frequency-side Field that the check and the convolution read directly; each
+seminorm row inverse-transforms one s_n and drops its kernel afterwards.
 
 Both Decompositions store the certified tail bound next to the measured
 sup-norm reconstruction error so callers can assert one against the other.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec, forward_transform, inverse_transform
-from .multiplier import Kernel, apply, convolve, schwartz_seminorm
+from .multiplier import apply, convolve, schwartz_seminorm
 from .symbols import (
     Symbol,
     ball_power_profile,
@@ -116,10 +117,12 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
         n0 = int(np.floor(alpha0 / delta)) + 1
     q = contraction_ratio(z, delta, r0)
     if truncation is None:
-        ratio = q if direction == "forward" else q / (1.0 - q)
-        scale = 1.0 / abs(complex(z)) if direction == "forward" else abs(complex(z))
+        if direction == "forward":
+            ratio, certificate = q, _forward_tail_certificate
+        else:
+            ratio, certificate = q / (1.0 - q), _reverse_tail_certificate
         truncation = n0 + 1
-        while scale * ratio ** (truncation + 1) / (1.0 - ratio) > tail_tol:
+        while certificate(z, ratio, truncation) > tail_tol:
             truncation += 1
             if truncation > 100000:
                 raise RuntimeError("tail tolerance unreachable")
@@ -131,6 +134,7 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
 class Decomposition:
     """Built components of one direction plus its error certificates.
 
+    tail_kernel is the frequency-side Field of the truncated terms.
     reconstruction_error is the grid sup of |built - target| and is bounded
     by certified_tail plus rounding whenever the construction is sound.
     """
@@ -141,7 +145,7 @@ class Decomposition:
     smooth_part: Symbol
     series_symbol: Symbol
     far_symbol: Symbol
-    tail_kernel: Kernel
+    tail_kernel: Field
     target: Symbol
     certified_tail: float
     reconstruction_error: float
@@ -190,20 +194,17 @@ def _series_terms(plan, ns, direction):
         yield n, w_pow * psi2
 
 
-def _kernel(grid, spectrum):
-    return Kernel(grid, inverse_transform(Field.frequency(grid, spectrum)).samples)
-
-
 def _tail_kernel(plan, coefficient):
-    """Kernel of sum_{n0 < n <= T} coefficient(n) s_n, from one inverse transform."""
+    """Spectrum of the tail kernel, sum_{n0 < n <= T} coefficient(n) s_n, as a Field."""
     ns = range(plan.n0 + 1, plan.truncation + 1)
     spectrum = sum(coefficient(n) * s_n for n, s_n in _series_terms(plan, ns, plan.direction))
-    return _kernel(plan.grid, spectrum)
+    return Field.frequency(plan.grid, spectrum)
 
 
 def _seminorm_rows(plan, ns, direction):
     """(n, seminorm of the kernel of s_n); each kernel is dropped after its row."""
-    return [(int(n), schwartz_seminorm(_kernel(plan.grid, s_n), plan.alpha0, plan.beta0))
+    return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(plan.grid, s_n)),
+                                       plan.alpha0, plan.beta0))
             for n, s_n in _series_terms(plan, ns, direction)]
 
 
@@ -211,7 +212,8 @@ def forward_decomposition(plan):
     """Split the resolvent symbol; certify what truncation discards.
 
     Components: m1 = (z - b)^(-1) psi1, the Neumann section m21, the kernel
-    of the terms n0 < n <= T, and the far field z^(-1)(1 - psi1 - psi2).
+    of the terms n0 < n <= T (kept as its spectrum), and the far field
+    z^(-1)(1 - psi1 - psi2).
     The sum reproduces the resolvent symbol up to the certified tail.
     """
     if plan.direction != "forward":
@@ -235,7 +237,7 @@ def forward_decomposition(plan):
 
     certified = _forward_tail_certificate(z, plan.q, plan.truncation)
     built = (smooth_part.sample(grid) + series_symbol.sample(grid)
-             + tail_kernel.symbol_samples() + far_symbol.sample(grid))
+             + tail_kernel.samples + far_symbol.sample(grid))
     err = float(np.max(np.abs(built - target.sample(grid))))
     return Decomposition(plan, psi1, psi2, smooth_part, series_symbol, far_symbol,
                          tail_kernel, target, certified, err)
@@ -285,7 +287,7 @@ def reverse_decomposition(plan):
 
     target = bochner_symbol(delta) * psi2
     certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
-    built = series_symbol.sample(grid) + tail_kernel.symbol_samples()
+    built = series_symbol.sample(grid) + tail_kernel.samples
     err = float(np.max(np.abs(built - target.sample(grid))))
     return Decomposition(plan, psi1, psi2, None, series_symbol, None, tail_kernel,
                          target, certified, err, contraction_sup=contraction_sup)
@@ -306,9 +308,9 @@ def apply_reverse(dec, f):
 
 
 def kernel_sequence(plan, n):
-    """Kernel of (1 - |xi|^2)_+^(n delta) psi2 and its seminorm."""
+    """Spatial kernel (a Field) of (1 - |xi|^2)_+^(n delta) psi2 and its seminorm."""
     [(_, s_n)] = _series_terms(plan, [n], "forward")
-    k_n = _kernel(plan.grid, s_n)
+    k_n = inverse_transform(Field.frequency(plan.grid, s_n))
     return k_n, schwartz_seminorm(k_n, plan.alpha0, plan.beta0)
 
 

@@ -209,19 +209,29 @@ def _achieved_level(spec, grid):
     return xi0, level
 
 
-def probe_ratio(spec, n_scale, grid=None, profile=None):
-    """Defect ratio ||(lambda I - B) f_{N,xi0}|| / ||f_{N,xi0}||."""
-    if grid is None:
-        grid = spec.default_grid()
+def _probe_norms(spec, n_scale, grid, achieved, profile=None):
+    """spec's norms of the full-grid probe f at the achieved (xi0, level) and
+    of its defect level f - B f.
+
+    N must keep the bump inside the localizer plateau.  Both fields are
+    dropped on return, so a sweep holds one probe at a time.
+    """
     if 0 < spec.lam <= 1 and spec.rho / n_scale > spec.localizer_radius() + 1e-12:
         raise ValueError(
             f"N={n_scale} puts the bump outside the localizer plateau; "
             f"need N >= {spec.min_scale()}"
         )
-    xi0, level = _achieved_level(spec, grid)
+    xi0, level = achieved
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
-    defect = level * f - apply(bochner_symbol(spec.delta), f)
-    return spec._norm(defect) / spec._norm(f)
+    return spec._norm(f), spec._norm(level * f - apply(bochner_symbol(spec.delta), f))
+
+
+def probe_ratio(spec, n_scale, grid=None, profile=None):
+    """Defect ratio ||(lambda I - B) f_{N,xi0}|| / ||f_{N,xi0}||."""
+    if grid is None:
+        grid = spec.default_grid()
+    f_norm, defect_norm = _probe_norms(spec, n_scale, grid, _achieved_level(spec, grid), profile)
+    return defect_norm / f_norm
 
 
 def localized_defect_ratio(spec, n_scale, grid=None):
@@ -249,9 +259,10 @@ def decay_rows(spec, grid=None, profile=None):
     """Probe table across the N sweep with the achieved level recorded."""
     if grid is None:
         grid = spec.default_grid()
+    xi0, level = _achieved_level(spec, grid)
     rows = []
     for n in spec.n_values:
-        xi0, level = _achieved_level(spec, grid)
+        f_norm, defect_norm = _probe_norms(spec, n, grid, (xi0, level), profile)
         rows.append(
             {
                 "lambda": spec.lam,
@@ -260,7 +271,7 @@ def decay_rows(spec, grid=None, profile=None):
                 "p": spec.p,
                 "delta": spec.delta,
                 "n": int(n),
-                "ratio": probe_ratio(spec, n, grid, profile=profile),
+                "ratio": defect_norm / f_norm,
             }
         )
     return rows
@@ -319,11 +330,8 @@ def weighted_probe_report(spec, n_scale, grid=None):
     d = grid.dim
     p = spec.p
     WeightSpec(spec.weight_a, p).validate_for_dim(d)
-    xi0, level = _achieved_level(spec, grid)
-    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
-    defect = level * f - apply(bochner_symbol(spec.delta), f)
-    f_norm = spec._norm(f)
-    ratio = spec._norm(defect) / f_norm
+    f_norm, defect_norm = _probe_norms(spec, n_scale, grid, _achieved_level(spec, grid))
+    ratio = defect_norm / f_norm
     n = float(n_scale)
     eps0 = half_peak_radius(grid, spec.rho)
     term_half = n ** (-p / 2.0)
@@ -379,13 +387,17 @@ def probe_lower_bound(z, delta, p, grid, probes):
     return best
 
 
+MAP_EXTRA_LEVELS = (0.25, 0.75)
+"""Probe levels that `spectrum_map` adds at every point, next to its real part."""
+
+
 def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
-                 lam_extra=(0.25, 0.75), rho=0.5, pole_margin=1e-3):
+                 rho=0.5, pole_margin=1e-3):
     """Resolvent-norm lower bounds over a set of complex points.
 
     Points closer than pole_margin to [0, 1] are marked as poles and skipped.
-    Probe levels follow each point's real part (clamped to [0, 1]) plus the
-    fixed extras; the p = 2 column carries the closed-form oracle
+    Probe levels follow each point's real part (clamped to [0, 1]) plus
+    MAP_EXTRA_LEVELS; the p = 2 column carries the closed-form oracle
     1/dist(z, [0, 1]).
 
     Each distinct probe lives on its own baseband grid (`baseband_grid`): the
@@ -421,7 +433,7 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         if dist_to_unit_interval(z) < pole_margin:
             row.update(pole=True, lower_bound=np.inf, oracle_p2=np.inf)
         else:
-            lams = {min(max(z.real, 0.0), 1.0), *lam_extra}
+            lams = {min(max(z.real, 0.0), 1.0), *MAP_EXTRA_LEVELS}
             probes = [pair for lam in sorted(lams) for pair in probes_for(lam)]
             row.update(
                 pole=False,

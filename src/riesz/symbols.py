@@ -15,6 +15,7 @@ import numpy as np
 
 _SMOOTHNESS_RANK = {"cinf-compact": 2, "piecewise-smooth": 1, "bounded": 0}
 _STRIP_POINTS = 2**17  # mikhlin_check's strip size; the 1D default's levels are one strip
+MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 
 
 def _radius2(coords):
@@ -302,7 +303,8 @@ class MikhlinReport:
 
     sups[level][k] holds the masked sup at each refinement level; growth[k]
     compares the finest level against the coarsest, and a symbol is flagged
-    "unbounded-suspect" at order k when that growth exceeds the threshold.
+    "unbounded-suspect" at order k when that growth exceeds the threshold
+    (MIKHLIN_GROWTH_THRESHOLD, recorded here).
     """
 
     kmax: int
@@ -323,8 +325,7 @@ def _directional_gradients(tensors, spacing):
     return [np.gradient(t, spacing, axis=axis) for t in tensors for axis in range(t.ndim)]
 
 
-def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
-                  growth_threshold=10.0):
+def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None):
     """Numerical screen for boundedness of |xi|^k |grad^k m|, k <= kmax.
 
     Derivatives are central finite differences on [-xi_max, xi_max]^dim,
@@ -385,6 +386,6 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None,
         else:
             g = last / first
         growth.append(g)
-        flagged.append(bool(not np.isfinite(g) or g > growth_threshold))
+        flagged.append(bool(not np.isfinite(g) or g > MIKHLIN_GROWTH_THRESHOLD))
     return MikhlinReport(kmax, dim, xi_max, points, sups, growth, flagged,
-                         growth_threshold)
+                         MIKHLIN_GROWTH_THRESHOLD)

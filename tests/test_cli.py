@@ -139,6 +139,10 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # make_plan rejects the grid inside a forked worker
     ("resolvent-verify", "--set", "grid_size=32", "--set", "grid_half_width=64",
      "--workers", "2"),
+    # a grid key without grid_size would run on the default grid
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_dim=2",
+     "--set", "grid_half_width=8"),
+    ("kernel-decay", "--set", "grid_half_width=32"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -149,7 +153,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "fractional-refinements", "map-fractional-steps", "bump-radius-underflow",
         "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale",
         "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump", "workers-zero",
-        "workers-negative", "grid-window-pool"])
+        "workers-negative", "grid-window-pool", "grid-dim-no-size",
+        "grid-half-width-no-size"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if "field=TRUNCATED_DUMP" in args:
         base = tmp_path / "dump" / "fields" / "output"

@@ -3,7 +3,6 @@ import pytest
 
 from riesz.grid import Field, GridSpec, forward_transform, random_band_limited
 from riesz.multiplier import (
-    Kernel,
     apply,
     convolve,
     dense_oracle,
@@ -83,6 +82,7 @@ def test_multiplier_composition_commutes(grid, rng):
 
 def test_bump_kernel_real_even_peaked(grid):
     k = kernel_of(bump_phi0(0.5), grid)
+    assert isinstance(k, Field) and k.domain == "spatial"
     assert np.max(np.abs(k.samples.imag)) < 1e-10
     vals = k.samples.real
     flipped = vals[1:][::-1]  # x -> -x on the centered lattice
@@ -115,6 +115,8 @@ def test_spectrum_input_matches_spatial_input(g):
     k = kernel_of(sym, g)
     assert np.array_equal(apply(sym, spec).samples, apply(sym, f).samples)
     assert np.array_equal(convolve(k, spec).samples, convolve(k, f).samples)
+    # so is a kernel's
+    assert np.array_equal(convolve(forward_transform(k), f).samples, convolve(k, f).samples)
 
 
 def test_ball_kernel_quadratic_decay():
@@ -133,7 +135,7 @@ def test_ball_kernel_quadratic_decay():
 def test_delta_kernel_is_convolution_identity(grid, rng):
     samples = np.zeros(grid.shape, dtype=complex)
     samples[grid.size // 2] = 1.0 / grid.h
-    delta = Kernel(grid, samples)
+    delta = Field.spatial(grid, samples)
     f = random_band_limited(grid, 4.0, rng)
     out = convolve(delta, f)
     assert np.max(np.abs(out.samples - f.samples)) < 1e-10
@@ -149,11 +151,11 @@ def test_convolution_commutes_with_translation(grid, rng):
 
 def test_young_inequality(grid, rng):
     for _ in range(5):
-        k = Kernel(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        k = Field.spatial(grid, rng.standard_normal(grid.shape)
+                          + 1j * rng.standard_normal(grid.shape))
         f = random_band_limited(grid, 4.0, rng)
-        kf = Field.spatial(grid, k.samples)
         lhs = lp_norm(convolve(k, f), 1)
-        rhs = lp_norm(kf, 1) * lp_norm(f, 1)
+        rhs = lp_norm(k, 1) * lp_norm(f, 1)
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -166,17 +168,17 @@ def test_multi_indices():
 
 def test_seminorm_gaussian_peak(grid):
     x = grid.x_axis()
-    k = Kernel(grid, np.exp(-(x**2) / 2.0))
+    k = Field.spatial(grid, np.exp(-(x**2) / 2.0))
     assert schwartz_seminorm(k, 0, 0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_seminorm_homogeneous_and_subadditive(grid, rng):
-    k1 = Kernel(grid, kernel_of(bump_phi0(0.5), grid).samples)
+    k1 = kernel_of(bump_phi0(0.5), grid)
     noise = rng.standard_normal(grid.shape) * np.exp(-np.abs(grid.x_axis()))
-    k2 = Kernel(grid, noise)
+    k2 = Field.spatial(grid, noise)
     s1 = schwartz_seminorm(k1, 2, 1)
-    assert schwartz_seminorm(Kernel(grid, -2.5 * k1.samples), 2, 1) == pytest.approx(2.5 * s1)
-    both = Kernel(grid, k1.samples + k2.samples)
+    assert schwartz_seminorm(-2.5 * k1, 2, 1) == pytest.approx(2.5 * s1)
+    both = k1 + k2
     assert schwartz_seminorm(both, 2, 1) <= s1 + schwartz_seminorm(k2, 2, 1) + 1e-12
 
 
@@ -186,6 +188,8 @@ def test_seminorm_order_validation(grid):
         schwartz_seminorm(k, 1, 3)
     with pytest.raises(ValueError):
         schwartz_seminorm(k, 3, 0)
+    with pytest.raises(ValueError, match="spatial"):
+        schwartz_seminorm(forward_transform(k), 1, 0)
 
 
 def test_seminorm_controls_convolution_norm(grid, rng):
@@ -263,6 +267,6 @@ def test_apply_and_convolve_2d():
 def test_seminorm_2d_gaussian():
     g = GridSpec(2, 64, 8.0)
     r = g.x_radius()
-    k = Kernel(g, np.exp(-(r**2) / 2.0))
+    k = Field.spatial(g, np.exp(-(r**2) / 2.0))
     assert schwartz_seminorm(k, 0, 0) == pytest.approx(1.0, abs=1e-10)
     assert schwartz_seminorm(k, g.dim + 1, 0) > 1.0

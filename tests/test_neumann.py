@@ -96,13 +96,13 @@ def test_forward_region_bookkeeping(grid):
     inner = xi <= 1.0 - plan.r0
     # the Neumann section and the tail vanish inside; m1 matches alone
     assert np.max(np.abs(dec.series_symbol.sample(grid)[inner])) == 0.0
-    assert np.max(np.abs(dec.tail_kernel.symbol_samples()[inner])) < 1e-13
+    assert np.max(np.abs(dec.tail_kernel.samples[inner])) < 1e-13
     assert np.max(np.abs(dec.smooth_part.sample(grid)[inner] - target[inner])) < 1e-13
     outer = xi > 1.0 + plan.r0
     composite = (
         dec.smooth_part.sample(grid)
         + dec.series_symbol.sample(grid)
-        + dec.tail_kernel.symbol_samples()
+        + dec.tail_kernel.samples
         + dec.far_symbol.sample(grid)
     )
     assert np.max(np.abs(composite[outer] - 1.0 / plan.z)) < 1e-13
@@ -153,33 +153,33 @@ def test_forward_gives_resolvent_identity(grid, rng):
 
 
 def test_transform_counts(grid, rng, transforms):
-    # The tail kernel is one inverse transform whatever the truncation, and
-    # one forward transform measures its reconstruction error.
+    # The tail kernel is kept as its spectrum, so neither building it nor
+    # measuring the reconstruction error transforms anything.
     for direction, decompose in (("forward", forward_decomposition),
                                  ("reverse", reverse_decomposition)):
         for truncation in (10, 40):
             plan = make_plan(2.0, 1.0, direction=direction, grid=grid, truncation=truncation)
             before = len(transforms)
             decompose(plan)
-            assert len(transforms) - before == 2
+            assert len(transforms) - before == 0
     # apply_forward: one forward transform of f, one inverse for each
-    # multiplier on its spectrum (psi2, the smooth part, psi1), two per ball
-    # power and two for the tail convolution.
+    # multiplier on its spectrum (psi2, the smooth part, psi1, the tail
+    # kernel) and two per ball power.
     dec = forward_decomposition(make_plan(2.0, 1.0, grid=grid))
     f = random_band_limited(grid, 3.0, rng)
     before = len(transforms)
     apply_forward(dec, f)
-    assert len(transforms) - before == 2 * (dec.plan.n0 + 3)
+    assert len(transforms) - before == 2 * dec.plan.n0 + 5
 
 
 def test_apply_reverse_transforms_its_input_once(grid, rng, transforms):
-    # one forward transform of f, one inverse for psi2, two per resolvent
-    # power and two for the tail convolution
+    # one forward transform of f, one inverse each for psi2 and the tail
+    # kernel, and two per resolvent power
     dec = reverse_decomposition(make_plan(2.0, 1.0, direction="reverse", grid=grid))
     f = random_band_limited(grid, 3.0, rng)
     before = len(transforms)
     apply_reverse(dec, f)
-    assert len(transforms) - before == 2 * dec.plan.n0 + 4
+    assert len(transforms) - before == 2 * dec.plan.n0 + 3
 
 
 def test_series_terms_need_the_unit_ball_in_the_window():
@@ -213,7 +213,7 @@ def test_reverse_vanishes_at_origin(grid):
     plan = make_plan(2.0, 1.0, direction="reverse", grid=grid)
     dec = reverse_decomposition(plan)
     center = grid.size // 2
-    built = dec.series_symbol.sample(grid)[center] + dec.tail_kernel.symbol_samples()[center]
+    built = dec.series_symbol.sample(grid)[center] + dec.tail_kernel.samples[center]
     assert abs(built) < 1e-12
 
 

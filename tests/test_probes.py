@@ -134,6 +134,8 @@ def test_scale_below_localizer_plateau_rejected(grid):
     assert spec.min_scale() == 8
     with pytest.raises(ValueError):
         probe_ratio(spec, 4, grid)
+    with pytest.raises(ValueError, match="plateau"):
+        weighted_probe_report(ProbeSpec(0.25, 2.0, 1.0, weight_a=0.5), 4, grid)
 
 
 def test_ratio_invariant_under_profile_scaling(grid):
@@ -270,10 +272,10 @@ def test_spectrum_map_transforms_each_probe_once(grid, transforms):
     assert len(transforms) == 15 + 3 * 9
 
 
-def _full_grid_probes(z, grid, n_values, rho=0.5, lam_extra=(0.25, 0.75)):
+def _full_grid_probes(z, grid, n_values, rho=0.5):
     """The map's probes for z as spatial fields on the sweep grid, with L^2 norms."""
     pairs = []
-    for lam in sorted({min(max(z.real, 0.0), 1.0), *lam_extra}):
+    for lam in sorted({min(max(z.real, 0.0), 1.0), *probes.MAP_EXTRA_LEVELS}):
         xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
         for n in n_values:
             f = probe_field(xi0, n, grid, rho=rho)

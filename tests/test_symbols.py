@@ -262,6 +262,7 @@ def test_mikhlin_flags_square_root_ball():
     # sup keeps growing across the refinement ladder
     report = mikhlin_check(bochner_symbol(0.5), 1)
     assert report.flagged[1]
+    assert report.growth[1] > report.threshold == symbols.MIKHLIN_GROWTH_THRESHOLD
     sups = [level[1] for level in report.sups]
     assert all(b > a for a, b in zip(sups, sups[1:]))
 
