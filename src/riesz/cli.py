@@ -343,6 +343,14 @@ def _grid_from_config(config, default):
     return GridSpec(dim, size, _get(config, "grid_half_width"))
 
 
+def _reject_keys(config, command, keys):
+    """UsageError naming the first of keys that config sets: command sizes its
+    own grid with probe_grid and would silently ignore it."""
+    for key in keys:
+        if key in config:
+            raise UsageError(f"{command} sizes its own grid; config key {key!r} is not read")
+
+
 def _json_value(value):
     """value as JSON: a grid as its fields, numbers and containers as
     themselves, anything else (a non-finite float too) as its str()."""
@@ -566,6 +574,7 @@ def run_probe(config, out_dir, seed, workers):
     delta = _get(config, "delta", float, 1.0)
     rho = _get(config, "rho", float, 0.5)
     weight_a = _get(config, "weight_a", float, None)
+    _reject_keys(config, "probe", ("grid_size", "grid_half_width"))
     if len(ns) < 4:
         raise UsageError("probe sweeps need at least 4 scale values")
     specs = [ProbeSpec(lam, p, delta, rho=rho, n_values=ns, weight_a=weight_a)
@@ -609,6 +618,7 @@ def run_spectrum_map(config, out_dir, seed, workers):
     ns = _get(config, "ns", _int_tuple, (32, 64, 128))
     pole_margin = _get(config, "pole_margin", float, 1e-3)
     rho = _get(config, "rho", float, 0.5)
+    _reject_keys(config, "spectrum-map", ("grid_dim", "grid_size", "grid_half_width"))
     if not ns:
         raise UsageError("ns must list at least one probe scale")
     zs = [complex(a, b) for a in re_values for b in im_values]

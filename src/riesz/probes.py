@@ -25,15 +25,7 @@ from .grid import (
 )
 from .multiplier import apply
 from .norms import WeightSpec, _square_mass, lp_norm, weighted_lp_norm
-from .symbols import (
-    BumpProfile,
-    bochner_symbol,
-    bump_phi0,
-    dist_to_unit_interval,
-    radial_symbol,
-    resolvent_symbol,
-    scalar_symbol,
-)
+from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
 
 def lambda_to_xi0(lam, delta):
@@ -68,7 +60,10 @@ def probe_grid(n_max, rho, dim=1, spread_factor=16.0, cells_per_bump=8.0):
 
 
 def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
-    """Spectrum symbol of `probe_field`, after its lattice and 4-cell checks."""
+    """Spectrum symbol of `probe_field`, after its lattice and 4-cell checks.
+
+    The bump radius is rho, or the support radius of a given profile.
+    """
     if n_scale < 1:
         raise ValueError(f"scale must be >= 1, got {n_scale}")
     snapped = snap_to_lattice(grid, xi0)
@@ -77,14 +72,15 @@ def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
         raise ValueError(
             f"xi0={xi0} is off the frequency lattice; nearest is {snapped}"
         )
-    if rho / n_scale < 4.0 * grid.dxi - 1e-12:
-        need = 4.0 * np.pi * n_scale / rho
-        raise ValueError(
-            f"bump radius {rho / n_scale:.3g} spans fewer than 4 cells "
-            f"(dxi={grid.dxi:.3g}); use a grid with half-width >= {need:.4g}"
-        )
     if profile is None:
         profile = bump_phi0(rho)
+    radius = profile.support_radius
+    if radius / n_scale < 4.0 * grid.dxi - 1e-12:
+        need = 4.0 * np.pi * n_scale / radius
+        raise ValueError(
+            f"bump radius {radius / n_scale:.3g} spans fewer than 4 cells "
+            f"(dxi={grid.dxi:.3g}); use a grid with half-width >= {need:.4g}"
+        )
     return profile.dilated(n_scale).shifted(snapped)
 
 
@@ -209,21 +205,35 @@ def _achieved_level(spec, grid):
     return xi0, level
 
 
+@functools.lru_cache(maxsize=2)
+def _ball_on(delta, grid):
+    """bochner_symbol(delta) for the probes on grid.
+
+    One instance serves every probe on grid at delta, in every sweep and
+    thread, so its sample there is made once; the cache holds at most two
+    samples.  Threads that miss together each build and sample their own
+    instance, which is equal.
+    """
+    return bochner_symbol(delta)
+
+
 def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     """spec's norms of the full-grid probe f at the achieved (xi0, level) and
     of its defect level f - B f.
 
-    N must keep the bump inside the localizer plateau.  Both fields are
-    dropped on return, so a sweep holds one probe at a time.
+    N must keep the bump (radius spec.rho, or the profile's support radius)
+    inside the localizer plateau.  Both fields are dropped on return, so a
+    sweep holds one probe at a time.
     """
-    if 0 < spec.lam <= 1 and spec.rho / n_scale > spec.localizer_radius() + 1e-12:
+    rho = spec.rho if profile is None else profile.support_radius
+    if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
         raise ValueError(
             f"N={n_scale} puts the bump outside the localizer plateau; "
-            f"need N >= {spec.min_scale()}"
+            f"need N >= {np.ceil(rho / spec.localizer_radius()):.0f}"
         )
     xi0, level = achieved
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
-    return spec._norm(f), spec._norm(level * f - apply(bochner_symbol(spec.delta), f))
+    return spec._norm(f), spec._norm(level * f - apply(_ball_on(spec.delta, grid), f))
 
 
 def probe_ratio(spec, n_scale, grid=None, profile=None):
@@ -232,27 +242,6 @@ def probe_ratio(spec, n_scale, grid=None, profile=None):
         grid = spec.default_grid()
     f_norm, defect_norm = _probe_norms(spec, n_scale, grid, _achieved_level(spec, grid), profile)
     return defect_norm / f_norm
-
-
-def localized_defect_ratio(spec, n_scale, grid=None):
-    """Same ratio through the localized symbol (lambda - b) psi(. - xi0).
-
-    psi is 1 on the plateau containing the probe support, so this equals the
-    direct measurement and cross-validates the construction.
-    """
-    if grid is None:
-        grid = spec.default_grid()
-    if not 0 < spec.lam <= 1:
-        raise ValueError("localized form needs lam in (0, 1]")
-    xi0, level = _achieved_level(spec, grid)
-    plateau = (1.0 - abs(xi0[0])) / 2.0
-    localizer = radial_symbol(
-        BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau, "cinf-compact",
-        label="localizer",
-    ).shifted(xi0)
-    m_loc = (scalar_symbol(level) - bochner_symbol(spec.delta)) * localizer
-    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
-    return spec._norm(apply(m_loc, f)) / spec._norm(f)
 
 
 def decay_rows(spec, grid=None, profile=None):

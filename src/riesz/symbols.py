@@ -2,9 +2,14 @@
 
 A Symbol is an evaluation rule on frequency vectors together with a declared
 support radius and a smoothness annotation.  Rules act on tuples of per-axis
-coordinate arrays so one symbol serves any grid dimension; sampled values are
-cached per GridSpec because sweeps reuse the same symbol on one grid many
-times.
+coordinate arrays so one symbol serves any grid dimension.  Every rule is
+pointwise: its value at a point depends only on that point's coordinates, so
+evaluating on a sub-box of the lattice gives exactly the full lattice's values
+there.  `Symbol.sample` relies on this: it evaluates only on the box of
+lattice cells within the support radius on every axis and writes exact zeros
+elsewhere, so a sample costs in proportion to its support box, not to the
+grid.  Samples are cached per GridSpec, for sweeps that reuse one symbol on
+one grid.
 """
 
 import functools
@@ -68,7 +73,9 @@ class BumpProfile:
 class Symbol:
     """Complex-valued frequency symbol with declared support and smoothness.
 
-    fn              : rule mapping a tuple of coordinate arrays to values
+    fn              : pointwise rule mapping a tuple of coordinate arrays to
+                      values (the value at a point depends on that point's
+                      coordinates alone; `sample` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
     smoothness      : "cinf-compact" | "piecewise-smooth" | "bounded"
     nonsmooth_radii : radii of origin-centered spheres where derivatives may
@@ -85,6 +92,8 @@ class Symbol:
     def __post_init__(self):
         if self.smoothness not in _SMOOTHNESS_RANK:
             raise ValueError(f"unknown smoothness class {self.smoothness!r}")
+        if not self.support_radius >= 0:
+            raise ValueError(f"support radius must be >= 0, got {self.support_radius}")
 
     def evaluate(self, coords):
         """Evaluate on coordinate arrays, enforcing the support radius exactly."""
@@ -94,10 +103,21 @@ class Symbol:
         return vals
 
     def sample(self, grid):
-        """Values on the grid frequency lattice, cached per GridSpec."""
+        """Values on the grid frequency lattice, cached per GridSpec (read-only).
+
+        The rule runs only on the box of cells whose every coordinate passes
+        xi_axis**2 <= support_radius**2, the comparison `evaluate` masks with,
+        so no cell `evaluate` keeps lies outside it; the rest are exact zeros.
+        The result equals the masked full-lattice evaluation bit for bit.
+        """
         hit = self._cache.get(grid)
         if hit is None:
-            hit = np.broadcast_to(self.evaluate(grid.xi_mesh()), grid.shape).copy()
+            axis = grid.xi_axis()
+            kept = np.flatnonzero(axis**2 <= self.support_radius**2)  # never empty: 0 is on it
+            box = slice(kept[0], kept[-1] + 1)
+            coords = np.meshgrid(*([axis[box]] * grid.dim), indexing="ij", sparse=True)
+            hit = np.zeros(grid.shape, complex)
+            hit[(box,) * grid.dim] = self.evaluate(tuple(coords))
             hit.setflags(write=False)
             self._cache[grid] = hit
         return hit

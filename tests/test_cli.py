@@ -143,6 +143,12 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_dim=2",
      "--set", "grid_half_width=8"),
     ("kernel-decay", "--set", "grid_half_width=32"),
+    # probe and spectrum-map size their own grid and would ignore these keys
+    ("spectrum-map", "--set", "grid_dim=2"),
+    ("spectrum-map", "--set", "grid_size=64"),
+    ("spectrum-map", "--set", "grid_half_width=8"),
+    ("probe", "--set", "grid_size=64"),
+    ("probe", "--set", "grid_half_width=8"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -154,7 +160,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "bump-rho-underflow", "bump-rho-overflow", "bump-radius-2d-scale",
         "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump", "workers-zero",
         "workers-negative", "grid-window-pool", "grid-dim-no-size",
-        "grid-half-width-no-size"])
+        "grid-half-width-no-size", "map-grid-dim", "map-grid-size", "map-grid-half-width",
+        "probe-grid-size", "probe-grid-half-width"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if "field=TRUNCATED_DUMP" in args:
         base = tmp_path / "dump" / "fields" / "output"
@@ -170,6 +177,15 @@ def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
     assert not (out / f"{args[0]}.csv").exists()
+
+
+@pytest.mark.parametrize("command, key", [("spectrum-map", "grid_dim"),
+                                          ("probe", "grid_half_width")])
+def test_unread_grid_key_names_command_and_key(tmp_path, capsys, command, key):
+    code, _ = run_cli(tmp_path, command, "--set", f"{key}=2")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"riesz: {command} sizes its own grid; config key {key!r} is not read\n")
 
 
 @pytest.mark.parametrize("value", [2, 2.0, "2", "2.0", " 2 "])
@@ -290,6 +306,9 @@ def test_workers_do_not_change_output(tmp_path):
     small_2d = ("--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=8")
     runs = [
         (("probe", "--config", str(cfg)), ["probe.csv"], "4"),
+        # 2D sweep on 512^2: its threads share one ball symbol
+        (("probe", "--set", "grid_dim=2", "--set", "lambdas=[0.0,1.0]",
+          "--set", "ps=[1.0,2.0]", "--set", "ns=[1,2,3,4]"), ["probe.csv"], "2"),
         # one forked process per dump
         (("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=2)",
           *small_2d, "--dump-field"),

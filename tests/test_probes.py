@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,6 @@ from riesz.probes import (
     halving_factors,
     half_peak_radius,
     lambda_to_xi0,
-    localized_defect_ratio,
     probe_field,
     probe_grid,
     probe_lower_bound,
@@ -28,7 +30,14 @@ from riesz.probes import (
     spectrum_map,
     weighted_probe_report,
 )
-from riesz.symbols import bochner_symbol, bump_phi0, dist_to_unit_interval
+from riesz.symbols import (
+    BumpProfile,
+    bochner_symbol,
+    bump_phi0,
+    dist_to_unit_interval,
+    radial_symbol,
+    scalar_symbol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +154,23 @@ def test_ratio_invariant_under_profile_scaling(grid):
     assert abs(base - scaled) < 1e-12
 
 
+def localized_defect_ratio(spec, n_scale, grid):
+    """The defect ratio through the localized symbol (lambda - b) psi(. - xi0).
+
+    psi is 1 on the plateau containing the probe support, so this equals the
+    direct measurement and cross-validates the construction.
+    """
+    xi0, level = probes._achieved_level(spec, grid)
+    plateau = (1.0 - abs(xi0[0])) / 2.0
+    localizer = radial_symbol(
+        BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau, "cinf-compact",
+        label="localizer",
+    ).shifted(xi0)
+    m_loc = (scalar_symbol(level) - bochner_symbol(spec.delta)) * localizer
+    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
+    return spec._norm(apply(m_loc, f)) / spec._norm(f)
+
+
 def test_localized_symbol_cross_validation(grid):
     spec = ProbeSpec(0.5, 2.0, 1.0)
     direct = probe_ratio(spec, 16, grid)
@@ -152,10 +178,71 @@ def test_localized_symbol_cross_validation(grid):
     assert abs(direct - localized) < 1e-12
 
 
+def test_custom_profile_radius_drives_the_cell_check(grid):
+    # bump_phi0(0.05) at N = 64 has radius 7.8e-4, 0.8 cells of this grid
+    spec = ProbeSpec(0.5, 2.0, 1.0, n_values=(8, 16, 32, 64))
+    with pytest.raises(ValueError, match="fewer than 4 cells"):
+        probe_ratio(spec, 64, probe_grid(64, 0.5), profile=bump_phi0(0.05))
+
+
+def test_custom_profile_radius_drives_the_plateau_check(grid):
+    # rho = 0.5 fits the lam = 0.5 plateau at N = 8, a radius-2 profile does not
+    spec = ProbeSpec(0.5, 2.0, 1.0, n_values=(8, 16, 32, 64))
+    probe_ratio(spec, 8, grid)
+    with pytest.raises(ValueError, match="plateau; need N >= 14"):
+        probe_ratio(spec, 8, grid, profile=bump_phi0(2.0))
+
+
+@pytest.fixture
+def counted_ball_rules(monkeypatch):
+    """Deltas of the ball rules evaluated, one entry per full-grid sample."""
+    evaluations = []
+
+    def counting_ball(delta):
+        ball = bochner_symbol(delta)
+        rule = ball.fn
+        ball.fn = lambda coords: evaluations.append(delta) or rule(coords)
+        return ball
+
+    probes._ball_on.cache_clear()
+    monkeypatch.setattr(probes, "bochner_symbol", counting_ball)
+    yield evaluations
+    probes._ball_on.cache_clear()
+
+
+def test_sweeps_sample_the_ball_once_per_grid(grid, counted_ball_rules):
+    spec = ProbeSpec(0.5, 2.0, 1.0, n_values=(8, 16, 32, 64))
+    rows = probes.decay_rows(spec, grid)
+    assert counted_ball_rules == [1.0]
+    probes.decay_rows(ProbeSpec(1.0, 4.0, 1.0, n_values=(8, 16, 32, 64)), grid)
+    probes.decay_rows(ProbeSpec(0.5, 2.0, 2.0, n_values=(8, 16, 32, 64)), grid)
+    assert counted_ball_rules == [1.0, 2.0]
+    fresh = []
+    for n in spec.n_values:  # a fresh ball per probe gives the same ratios bit for bit
+        probes._ball_on.cache_clear()
+        fresh.append(probe_ratio(spec, n, grid))
+    assert [row["ratio"] for row in rows] == fresh
+
+
+def test_threads_sharing_the_ball_get_exact_samples():
+    g = GridSpec(2, 128, 20.0)
+    reference = bochner_symbol(1.0).sample(g)
+    interval = sys.getswitchinterval()
+    probes._ball_on.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: probes._ball_on(1.0, g).sample(g)) for _ in range(32)]
+            samples = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        probes._ball_on.cache_clear()
+    assert len(samples) == 32 and all(np.array_equal(s, reference) for s in samples)
+
+
 def test_modulation_covariance(grid):
     # (lambda I - B) M_xi0 g = M_xi0 T_s g with s = lambda - b(. + xi0)
     from riesz.grid import random_band_limited
-    from riesz.symbols import scalar_symbol
 
     rng = np.random.default_rng(4)
     g_field = random_band_limited(grid, 0.25, rng)

@@ -226,6 +226,74 @@ def test_sample_cache_returns_readonly():
         first[0] = 5.0
 
 
+def _unit_rule(coords):
+    return np.ones(np.broadcast(*coords).shape, dtype=complex)
+
+
+def _on_lattice(grid, k):
+    """The lattice coordinate k cells from the origin, as sample computes it."""
+    return float(grid.xi_axis()[grid.size // 2 + k])
+
+
+_BOX_SYMBOLS = {
+    "bochner": lambda g: bochner_symbol(1.0),
+    "bochner-half": lambda g: bochner_symbol(0.5),
+    "resolvent": lambda g: resolvent_symbol(2.0 + 0.5j, 1.0),
+    "cutoff1": lambda g: cutoff_pair(0.2)[0],
+    "cutoff2": lambda g: cutoff_pair(0.2)[1],
+    "bump": lambda g: bump_phi0(0.3),
+    "scalar": lambda g: scalar_symbol(1.5 - 0.5j),
+    "shifted": lambda g: bochner_symbol(1.0).shifted(0.5),
+    "shifted-vector": lambda g: bump_phi0(0.4).dilated(2.0).shifted((0.7, -0.3)),
+    "dilated": lambda g: bochner_symbol(1.0).dilated(2.5),
+    "sum": lambda g: bochner_symbol(1.0) + cutoff_pair(0.3)[1],
+    "difference": lambda g: scalar_symbol(0.5) - bochner_symbol(2.0),
+    "product": lambda g: bochner_symbol(1.0) * cutoff_pair(0.3)[0],
+    "scalar-multiple": lambda g: 3.0 * bump_phi0(0.6),
+    "beyond-window": lambda g: bump_phi0(2.0 * g.xi_max),
+    "at-window": lambda g: Symbol(_unit_rule, _on_lattice(g, g.size // 2 - 1)),
+    "on-lattice": lambda g: Symbol(_unit_rule, _on_lattice(g, 3)),
+    "ulp-above-lattice": lambda g: Symbol(_unit_rule, np.nextafter(_on_lattice(g, 3), np.inf)),
+    "ulp-below-lattice": lambda g: Symbol(_unit_rule, np.nextafter(_on_lattice(g, 3), 0.0)),
+    "zero-support": lambda g: Symbol(_unit_rule, 0.0),
+}
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 256, 16.0), GridSpec(2, 64, 8.0),
+                                  GridSpec(2, 8, 16.0)], ids=["1d", "2d", "2d-narrow"])
+@pytest.mark.parametrize("make", list(_BOX_SYMBOLS.values()), ids=list(_BOX_SYMBOLS))
+def test_box_sample_equals_masked_full_lattice(grid, make):
+    symbol = make(grid)
+    full = np.broadcast_to(symbol.evaluate(grid.xi_mesh()), grid.shape)
+    assert np.array_equal(symbol.sample(grid), full)
+
+
+def test_box_sample_keeps_a_support_on_the_lattice():
+    g = GridSpec(1, 64, 8.0)
+    edge = _on_lattice(g, 3)
+    counts = [np.count_nonzero(Symbol(_unit_rule, r).sample(g))
+              for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+    assert counts == [5, 7, 7]
+
+
+def test_box_sample_evaluates_only_the_box():
+    g = GridSpec(2, 64, 8.0)  # dxi = pi/8, so |xi| <= 1 spans cells -2..2 per axis
+    shapes = []
+
+    def rule(coords):
+        shapes.append(np.broadcast(*coords).shape)
+        return _unit_rule(coords)
+
+    Symbol(rule, 1.0).sample(g)
+    assert shapes == [(5, 5)]
+
+
+def test_support_radius_must_be_a_nonnegative_number():
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="support radius"):
+            Symbol(_unit_rule, bad)
+
+
 def test_product_and_shift_combinators():
     g = GridSpec(1, 256, 16.0)
     b = bochner_symbol(1.0)
