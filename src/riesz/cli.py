@@ -11,6 +11,15 @@ parameters outside module preconditions).  Every ValueError a module raises
 for a bad input reaches the user through the one handler in main, as a single
 "riesz: <message>" line on stderr.
 
+Each subcommand declares its config keys once, as a table of key -> (parser,
+default) on its run_* function; main resolves the whole table before any
+compute.  An undeclared key, a value its parser rejects, and an argument a
+symbol, field or norm spec does not take are usage errors naming the command
+or spec and the key.  Booleans are true or false only; --dump-field is for
+apply only.  manifest.json's "config" is the resolved table, defaults
+included, as typed JSON: a complex number as {"re", "im"}, a linspace as its
+list, an unset optional key as null.
+
 --workers N (at least 1) spreads independent work: probe runs its sweeps on
 N threads; apply --dump-field writes its two dumps, and resolvent-verify runs
 its two directions, in forked processes, at most one per dump or direction.
@@ -39,13 +48,7 @@ import numpy as np
 
 from . import __version__
 from .fieldio import atomic_write_text, dump_field, load_field
-from .grid import (
-    Field,
-    GridSpec,
-    band_coefficients,
-    band_limited_field,
-    random_band_limited,
-)
+from .grid import Field, GridSpec, band_coefficients, band_limited_field, random_band_limited
 from .multiplier import apply as apply_op
 from .neumann import (
     apply_forward,
@@ -178,6 +181,76 @@ def apply_overrides(config, pairs):
 
 
 # ---------------------------------------------------------------------------
+# declared keys: one resolver for config keys and spec arguments
+
+_REQUIRED = object()
+
+
+def _resolve(table, given, where):
+    """{key: parser(given[key]), or default when given lacks key} over table's
+    key -> (parser, default) entries.  An undeclared key, a missing required
+    key, or a value its parser rejects is a UsageError naming where and the key."""
+    for key in given:
+        if key not in table:
+            raise UsageError(f"{where} {key!r} is unknown (known: {', '.join(table)})")
+    resolved = {}
+    for key, (parse, default) in table.items():
+        if key not in given:
+            if default is _REQUIRED:
+                raise UsageError(f"{where} {key!r} is required")
+            resolved[key] = default
+            continue
+        try:
+            resolved[key] = parse(given[key])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{where} {key!r}: {exc}")
+    return resolved
+
+
+def _int(value):
+    """An integer value: 2, 2.0 and "2.0" pass, 2.7 is rejected rather than truncated."""
+    if isinstance(value, str):  # a DSL argument
+        value = float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value):
+    """true or false; any other value, such as a bare no, is rejected, not read as truthy."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _tuple_of(kind):
+    """A parser of a [list] whose items kind converts."""
+    def parse(values):
+        if not isinstance(values, list):
+            raise ValueError(f"must be a [list], got {values!r}")
+        return tuple(kind(v) for v in values)
+    return parse
+
+
+def _linspace(spec):
+    if not (isinstance(spec, list) and len(spec) == 3):
+        raise ValueError("must be [min, max, steps]")
+    if _int(spec[2]) < 1:
+        raise ValueError(f"needs at least one step, got {spec[2]}")
+    return tuple(float(v) for v in np.linspace(float(spec[0]), float(spec[1]), _int(spec[2])))
+
+
+def _grid_keys(dim, size, half_width):
+    """The grid keys of a command whose default grid is GridSpec(dim, size, half_width)."""
+    return {"grid_dim": (_int, dim), "grid_size": (_int, size),
+            "grid_half_width": (float, half_width)}
+
+
+def _grid(cfg):
+    return GridSpec(cfg["grid_dim"], cfg["grid_size"], cfg["grid_half_width"])
+
+
+# ---------------------------------------------------------------------------
 # mini-DSL for symbols and input fields
 
 def _parse_call(text, where):
@@ -195,21 +268,38 @@ def _scalar(text, where):
         raise UsageError(f"{where}: bad number {text!r}") from exc
 
 
-def _kwargs(parts, where):
-    """key=value call arguments as a getter: arg(key, kind=float, default)."""
-    out = {}
+# The key=value arguments of each spec kind, declared like a command's keys.
+_NUMBER = (float, _REQUIRED)
+SYMBOL_ARGS = {"bochner": {"delta": _NUMBER},
+               "resolvent": {"z": (complex, _REQUIRED), "delta": _NUMBER},
+               "cutoff1": {"r0": _NUMBER}, "cutoff2": {"r0": _NUMBER}, "bump": {"rho": _NUMBER}}
+FIELD_ARGS = {"gaussian": {"width": (float, 1.0)}, "bump": {"radius": (float, 1.0)},
+              "random": {"band": (float, 2.0)}}
+_BLOCK_NORM_ARGS = {"alpha": _NUMBER, "p": _NUMBER, "q": _NUMBER, "levels": (_int, 4)}
+NORM_ARGS = {"lp": {"p": _NUMBER}, "weighted": {"p": _NUMBER, "a": _NUMBER},
+             "herz": {"alpha": _NUMBER, "p": _NUMBER, "q": _NUMBER},
+             "besov": _BLOCK_NORM_ARGS, "triebel": _BLOCK_NORM_ARGS,
+             "ap": {"a": _NUMBER, "p": _NUMBER, "level": (_int, 0)}}
+
+
+def _spec_args(name, parts, kinds, where):
+    """The resolved key=value arguments of spec kind name, whose table is kinds[name]."""
+    if name not in kinds:
+        raise UsageError(f"{where}: unknown kind {name!r}")
+    given = {}
     for part in parts:
-        if "=" not in part:
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
             raise UsageError(f"{where}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        out[key.strip()] = value.strip()
-    return functools.partial(_get, out, where=f"{where} argument")
+        if key in given:
+            raise UsageError(f"{where}: {name} argument {key!r} is given twice")
+        given[key] = value.strip()
+    return _resolve(kinds[name], given, f"{where}: {name} argument")
 
 
 def parse_symbol_spec(text, where="symbol"):
-    """Symbol DSL: bochner(delta=), resolvent(z=,delta=), cutoff1(r0=),
-    cutoff2(r0=), bump(rho=), scalar(c), product(s,...), sum(s,...),
-    scale(c, s)."""
+    """Symbol DSL: a SYMBOL_ARGS kind, scalar(c), product(s,...), sum(s,...), scale(c, s)."""
     name, parts = _parse_call(text, where)
     if name in ("product", "sum"):
         if not parts:
@@ -227,18 +317,16 @@ def parse_symbol_spec(text, where="symbol"):
         if len(parts) != 1:
             raise UsageError(f"{where}: scalar needs one number")
         return scalar_symbol(_scalar(parts[0], where))
-    arg = _kwargs(parts, f"{where}: {name}")
+    arg = _spec_args(name, parts, SYMBOL_ARGS, where)
     if name == "bochner":
-        return bochner_symbol(arg("delta"))
+        return bochner_symbol(arg["delta"])
     if name == "resolvent":
-        return resolvent_symbol(arg("z", complex), arg("delta"))
+        return resolvent_symbol(arg["z"], arg["delta"])
     if name == "cutoff1":
-        return cutoff_pair(arg("r0"))[0]
+        return cutoff_pair(arg["r0"])[0]
     if name == "cutoff2":
-        return cutoff_pair(arg("r0"))[1]
-    if name == "bump":
-        return bump_phi0(arg("rho"))
-    raise UsageError(f"{where}: unknown symbol kind {name!r}")
+        return cutoff_pair(arg["r0"])[1]
+    return bump_phi0(arg["rho"])
 
 
 def _check_resolved(where, what, length, grid):
@@ -249,24 +337,22 @@ def _check_resolved(where, what, length, grid):
 
 
 def parse_field_spec(text, grid, rng, where="field"):
-    """Field DSL: gaussian(width=), bump(radius=), random(band=)."""
+    """Field DSL: a FIELD_ARGS kind, gaussian(width=), bump(radius=) or random(band=)."""
     name, parts = _parse_call(text, where)
-    arg = _kwargs(parts, f"{where}: {name}")
+    arg = _spec_args(name, parts, FIELD_ARGS, where)
     if name == "gaussian":
-        width = arg("width", float, 1.0)
+        width = arg["width"]
         if not 0 < width < np.inf:
             raise UsageError(f"{where}: gaussian width must be positive and finite, got {width}")
         _check_resolved(where, "gaussian width", width, grid)
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))
     if name == "bump":
-        radius = arg("radius", float, 1.0)
+        radius = arg["radius"]
         spec = bump_phi0(radius)
         _check_resolved(where, "bump radius", radius, grid)
         return Field.spatial(grid, spec.evaluate(grid.x_mesh()))
-    if name == "random":
-        return random_band_limited(grid, arg("band", float, 2.0), rng)
-    raise UsageError(f"{where}: unknown field kind {name!r}")
+    return random_band_limited(grid, arg["band"], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -291,76 +377,19 @@ def write_csv(path, columns, rows):
     atomic_write_text(path, text.getvalue())
 
 
-_REQUIRED = object()
-
-
-def _get(config, key, kind=float, default=_REQUIRED, where="config key"):
-    """config[key] converted by kind, or default when the key is absent.
-
-    A missing required key, or a value that kind rejects, is a UsageError.
-    """
-    if key not in config:
-        if default is _REQUIRED:
-            raise UsageError(f"{where} {key!r} is required")
-        return default
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where} {key!r}: {exc}")
-
-
-def _int(value):
-    """An integer value: 2, 2.0 and "2.0" pass, 2.7 is rejected rather than truncated."""
-    if isinstance(value, str):  # a DSL argument
-        value = float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _int_tuple(values):
-    return tuple(_int(v) for v in values)
-
-
-def _float_tuple(values):
-    return tuple(float(v) for v in values)
-
-
-def _linspace(spec):
-    if not (isinstance(spec, list) and len(spec) == 3):
-        raise ValueError("must be [min, max, steps]")
-    if _int(spec[2]) < 1:
-        raise ValueError(f"needs at least one step, got {spec[2]}")
-    return np.linspace(float(spec[0]), float(spec[1]), _int(spec[2]))
-
-
-def _grid_from_config(config, default):
-    """default when no grid key is set; any grid key needs grid_size and grid_half_width."""
-    if not any(key in config for key in ("grid_dim", "grid_size", "grid_half_width")):
-        return default
-    dim = _get(config, "grid_dim", _int, 1)
-    size = _get(config, "grid_size", _int)
-    return GridSpec(dim, size, _get(config, "grid_half_width"))
-
-
-def _reject_keys(config, command, keys):
-    """UsageError naming the first of keys that config sets: command sizes its
-    own grid with probe_grid and would silently ignore it."""
-    for key in keys:
-        if key in config:
-            raise UsageError(f"{command} sizes its own grid; config key {key!r} is not read")
-
-
 def _json_value(value):
-    """value as JSON: a grid as its fields, numbers and containers as
-    themselves, anything else (a non-finite float too) as its str()."""
+    """value as JSON: a grid as its fields, a complex number as {re, im},
+    numbers, None and containers as themselves, anything else (a non-finite
+    float too) as its str()."""
     if isinstance(value, GridSpec):
         value = {"dim": value.dim, "size": value.size, "half_width": value.half_width}
+    if isinstance(value, complex):
+        value = {"re": value.real, "im": value.imag}
     if isinstance(value, dict):
         return {str(k): _json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
-    if isinstance(value, (str, bool)):
+    if value is None or isinstance(value, (str, bool)):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -414,33 +443,36 @@ def _fork_map(fn, items, workers):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def run_apply(config, out_dir, seed, workers):
-    grid = _grid_from_config(config, GridSpec(1, 1024, 16.0))
-    symbol = parse_symbol_spec(_get(config, "symbol", str))
+COMMANDS = {}  # subcommand -> (run function, its declared config keys)
+
+
+def _command(name, keys):
+    """Register the decorated run function as subcommand name, with keys as its key table."""
+    def register(run):
+        COMMANDS[name] = (run, keys)
+        return run
+    return register
+
+
+@_command("apply", {
+    **_grid_keys(1, 1024, 16.0), "symbol": (str, _REQUIRED), "field": (str, "gaussian(width=1)"),
+    "assert_output_l2_max": (float, None), "dump_fields": (_bool, False)})
+def run_apply(cfg, out_dir, seed, workers):
+    grid = _grid(cfg)
+    symbol = parse_symbol_spec(cfg["symbol"])
     rng = np.random.default_rng(seed)
-    f = parse_field_spec(_get(config, "field", str, "gaussian(width=1)"), grid, rng)
+    f = parse_field_spec(cfg["field"], grid, rng)
     out = apply_op(symbol, f)
-    rows = [
-        {
-            "quantity": "input",
-            "l1": lp_norm(f, 1),
-            "l2": lp_norm(f, 2),
-            "sup": float(np.max(np.abs(f.samples))),
-        },
-        {
-            "quantity": "output",
-            "l1": lp_norm(out, 1),
-            "l2": lp_norm(out, 2),
-            "sup": float(np.max(np.abs(out.samples))),
-        },
-    ]
+    rows = [{"quantity": quantity, "l1": lp_norm(g, 1), "l2": lp_norm(g, 2),
+             "sup": float(np.max(np.abs(g.samples)))}
+            for quantity, g in (("input", f), ("output", out))]
     checks = []
-    if "assert_output_l2_max" in config:
-        bound = _get(config, "assert_output_l2_max")
+    bound = cfg["assert_output_l2_max"]
+    if bound is not None:
         checks.append(("output_l2_max", lp_norm(out, 2) <= bound,
                        f"{lp_norm(out, 2)} <= {bound}"))
     extras = {"grid": grid}
-    if config.get("dump_fields", False):
+    if cfg["dump_fields"]:
         bases = [f"{out_dir}/fields/input", f"{out_dir}/fields/output"]
         os.makedirs(f"{out_dir}/fields", exist_ok=True)
         _fork_map(lambda job: dump_field(*job), list(zip((f, out), bases)), workers)
@@ -464,27 +496,13 @@ def _verify_direction(z, delta, plan_options, band, tol_operator, job):
         err = lp_norm(compose(dec, f) - apply_op(dec.target, f), 2) / lp_norm(f, 2)
         op_err = max(op_err, err)
     contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
-    rows = [
-        {
-            "direction": direc,
-            "n": n,
-            "seminorm": seminorm,
-            "certified_tail": dec.certified_tail,
-            "reconstruction_error": dec.reconstruction_error,
-            "contraction_sup": contraction,
-            "operator_rel_err": op_err,
-        }
-        for n, seminorm in tail_term_seminorms(plan)
-    ]
-    extras = {
-        f"{direc}_plan": {
-            "r0": plan.r0,
-            "n0": plan.n0,
-            "truncation": plan.truncation,
-            "q": plan.q,
-            "tail_series_bound": tail_kernel_bound(plan),
-        }
-    }
+    rows = [{"direction": direc, "n": n, "seminorm": seminorm,
+             "certified_tail": dec.certified_tail,
+             "reconstruction_error": dec.reconstruction_error,
+             "contraction_sup": contraction, "operator_rel_err": op_err}
+            for n, seminorm in tail_term_seminorms(plan)]
+    extras = {f"{direc}_plan": {"r0": plan.r0, "n0": plan.n0, "truncation": plan.truncation,
+                                "q": plan.q, "tail_series_bound": tail_kernel_bound(plan)}}
     checks = [
         (f"{direc}_reconstruction",
          dec.reconstruction_error <= dec.certified_tail + 1e-10,
@@ -494,30 +512,29 @@ def _verify_direction(z, delta, plan_options, band, tol_operator, job):
     return rows, checks, extras
 
 
-def run_resolvent_verify(config, out_dir, seed, workers):
-    z = _get(config, "z", complex, 2.0 + 0.0j)
-    delta = _get(config, "delta", float, 1.0)
-    direction = _get(config, "direction", str, "both")
-    if direction not in ("forward", "reverse", "both"):
-        raise UsageError(f"direction must be forward, reverse or both, got {direction}")
-    grid = _grid_from_config(config, GridSpec(1, 2048, 40.0))
-    tail_tol = _get(config, "tail_tol", float, 1e-10)
-    op_fields = _get(config, "op_fields", _int, 5)
+@_command("resolvent-verify", {
+    "z": (complex, 2.0 + 0.0j), "delta": (float, 1.0), "direction": (str, "both"),
+    **_grid_keys(1, 2048, 40.0), "tail_tol": (float, 1e-10), "op_fields": (_int, 5),
+    "band": (float, 3.0), "tol_operator": (float, 1e-8), "r0": (float, None),
+    "truncation": (_int, None)})
+def run_resolvent_verify(cfg, out_dir, seed, workers):
+    grid = _grid(cfg)
+    op_fields, band = cfg["op_fields"], cfg["band"]
     if op_fields < 1:
         raise UsageError(f"op_fields must be at least 1, got {op_fields}")
-    band = _get(config, "band", float, 3.0)
-    tol_operator = _get(config, "tol_operator", float, 1e-8)
-    r0 = _get(config, "r0", float, None)
-    truncation = _get(config, "truncation", _int, None)
+    direction = cfg["direction"]
+    if direction not in ("forward", "reverse", "both"):
+        raise UsageError(f"direction must be forward, reverse or both, got {direction}")
     rng = np.random.default_rng(seed)
-
     directions = ("forward", "reverse") if direction == "both" else (direction,)
     # Every check field's coefficients are drawn here, forward's before
     # reverse's, so each field is the same whichever process builds it.
     jobs = [(direc, [band_coefficients(grid, band, rng) for _ in range(op_fields)])
             for direc in directions]
-    plan_options = {"grid": grid, "tail_tol": tail_tol, "r0": r0, "truncation": truncation}
-    verify = functools.partial(_verify_direction, z, delta, plan_options, band, tol_operator)
+    plan_options = {"grid": grid, "tail_tol": cfg["tail_tol"], "r0": cfg["r0"],
+                    "truncation": cfg["truncation"]}
+    verify = functools.partial(_verify_direction, cfg["z"], cfg["delta"], plan_options, band,
+                               cfg["tol_operator"])
     rows, checks, extras = [], [], {"grid": grid}
     for direc_rows, direc_checks, direc_extras in _fork_map(verify, jobs, workers):
         rows += direc_rows
@@ -528,18 +545,17 @@ def run_resolvent_verify(config, out_dir, seed, workers):
     return rows, columns, checks, extras
 
 
-def run_kernel_decay(config, out_dir, seed, workers):
-    z = _get(config, "z", complex, 2.0 + 0.0j)
-    delta = _get(config, "delta", float, 1.0)
-    grid = _grid_from_config(config, GridSpec(1, 4096, 64.0))
-    alpha0 = _get(config, "alpha0", _int, 2)
-    beta0 = _get(config, "beta0", _int, 0)
-    n_min = _get(config, "n_min", _int, 20)
-    n_max = _get(config, "n_max", _int, 60)
+@_command("kernel-decay", {
+    "z": (complex, 2.0 + 0.0j), "delta": (float, 1.0), **_grid_keys(1, 4096, 64.0),
+    "alpha0": (_int, 2), "beta0": (_int, 0), "n_min": (_int, 20), "n_max": (_int, 60),
+    "r0": (float, None), "assert_ratio_bound": (_bool, True)})
+def run_kernel_decay(cfg, out_dir, seed, workers):
+    delta, alpha0 = cfg["delta"], cfg["alpha0"]
+    n_min, n_max = cfg["n_min"], cfg["n_max"]
     if n_min < 1 or n_max <= n_min:
         raise UsageError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
-    plan = make_plan(z, delta, grid=grid, alpha0=alpha0, beta0=beta0,
-                     r0=_get(config, "r0", float, None))
+    grid = _grid(cfg)
+    plan = make_plan(cfg["z"], delta, grid=grid, alpha0=alpha0, beta0=cfg["beta0"], r0=cfg["r0"])
     table = seminorm_table(plan, range(n_min, n_max + 1))
     slope = decay_slope(table)
     ratio_cap = (2.0 * plan.r0) ** delta
@@ -553,7 +569,7 @@ def run_kernel_decay(config, out_dir, seed, workers):
             ratio_ok = False
         rows.append({"n": n, "seminorm": value, "ratio": ratio, "ratio_bound": bound})
         previous = value
-    if config.get("assert_ratio_bound", True):
+    if cfg["assert_ratio_bound"]:
         checks.append(("seminorm_ratios", ratio_ok, f"ratios within {ratio_cap} * growth * 1.1"))
     return rows, ["n", "seminorm", "ratio", "ratio_bound"], checks, {"slope": slope, "grid": grid}
 
@@ -561,25 +577,22 @@ def run_kernel_decay(config, out_dir, seed, workers):
 def _probe_spec_rows(args):
     spec, grid = args
     curve = decay_curve(spec, grid)
-    rows = []
-    for row in curve.rows:
-        rows.append({**row, "slope": curve.slope})
-    return rows
+    return [{**row, "slope": curve.slope} for row in curve.rows]
 
 
-def run_probe(config, out_dir, seed, workers):
-    lambdas = _get(config, "lambdas", _float_tuple, (0.25, 0.5, 1.0))
-    ps = _get(config, "ps", _float_tuple, (1.0, 2.0, 4.0))
-    ns = _get(config, "ns", _int_tuple, (8, 16, 32, 64, 128))
-    delta = _get(config, "delta", float, 1.0)
-    rho = _get(config, "rho", float, 0.5)
-    weight_a = _get(config, "weight_a", float, None)
-    _reject_keys(config, "probe", ("grid_size", "grid_half_width"))
+# probe sizes its own grid from ns and rho, so grid_size and grid_half_width are unknown keys
+@_command("probe", {
+    "lambdas": (_tuple_of(float), (0.25, 0.5, 1.0)), "ps": (_tuple_of(float), (1.0, 2.0, 4.0)),
+    "ns": (_tuple_of(_int), (8, 16, 32, 64, 128)), "delta": (float, 1.0), "rho": (float, 0.5),
+    "weight_a": (float, None), "grid_dim": (_int, 1), "assert_zero_lambda_tol": (float, 1e-12),
+    "assert_max_halving": (float, None)})
+def run_probe(cfg, out_dir, seed, workers):
+    ns, rho = cfg["ns"], cfg["rho"]
     if len(ns) < 4:
         raise UsageError("probe sweeps need at least 4 scale values")
-    specs = [ProbeSpec(lam, p, delta, rho=rho, n_values=ns, weight_a=weight_a)
-             for lam in lambdas for p in ps]
-    grid = probe_grid(max(ns), rho, dim=_get(config, "grid_dim", _int, 1))
+    specs = [ProbeSpec(lam, p, cfg["delta"], rho=rho, n_values=ns, weight_a=cfg["weight_a"])
+             for lam in cfg["lambdas"] for p in cfg["ps"]]
+    grid = probe_grid(max(ns), rho, dim=cfg["grid_dim"])
     jobs = [(spec, grid) for spec in specs]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -589,14 +602,14 @@ def run_probe(config, out_dir, seed, workers):
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["lambda"], r["p"], r["n"]))
     checks = []
-    zero_tol = _get(config, "assert_zero_lambda_tol", float, 1e-12)
+    zero_tol = cfg["assert_zero_lambda_tol"]
     zero_rows = [r for r in rows if r["lambda"] == 0.0]
     if zero_rows:
         worst = max(r["ratio"] for r in zero_rows)
         checks.append(("zero_lambda_annihilation", worst <= zero_tol,
                        f"{worst} <= {zero_tol}"))
-    if "assert_max_halving" in config:
-        cap = _get(config, "assert_max_halving")
+    cap = cfg["assert_max_halving"]
+    if cap is not None:
         ok, worst = True, 0.0
         for spec in specs:
             if not 0 < spec.lam <= 1:
@@ -610,20 +623,19 @@ def run_probe(config, out_dir, seed, workers):
     return rows, columns, checks, {"grid": grid}
 
 
-def run_spectrum_map(config, out_dir, seed, workers):
-    re_values = _get(config, "re", _linspace, _linspace([-0.5, 1.5, 9]))
-    im_values = _get(config, "im", _linspace, _linspace([-1.0, 1.0, 9]))
-    p = _get(config, "p", float, 2.0)
-    delta = _get(config, "delta", float, 1.0)
-    ns = _get(config, "ns", _int_tuple, (32, 64, 128))
-    pole_margin = _get(config, "pole_margin", float, 1e-3)
-    rho = _get(config, "rho", float, 0.5)
-    _reject_keys(config, "spectrum-map", ("grid_dim", "grid_size", "grid_half_width"))
+# spectrum-map sizes its own grid from ns and rho, so it has no grid key
+@_command("spectrum-map", {
+    "re": (_linspace, _linspace([-0.5, 1.5, 9])), "im": (_linspace, _linspace([-1.0, 1.0, 9])),
+    "p": (float, 2.0), "delta": (float, 1.0), "ns": (_tuple_of(_int), (32, 64, 128)),
+    "pole_margin": (float, 1e-3), "rho": (float, 0.5)})
+def run_spectrum_map(cfg, out_dir, seed, workers):
+    ns, rho = cfg["ns"], cfg["rho"]
     if not ns:
         raise UsageError("ns must list at least one probe scale")
-    zs = [complex(a, b) for a in re_values for b in im_values]
+    zs = [complex(a, b) for a in cfg["re"] for b in cfg["im"]]
     grid = probe_grid(max(ns), rho)
-    rows = spectrum_map(zs, p, delta, grid=grid, n_values=ns, rho=rho, pole_margin=pole_margin)
+    rows = spectrum_map(zs, cfg["p"], cfg["delta"], grid=grid, n_values=ns, rho=rho,
+                        pole_margin=cfg["pole_margin"])
     rows.sort(key=lambda r: (r["re_z"], r["im_z"]))
     for row in rows:
         if not np.isfinite(row["lower_bound"]):
@@ -633,89 +645,57 @@ def run_spectrum_map(config, out_dir, seed, workers):
     return rows, ["re_z", "im_z", "pole", "lower_bound", "oracle_p2"], [], extras
 
 
-def _parse_norm_spec(text, field, where="norms"):
-    name, parts = _parse_call(text, where)
-    arg = _kwargs(parts, f"{where}: {name}")
+def _norm_value(field, name, arg):
     if name == "lp":
-        return name, text, lp_norm(field, arg("p"))
+        return lp_norm(field, arg["p"])
     if name == "weighted":
-        p = arg("p")
-        return name, text, weighted_lp_norm(field, p, WeightSpec(arg("a"), p))
+        return weighted_lp_norm(field, arg["p"], WeightSpec(arg["a"], arg["p"]))
     if name == "herz":
-        return name, text, herz_norm(field, HerzParams(arg("alpha"), arg("p"), arg("q")))
-    if name in ("besov", "triebel"):
-        family = build_lp_family(arg("levels", _int, 4))
-        fn = besov_norm if name == "besov" else triebel_norm
-        return name, text, fn(field, arg("alpha"), arg("p"), arg("q"), family)
+        return herz_norm(field, HerzParams(arg["alpha"], arg["p"], arg["q"]))
     if name == "ap":
-        w = WeightSpec(arg("a"), arg("p"))
-        family = default_cube_family(field.grid.half_width, field.grid.dim,
-                                     arg("level", _int, 0))
-        return name, text, ap_constant_estimate(w, family, field.grid.dim)
-    raise UsageError(f"{where}: unknown norm kind {name!r}")
+        w = WeightSpec(arg["a"], arg["p"])
+        family = default_cube_family(field.grid.half_width, field.grid.dim, arg["level"])
+        return ap_constant_estimate(w, family, field.grid.dim)
+    family = build_lp_family(arg["levels"])
+    fn = besov_norm if name == "besov" else triebel_norm
+    return fn(field, arg["alpha"], arg["p"], arg["q"], family)
 
 
-def run_norms(config, out_dir, seed, workers):
-    base = _get(config, "field", str)
+@_command("norms", {"field": (str, _REQUIRED), "norms": (_tuple_of(str), ("lp(p=2)",))})
+def run_norms(cfg, out_dir, seed, workers):
+    # every spec is resolved before the dump is read
+    calls = [_parse_call(text, "norms") for text in cfg["norms"]]
+    specs = [(name, _spec_args(name, parts, NORM_ARGS, "norms")) for name, parts in calls]
+    base = cfg["field"]
     try:
         field = load_field(base)
     except OSError as exc:
         raise UsageError(f"cannot read field dump {base!r}: {exc}")
-    specs = config.get("norms", ['lp(p=2)'])
-    if not isinstance(specs, list):
-        raise UsageError("norms must be a list of norm specs")
-    rows = []
-    for spec_text in specs:
-        kind, text, value = _parse_norm_spec(str(spec_text), field)
-        rows.append({"kind": kind, "spec": text, "value": value})
+    rows = [{"kind": name, "spec": text, "value": _norm_value(field, name, arg)}
+            for text, (name, arg) in zip(cfg["norms"], specs)]
     record = {row["spec"]: row["value"] for row in rows}
     atomic_write_text(f"{out_dir}/norms.json", json.dumps(record, indent=2) + "\n")
     return rows, ["kind", "spec", "value"], [], {"grid": field.grid}
 
 
-def run_mikhlin(config, out_dir, seed, workers):
-    symbol = parse_symbol_spec(_get(config, "symbol", str))
-    kmax = _get(config, "kmax", _int, 2)
-    report = mikhlin_check(
-        symbol,
-        kmax,
-        dim=_get(config, "grid_dim", _int, 1),
-        xi_max=_get(config, "xi_max", float, 4.0),
-        base_points=_get(config, "base_points", _int, 256),
-        refinements=_get(config, "refinements", _int, None),
-    )
-    rows = []
-    for k in range(report.kmax + 1):
-        for level, points in enumerate(report.points):
-            rows.append(
-                {
-                    "k": k,
-                    "level": level,
-                    "points": points,
-                    "sup": report.sups[level][k],
-                    "growth": report.growth[k],
-                    "flagged": report.flagged[k],
-                }
-            )
+@_command("mikhlin", {
+    "symbol": (str, _REQUIRED), "kmax": (_int, 2), "grid_dim": (_int, 1), "xi_max": (float, 4.0),
+    "base_points": (_int, 256), "refinements": (_int, None), "assert_not_flagged": (_bool, False)})
+def run_mikhlin(cfg, out_dir, seed, workers):
+    symbol = parse_symbol_spec(cfg["symbol"])
+    report = mikhlin_check(symbol, cfg["kmax"], dim=cfg["grid_dim"], xi_max=cfg["xi_max"],
+                           base_points=cfg["base_points"], refinements=cfg["refinements"])
+    rows = [{"k": k, "level": level, "points": points, "sup": report.sups[level][k],
+             "growth": report.growth[k], "flagged": report.flagged[k]}
+            for k in range(report.kmax + 1) for level, points in enumerate(report.points)]
     checks = []
-    if "assert_not_flagged" in config and config["assert_not_flagged"]:
+    if cfg["assert_not_flagged"]:
         checks.append(("not_flagged", not report.any_flagged,
                        f"flags: {report.flagged}"))
     return rows, ["k", "level", "points", "sup", "growth", "flagged"], checks, {}
 
 
-COMMANDS = {
-    "apply": run_apply,
-    "resolvent-verify": run_resolvent_verify,
-    "kernel-decay": run_kernel_decay,
-    "probe": run_probe,
-    "spectrum-map": run_spectrum_map,
-    "norms": run_norms,
-    "mikhlin": run_mikhlin,
-}
-
-
-def main(argv=None):
+def _arg_parser():
     parser = argparse.ArgumentParser(prog="riesz", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=False)
@@ -726,30 +706,48 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dump-field", action="store_true",
                         help="write input/output field dumps (apply subcommand)")
+    return parser
+
+
+def resolve_config(args):
+    """Every key of args.command's table, from --set, --config or the default;
+    computes nothing.  Also a UsageError: a grid key without both grid_size and
+    grid_half_width, and --dump-field on a command that writes no dumps."""
+    config = {}
+    if args.config:
+        try:
+            with open(args.config) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read config {args.config!r}: {exc}")
+        config = parse_config_text(text)
+    apply_overrides(config, args.overrides)
+    table = COMMANDS[args.command][1]
+    grid_keys = config.keys() & {"grid_dim", "grid_size", "grid_half_width"}
+    if "grid_size" in table and grid_keys and not {"grid_size", "grid_half_width"} <= grid_keys:
+        raise UsageError(f"{args.command}: a grid key needs both grid_size and grid_half_width")
+    cfg = _resolve(table, config, f"{args.command} config key")
+    if args.dump_field:
+        if "dump_fields" not in cfg:
+            raise UsageError(f"--dump-field is for apply; {args.command} writes no field dumps")
+        cfg["dump_fields"] = True
+    return cfg
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
     started = time.time()
     try:
-        config = {}
-        if args.config:
-            try:
-                with open(args.config) as handle:
-                    text = handle.read()
-            except OSError as exc:
-                raise UsageError(f"cannot read config {args.config!r}: {exc}")
-            config = parse_config_text(text)
-        apply_overrides(config, args.overrides)
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
-        if args.dump_field:
-            config["dump_fields"] = True
-
+        cfg = resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
-        rows, columns, checks, extras = COMMANDS[args.command](
-            config, args.out, args.seed, args.workers
+        rows, columns, checks, extras = COMMANDS[args.command][0](
+            cfg, args.out, args.seed, args.workers
         )
     except ValueError as exc:  # UsageError and every module precondition
         print(f"riesz: {exc}", file=sys.stderr)
@@ -762,7 +760,7 @@ def main(argv=None):
     reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
     manifest = {
         "command": args.command,
-        "config": {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()},
+        "config": _json_value(cfg),
         "seed": args.seed,
         "workers": args.workers,
         "csv_schema_version": CSV_SCHEMA_VERSION,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riesz.cli import (
+    COMMANDS,
     UsageError,
     _int,
     main,
@@ -149,6 +150,18 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("spectrum-map", "--set", "grid_half_width=8"),
     ("probe", "--set", "grid_size=64"),
     ("probe", "--set", "grid_half_width=8"),
+    # a spec argument the kind does not take would be dropped, and its default run
+    ("apply", "--set", "symbol=bochner(delta=1,detla=3)"),
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(widht=0.001)"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=0,p=2,q=2,level=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,levels=1)]"),
+    ("apply", "--set", "symbol=bochner(delta=1,delta=3)"),
+    # booleans are true or false, not truthy text
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+     "--set", "grid_half_width=8", "--set", "dump_fields=no"),
+    ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "assert_not_flagged=no"),
+    # only apply writes field dumps
+    ("kernel-decay", "--dump-field"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -161,31 +174,63 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "bump-radius-cells", "gaussian-width-cells", "norms-truncated-dump", "workers-zero",
         "workers-negative", "grid-window-pool", "grid-dim-no-size",
         "grid-half-width-no-size", "map-grid-dim", "map-grid-size", "map-grid-half-width",
-        "probe-grid-size", "probe-grid-half-width"])
+        "probe-grid-size", "probe-grid-half-width", "symbol-unknown-argument",
+        "field-unknown-argument", "besov-unknown-argument", "ap-unknown-argument",
+        "symbol-argument-twice", "dump-fields-not-bool", "assert-not-flagged-not-bool",
+        "dump-field-flag-not-apply"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
-    if "field=TRUNCATED_DUMP" in args:
+    if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
-        assert main(["apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+        # 256 points keep the besov blocks inside the frequency window
+        assert main(["apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=256",
                      "--set", "grid_half_width=8", "--dump-field",
                      "--out", str(tmp_path / "dump")]) == 0
-        csv_path = base.with_suffix(".csv")
-        csv_path.write_text("".join(csv_path.read_text().splitlines(True)[:40]))
-        args = tuple(a.replace("TRUNCATED_DUMP", str(base)) for a in args)
+        if "field=TRUNCATED_DUMP" in args:
+            csv_path = base.with_suffix(".csv")
+            csv_path.write_text("".join(csv_path.read_text().splitlines(True)[:40]))
+        args = tuple(a.replace("TRUNCATED_DUMP", str(base)).replace("DUMP", str(base))
+                     for a in args)
         capsys.readouterr()
     code, out = run_cli(tmp_path, *args)
     assert code == 1
     stderr = capsys.readouterr().err.splitlines()
     assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
     assert not (out / f"{args[0]}.csv").exists()
+    assert not (out / "fields").exists()
 
 
-@pytest.mark.parametrize("command, key", [("spectrum-map", "grid_dim"),
-                                          ("probe", "grid_half_width")])
-def test_unread_grid_key_names_command_and_key(tmp_path, capsys, command, key):
-    code, _ = run_cli(tmp_path, command, "--set", f"{key}=2")
+@pytest.mark.parametrize("command, setting", [
+    # probe and spectrum-map size their own grid
+    ("spectrum-map", "grid_dim=2"),
+    ("spectrum-map", "grid_size=64"),
+    ("spectrum-map", "grid_half_width=8"),
+    ("probe", "grid_size=64"),
+    ("probe", "grid_half_width=8"),
+    # misspelt keys
+    ("spectrum-map", "nss=3"),
+    ("probe", "lamdbas=[1]"),
+    ("kernel-decay", "asert_ratio_bound=false"),
+    ("mikhlin", "assert_not_flaged=true"),
+], ids=lambda v: v.partition("=")[0])
+def test_unknown_key_names_command_and_key(tmp_path, capsys, command, setting):
+    code, out = run_cli(tmp_path, command, "--set", setting)
     assert code == 1
+    key = setting.partition("=")[0]
+    known = ", ".join(COMMANDS[command][1])
     assert capsys.readouterr().err == (
-        f"riesz: {command} sizes its own grid; config key {key!r} is not read\n")
+        f"riesz: {command} config key {key!r} is unknown (known: {known})\n")
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_manifest_records_the_resolved_config(tmp_path):
+    code, out = run_cli(tmp_path, "kernel-decay", "--set", "z=2+0.5j",
+                        "--set", "n_min=20", "--set", "n_max=22")
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert list(config) == list(COMMANDS["kernel-decay"][1])  # every key, defaults included
+    assert config["z"] == {"re": 2.0, "im": 0.5}
+    assert config["n_max"] == 22 and config["delta"] == 1.0 and config["grid_size"] == 4096
+    assert config["r0"] is None and config["assert_ratio_bound"] is True
 
 
 @pytest.mark.parametrize("value", [2, 2.0, "2", "2.0", " 2 "])
@@ -448,7 +493,9 @@ def test_spectrum_map_run(tmp_path):
     assert len(rows) == 4
     pole_row = [r for r in rows if r[0] == "0.5" and r[1] == "0.0"][0]
     assert pole_row[2] == "true"
-    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["re"] == [0.5, 2.0] and manifest["config"]["ns"] == [8, 16, 32]
+    extras = manifest["extras"]
     grid = probe_grid(32, 0.5)
     assert extras["grid"] == {"dim": 1, "size": grid.size, "half_width": grid.half_width}
     assert extras["baseband_sizes"] == {
