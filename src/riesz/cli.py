@@ -20,17 +20,17 @@ apply only.  manifest.json's "config" is the resolved table, defaults
 included, as typed JSON: a complex number as {"re", "im"}, a linspace as its
 list, an unset optional key as null.
 
---workers N (at least 1) spreads independent work: probe runs its sweeps on
-N threads; apply --dump-field writes its two dumps, and resolvent-verify runs
-its two directions, in forked processes, at most one per dump or direction.
-Output is byte-identical for any N, and the forked work runs serially where
-the platform cannot fork.  manifest.json counts the workers' CPU time and
-peak RSS with the process's own.
+--workers N (at least 1) runs independent items in up to N forked processes,
+at most one per item: probe's (lambda, p) sweeps, apply --dump-field's two
+dumps and resolvent-verify's two directions.  Output is byte-identical for any
+N, and the work runs serially where the platform cannot fork.  manifest.json
+counts the workers' CPU time and peak RSS with the process's own.
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, double-quoted strings, and [comma, separated, lists]; # starts a
 comment.  A list item shaped name(...), such as a norm spec, may go unquoted.
---set overrides win over the file and accept bare strings.
+A key appears at most once per file.  --set overrides win over the file and
+accept bare strings.
 """
 
 import argparse
@@ -42,7 +42,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -148,7 +147,7 @@ def _split_top(text):
 
 
 def parse_config_text(text):
-    config = {}
+    config, key_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw
         if '"' not in line:
@@ -164,6 +163,10 @@ def parse_config_text(text):
         key = key.strip()
         if not key:
             raise UsageError(f"config line {lineno}: missing key")
+        if key in key_lines:
+            raise UsageError(f"config line {lineno}: key {key!r} is already set on line "
+                             f"{key_lines[key]}")
+        key_lines[key] = lineno
         config[key] = _parse_value(value, f"config line {lineno} ({key})")
     return config
 
@@ -593,12 +596,7 @@ def run_probe(cfg, out_dir, seed, workers):
     specs = [ProbeSpec(lam, p, cfg["delta"], rho=rho, n_values=ns, weight_a=cfg["weight_a"])
              for lam in cfg["lambdas"] for p in cfg["ps"]]
     grid = probe_grid(max(ns), rho, dim=cfg["grid_dim"])
-    jobs = [(spec, grid) for spec in specs]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_probe_spec_rows, jobs))
-    else:
-        grouped = [_probe_spec_rows(job) for job in jobs]
+    grouped = _fork_map(_probe_spec_rows, [(spec, grid) for spec in specs], workers)
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["lambda"], r["p"], r["n"]))
     checks = []

@@ -81,10 +81,6 @@ class GridSpec:
         """Whether a symbol supported in |xi| <= radius fits in the window."""
         return (not np.isfinite(radius)) or radius <= self.xi_max + 1e-12
 
-    def suits_ball_symbols(self):
-        """Window requirement for unit-ball symbols: xi_max >= 4."""
-        return self.xi_max >= 4.0
-
 
 @dataclass(frozen=True)
 class Field:

@@ -209,10 +209,10 @@ def _achieved_level(spec, grid):
 def _ball_on(delta, grid):
     """bochner_symbol(delta) for the probes on grid.
 
-    One instance serves every probe on grid at delta, in every sweep and
-    thread, so its sample there is made once; the cache holds at most two
-    samples.  Threads that miss together each build and sample their own
-    instance, which is equal.
+    One instance serves every probe on grid at delta in a process, so its
+    sample there is made once; the cache holds at most two samples.  Each of
+    the CLI's forked workers has its own cache.  A library caller's threads
+    that miss together each build and sample their own, equal, instance.
     """
     return bochner_symbol(delta)
 

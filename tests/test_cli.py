@@ -51,6 +51,10 @@ def test_parse_config_diagnostics_carry_line_numbers():
     with pytest.raises(UsageError) as err:
         parse_config_text("x = {}\n")
     assert "line 1" in str(err.value)
+    # a repeated key would silently keep its last value
+    with pytest.raises(UsageError) as err:
+        parse_config_text("rho = 2.0\n# the second one\nrho = 0.5\n")
+    assert str(err.value) == "config line 3: key 'rho' is already set on line 1"
 
 
 def test_symbol_dsl():
@@ -162,6 +166,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "assert_not_flagged=no"),
     # only apply writes field dumps
     ("kernel-decay", "--dump-field"),
+    # a key repeated in one config file would silently keep its last value
+    ("spectrum-map", "--config", "REPEATED_KEY_CONFIG"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -177,7 +183,7 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "probe-grid-size", "probe-grid-half-width", "symbol-unknown-argument",
         "field-unknown-argument", "besov-unknown-argument", "ap-unknown-argument",
         "symbol-argument-twice", "dump-fields-not-bool", "assert-not-flagged-not-bool",
-        "dump-field-flag-not-apply"])
+        "dump-field-flag-not-apply", "config-repeated-key"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -191,6 +197,10 @@ def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
         args = tuple(a.replace("TRUNCATED_DUMP", str(base)).replace("DUMP", str(base))
                      for a in args)
         capsys.readouterr()
+    if "REPEATED_KEY_CONFIG" in args:
+        config = tmp_path / "repeated.toml"
+        config.write_text("rho = 2.0\nrho = 0.5\n")
+        args = tuple(str(config) if a == "REPEATED_KEY_CONFIG" else a for a in args)
     code, out = run_cli(tmp_path, *args)
     assert code == 1
     stderr = capsys.readouterr().err.splitlines()
@@ -351,7 +361,7 @@ def test_workers_do_not_change_output(tmp_path):
     small_2d = ("--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=8")
     runs = [
         (("probe", "--config", str(cfg)), ["probe.csv"], "4"),
-        # 2D sweep on 512^2: its threads share one ball symbol
+        # 2D sweep on 512^2: one forked process per (lambda, p) sweep
         (("probe", "--set", "grid_dim=2", "--set", "lambdas=[0.0,1.0]",
           "--set", "ps=[1.0,2.0]", "--set", "ns=[1,2,3,4]"), ["probe.csv"], "2"),
         # one forked process per dump
@@ -398,13 +408,18 @@ def test_fork_pool_is_capped_at_the_item_count(tmp_path, monkeypatch):
                         "--dump-field", "--workers", "8")
     assert code == 0 and asked == [2]
     assert (out / "fields" / "input.csv").exists() and (out / "fields" / "output.csv").exists()
+    # probe forks one process per (lambda, p) sweep
+    code, out = run_cli(tmp_path, "probe", "--set", "lambdas=[0.25,0.5]", "--set", "ps=[1.0,2.0]",
+                        "--set", "ns=[8,16,32,64]", "--workers", "8")
+    assert code == 0 and asked == [2, 4]
+    assert len((out / "probe.csv").read_text().splitlines()) == 1 + 2 * 2 * 4
 
 
 def test_import_loads_no_process_pool():
     # the pool modules cost 16-28 ms of start-up; only a forked run should load them
     probe = ("import sys, riesz.cli; "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
+             "'concurrent.futures.process') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert result.stdout.strip() == "[]"

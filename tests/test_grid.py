@@ -187,5 +187,3 @@ def test_window_helpers():
     assert g.covers_support(2.0)
     assert g.covers_support(np.inf)
     assert not g.covers_support(100.0)
-    assert g.suits_ball_symbols()
-    assert not GridSpec(1, 32, 16.0).suits_ball_symbols()
