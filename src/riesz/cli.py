@@ -21,10 +21,11 @@ included, as typed JSON: a complex number as {"re", "im"}, a linspace as its
 list, an unset optional key as null.
 
 --workers N (at least 1) runs independent items in up to N forked processes,
-at most one per item: probe's (lambda, p) sweeps, apply --dump-field's two
-dumps and resolvent-verify's two directions.  Output is byte-identical for any
-N, and the work runs serially where the platform cannot fork.  manifest.json
-counts the workers' CPU time and peak RSS with the process's own.
+at most one per item: probe's (lambda, p) sweeps and apply --dump-field's two
+dumps.  The other subcommands accept it and run serially.  Output is
+byte-identical for any N, and the work runs serially where the platform cannot
+fork.  manifest.json counts the workers' CPU time and peak RSS with the
+process's own.
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, double-quoted strings, and [comma, separated, lists]; # starts a
@@ -35,7 +36,6 @@ accept bare strings.
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .fieldio import atomic_write_text, dump_field, load_field
-from .grid import Field, GridSpec, band_coefficients, band_limited_field, random_band_limited
+from .grid import Field, GridSpec, band_coefficients, band_spectrum, random_band_limited
 from .multiplier import apply as apply_op
 from .neumann import (
     apply_forward,
@@ -69,6 +69,7 @@ from .norms import (
     default_cube_family,
     herz_norm,
     lp_norm,
+    spectrum_lp_norm,
     triebel_norm,
     weighted_lp_norm,
 )
@@ -483,21 +484,26 @@ def run_apply(cfg, out_dir, seed, workers):
     return rows, ["quantity", "l1", "l2", "sup"], checks, extras
 
 
-def _verify_direction(z, delta, plan_options, band, tol_operator, job):
+def _verify_direction(cfg, grid, direc, rng):
     """CSV rows, checks and manifest extras of one resolvent-verify direction.
 
-    job is (direction, band coefficients of each operator-check field).
+    Each operator-check field is drawn from rng as a spectrum on |xi| <= band.
+    The composite is checked against the target symbol on that spectrum, and
+    its relative L^2 error is a Parseval ratio, so the check makes no
+    transform.
     """
-    direc, coefficients = job
-    plan = make_plan(z, delta, direction=direc, **plan_options)
+    plan = make_plan(cfg["z"], cfg["delta"], direction=direc, grid=grid,
+                     tail_tol=cfg["tail_tol"], r0=cfg["r0"], truncation=cfg["truncation"])
     forward = direc == "forward"
     dec = (forward_decomposition if forward else reverse_decomposition)(plan)
     compose = apply_forward if forward else apply_reverse
+    target = dec.target.sample(grid)
+    band = cfg["band"]
     op_err = 0.0
-    for coeffs in coefficients:
-        f = band_limited_field(plan_options["grid"], band, coeffs)
-        err = lp_norm(compose(dec, f) - apply_op(dec.target, f), 2) / lp_norm(f, 2)
-        op_err = max(op_err, err)
+    for _ in range(cfg["op_fields"]):
+        spec = band_spectrum(grid, band, band_coefficients(grid, band, rng))
+        error = Field.frequency(grid, compose(dec, spec).samples - target * spec.samples)
+        op_err = max(op_err, spectrum_lp_norm(error, 2) / spectrum_lp_norm(spec, 2))
     contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
     rows = [{"direction": direc, "n": n, "seminorm": seminorm,
              "certified_tail": dec.certified_tail,
@@ -506,6 +512,7 @@ def _verify_direction(z, delta, plan_options, band, tol_operator, job):
             for n, seminorm in tail_term_seminorms(plan)]
     extras = {f"{direc}_plan": {"r0": plan.r0, "n0": plan.n0, "truncation": plan.truncation,
                                 "q": plan.q, "tail_series_bound": tail_kernel_bound(plan)}}
+    tol_operator = cfg["tol_operator"]
     checks = [
         (f"{direc}_reconstruction",
          dec.reconstruction_error <= dec.certified_tail + 1e-10,
@@ -522,7 +529,7 @@ def _verify_direction(z, delta, plan_options, band, tol_operator, job):
     "truncation": (_int, None)})
 def run_resolvent_verify(cfg, out_dir, seed, workers):
     grid = _grid(cfg)
-    op_fields, band = cfg["op_fields"], cfg["band"]
+    op_fields = cfg["op_fields"]
     if op_fields < 1:
         raise UsageError(f"op_fields must be at least 1, got {op_fields}")
     direction = cfg["direction"]
@@ -530,16 +537,9 @@ def run_resolvent_verify(cfg, out_dir, seed, workers):
         raise UsageError(f"direction must be forward, reverse or both, got {direction}")
     rng = np.random.default_rng(seed)
     directions = ("forward", "reverse") if direction == "both" else (direction,)
-    # Every check field's coefficients are drawn here, forward's before
-    # reverse's, so each field is the same whichever process builds it.
-    jobs = [(direc, [band_coefficients(grid, band, rng) for _ in range(op_fields)])
-            for direc in directions]
-    plan_options = {"grid": grid, "tail_tol": cfg["tail_tol"], "r0": cfg["r0"],
-                    "truncation": cfg["truncation"]}
-    verify = functools.partial(_verify_direction, cfg["z"], cfg["delta"], plan_options, band,
-                               cfg["tol_operator"])
     rows, checks, extras = [], [], {"grid": grid}
-    for direc_rows, direc_checks, direc_extras in _fork_map(verify, jobs, workers):
+    for direc in directions:
+        direc_rows, direc_checks, direc_extras = _verify_direction(cfg, grid, direc, rng)
         rows += direc_rows
         checks += direc_checks
         extras.update(direc_extras)

@@ -136,26 +136,44 @@ class Field:
         return Field(self.grid, self.domain, -self.samples)
 
 
+def _centered(transform, samples):
+    """fftshift(transform(ifftshift(samples))) through one scratch array.
+
+    The shifted copy is transformed in place, so a call holds two arrays of
+    the grid's size at most: that scratch array and the shifted result.
+    """
+    work = np.fft.ifftshift(samples)
+    return np.fft.fftshift(transform(work, out=work))
+
+
 def forward_transform(f):
     """Riemann-sum Fourier transform of a spatial field.
 
     Equals h^d times the centered DFT of the samples, which approximates
-    integral f(x) exp(-i x.xi) dx at every lattice frequency.
+    integral f(x) exp(-i x.xi) dx at every lattice frequency.  The result is
+    fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
+    scratch array and scaled in place; f is left unchanged.
     """
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")
     g = f.grid
-    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.samples))) * g.h**g.dim
+    spec = _centered(np.fft.fftn, f.samples)
+    spec *= g.h**g.dim
     return Field.frequency(g, spec)
 
 
 def inverse_transform(big_f):
-    """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization."""
+    """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
+
+    Bit for bit fftshift(ifftn(ifftshift(samples))) / h^d, computed like
+    forward_transform.
+    """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")
     g = big_f.grid
     # (2 pi)^(-d) dxi^d M^d collapses to h^(-d) because M h dxi = 2 pi.
-    samp = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(big_f.samples))) / g.h**g.dim
+    samp = _centered(np.fft.ifftn, big_f.samples)
+    samp /= g.h**g.dim
     return Field.spatial(g, samp)
 
 
@@ -171,11 +189,16 @@ def band_coefficients(grid, band, rng):
     return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
-def band_limited_field(grid, band, coefficients):
-    """Spatial field whose spectrum holds coefficients, in lattice order, on |xi| <= band."""
+def band_spectrum(grid, band, coefficients):
+    """Frequency field holding coefficients, in lattice order, on |xi| <= band, zero elsewhere."""
     spec = np.zeros(grid.shape, dtype=complex)
     spec[grid.xi_radius() <= band] = coefficients
-    return inverse_transform(Field.frequency(grid, spec))
+    return Field.frequency(grid, spec)
+
+
+def band_limited_field(grid, band, coefficients):
+    """Spatial field whose spectrum is band_spectrum(grid, band, coefficients)."""
+    return inverse_transform(band_spectrum(grid, band, coefficients))
 
 
 def random_band_limited(grid, band, rng):

@@ -15,8 +15,14 @@ Two executable directions:
 
 One private generator makes every series-term spectrum s_n (b^n psi2 forward,
 w^n psi2 reverse).  The tail kernel is kept as its spectrum sum c_n s_n, a
-frequency-side Field that the check and the convolution read directly; each
+frequency-side Field that the check and the compositions read directly; each
 seminorm row inverse-transforms one s_n and drops its kernel afterwards.
+
+apply_forward and apply_reverse compose the decomposition on the spectrum:
+spectrum in, spectrum out.  Given a frequency Field they return the
+composite's spectrum and make no transform; given a spatial Field they make
+one forward and one inverse transform.  Every multiplier they apply is
+checked against the grid's frequency window, as `apply` would check it.
 
 Both Decompositions store the certified tail bound next to the measured
 sup-norm reconstruction error so callers can assert one against the other.
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec, forward_transform, inverse_transform
-from .multiplier import apply, convolve, schwartz_seminorm
+from .multiplier import _check_window, schwartz_seminorm
 from .symbols import (
     Symbol,
     ball_power_profile,
@@ -105,8 +111,11 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
     r0 comes from choose_r0, n0 is the smallest integer above alpha0/delta,
     and the truncation length is the shortest one whose certified tail drops
     below tail_tol (using the a-priori ratio q/(1-q) for the reverse
-    direction, which dominates the measured one).
+    direction, which dominates the measured one).  tail_tol must be positive
+    and finite.
     """
+    if not 0 < tail_tol < np.inf:
+        raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
     if grid is None:
         grid = GridSpec(1, 2048, 40.0)
     if alpha0 is None:
@@ -125,7 +134,7 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
         while certificate(z, ratio, truncation) > tail_tol:
             truncation += 1
             if truncation > 100000:
-                raise RuntimeError("tail tolerance unreachable")
+                raise ValueError(f"tail_tol={tail_tol} is unreachable within 100000 terms")
     return NeumannPlan(complex(z), float(delta), float(r0), int(n0), int(truncation),
                        int(alpha0), int(beta0), direction, grid)
 
@@ -243,26 +252,46 @@ def forward_decomposition(plan):
                          tail_kernel, target, certified, err)
 
 
-def apply_forward(dec, f):
-    """Operator form of the forward composite acting on a spatial field.
+def _compose(dec, f, symbols, spectrum_of):
+    """Composite of f: spectrum_of(F, *sampled symbols) on f's spectrum F.
 
-    Uses powers of the ball multiplier on psi2-localized data for the
-    Neumann section, the tail kernel as a convolution, and the identity for
-    the far field, mirroring how the decomposition is proved bounded.
+    Each symbol is checked against the grid's window and sampled there.  A
+    frequency-side f gets the composite's spectrum back with no transform; a
+    spatial f is transformed once each way.
     """
-    plan = dec.plan
-    z = plan.z
-    b_delta = bochner_symbol(plan.delta)
-    spec = forward_transform(f)
-    g = apply(dec.psi2, spec)
-    acc = (1.0 / z) * g
-    current = g
-    for n in range(1, plan.n0 + 1):
-        current = apply(b_delta, current)
-        acc = acc + z ** (-(n + 1)) * current
-    out = apply(dec.smooth_part, spec) + acc + convolve(dec.tail_kernel, spec)
-    far = (1.0 / z) * (f - apply(dec.psi1, spec) - g)
-    return out + far
+    grid = f.grid
+    if grid != dec.plan.grid:
+        raise ValueError("field and decomposition live on different grids")
+    for m in symbols:
+        _check_window(m, grid)
+    spatial = f.domain == "spatial"
+    spec = (forward_transform(f) if spatial else f).samples
+    out = Field.frequency(grid, spectrum_of(spec, *(m.sample(grid) for m in symbols)))
+    return inverse_transform(out) if spatial else out
+
+
+def apply_forward(dec, f):
+    """Forward composite acting on f, a spatial field or a spectrum.
+
+    Powers of the ball multiplier on psi2-localized data for the Neumann
+    section, the tail kernel as a convolution, and the identity for the far
+    field, mirroring how the decomposition is proved bounded.
+    """
+    z, n0 = dec.plan.z, dec.plan.n0
+    tail = dec.tail_kernel.samples
+
+    def spectrum_of(spec, psi1, psi2, smooth, ball):
+        g = psi2 * spec
+        acc = (1.0 / z) * g
+        current = g
+        for n in range(1, n0 + 1):
+            current = ball * current
+            acc = acc + z ** (-(n + 1)) * current
+        far = (1.0 / z) * (spec - psi1 * spec - g)
+        return smooth * spec + acc + tail * spec + far
+
+    symbols = (dec.psi1, dec.psi2, dec.smooth_part, bochner_symbol(dec.plan.delta))
+    return _compose(dec, f, symbols, spectrum_of)
 
 
 def reverse_decomposition(plan):
@@ -294,17 +323,21 @@ def reverse_decomposition(plan):
 
 
 def apply_reverse(dec, f):
-    """Operator form of the reverse composite: resolvent powers plus tail."""
-    plan = dec.plan
-    z0 = plan.z
-    res = resolvent_symbol(z0, plan.delta)
-    spec = forward_transform(f)
-    acc = None
-    current = apply(dec.psi2, spec)
-    for _ in range(plan.n0):
-        current = current - z0 * apply(res, current)
-        acc = current if acc is None else acc + current
-    return (-z0) * acc + convolve(dec.tail_kernel, spec)
+    """Reverse composite acting on f, a spatial field or a spectrum:
+    resolvent powers plus the tail kernel."""
+    z0, n0 = dec.plan.z, dec.plan.n0
+    tail = dec.tail_kernel.samples
+
+    def spectrum_of(spec, psi2, res):
+        acc = None
+        current = psi2 * spec
+        for _ in range(n0):
+            current = current - z0 * (res * current)
+            acc = current if acc is None else acc + current
+        return (-z0) * acc + tail * spec
+
+    symbols = (dec.psi2, resolvent_symbol(z0, dec.plan.delta))
+    return _compose(dec, f, symbols, spectrum_of)
 
 
 def kernel_sequence(plan, n):

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import forward_transform
+from .grid import forward_transform, inverse_transform
 from .multiplier import apply
 from .symbols import _STRIP_POINTS, BumpProfile, Symbol, radial_symbol
+
+
+def _abs_power_sum(samples, p):
+    """sum |samples|^p, raising the one real array of moduli to p in place."""
+    a = np.abs(samples)
+    a **= p
+    return np.sum(a)
 
 
 def lp_norm(f, p):
@@ -25,7 +32,19 @@ def lp_norm(f, p):
     if not 1 <= p < np.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
     g = f.grid
-    return float(np.sum(np.abs(f.samples) ** p) ** (1.0 / p) * g.h ** (g.dim / p))
+    return float(_abs_power_sum(f.samples, p) ** (1.0 / p) * g.h ** (g.dim / p))
+
+
+def spectrum_lp_norm(spectrum, p):
+    """L^p norm of the field with this spectrum: Parseval at p = 2, with no
+    transform; one inverse transform otherwise."""
+    if spectrum.domain != "frequency":
+        raise ValueError("spectrum_lp_norm expects a frequency field")
+    if p == 2:
+        g = spectrum.grid
+        mass = _abs_power_sum(spectrum.samples, 2) * (g.dxi / (2.0 * np.pi)) ** g.dim
+        return float(np.sqrt(mass))
+    return lp_norm(inverse_transform(spectrum), p)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .grid import (
     snap_to_lattice,
 )
 from .multiplier import apply
-from .norms import WeightSpec, _square_mass, lp_norm, weighted_lp_norm
+from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
 from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
 
@@ -137,16 +137,6 @@ def _baseband_probe(grid, xi0, n_scale, rho):
     axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
     xi = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
     return xi, Field.frequency(small, np.broadcast_to(spec.evaluate(xi), small.shape))
-
-
-def _spectrum_lp_norm(spectrum, p):
-    """L^p norm of the field with this spectrum: Parseval at p = 2, with no
-    transform; one inverse transform otherwise."""
-    if p == 2:
-        g = spectrum.grid
-        mass = np.sum(np.abs(spectrum.samples) ** 2) * (g.dxi / (2.0 * np.pi)) ** g.dim
-        return float(np.sqrt(mass))
-    return lp_norm(inverse_transform(spectrum), p)
 
 
 @dataclass(frozen=True)
@@ -372,7 +362,7 @@ def probe_lower_bound(z, delta, p, grid, probes):
         else:
             xi, spectrum = probe
         image = Field.frequency(spectrum.grid, res.evaluate(xi) * spectrum.samples)
-        best = max(best, _spectrum_lp_norm(image, p) / f_norm)
+        best = max(best, spectrum_lp_norm(image, p) / f_norm)
     return best
 
 
@@ -412,7 +402,7 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         key = lattice_offset(grid, xi0)
         if key not in probe_cache:
             bands = (_baseband_probe(grid, xi0, n, rho) for n in n_values)
-            probe_cache[key] = [((xi, spec), _spectrum_lp_norm(spec, p)) for xi, spec in bands]
+            probe_cache[key] = [((xi, spec), spectrum_lp_norm(spec, p)) for xi, spec in bands]
         return probe_cache[key]
 
     rows = []

@@ -19,7 +19,16 @@ from riesz.cli import (
     parse_field_spec,
     parse_symbol_spec,
 )
-from riesz.grid import GridSpec
+from riesz.grid import GridSpec, band_coefficients, band_limited_field
+from riesz.multiplier import apply
+from riesz.neumann import (
+    apply_forward,
+    apply_reverse,
+    forward_decomposition,
+    make_plan,
+    reverse_decomposition,
+)
+from riesz.norms import lp_norm
 from riesz.probes import baseband_grid, probe_grid, spectrum_map
 
 
@@ -141,7 +150,7 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("norms", "--set", "field=TRUNCATED_DUMP"),
     ("kernel-decay", "--workers", "0"),
     ("kernel-decay", "--workers", "-3"),
-    # make_plan rejects the grid inside a forked worker
+    # resolvent-verify runs serially at any --workers and rejects the grid alike
     ("resolvent-verify", "--set", "grid_size=32", "--set", "grid_half_width=64",
      "--workers", "2"),
     # a grid key without grid_size would run on the default grid
@@ -168,6 +177,13 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("kernel-decay", "--dump-field"),
     # a key repeated in one config file would silently keep its last value
     ("spectrum-map", "--config", "REPEATED_KEY_CONFIG"),
+    # the tail tolerance: a traceback, a silent n0 + 1 truncation, and a
+    # truncation that only underflow ends
+    ("resolvent-verify", "--set", "tail_tol=-1"),
+    ("resolvent-verify", "--set", "tail_tol=nan"),
+    ("resolvent-verify", "--set", "tail_tol=0"),
+    # a reverse ratio q/(1 - q) just below 1 needs over 100000 terms
+    ("resolvent-verify", "--set", "direction=reverse", "--set", "r0=0.49999"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -183,7 +199,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "probe-grid-size", "probe-grid-half-width", "symbol-unknown-argument",
         "field-unknown-argument", "besov-unknown-argument", "ap-unknown-argument",
         "symbol-argument-twice", "dump-fields-not-bool", "assert-not-flagged-not-bool",
-        "dump-field-flag-not-apply", "config-repeated-key"])
+        "dump-field-flag-not-apply", "config-repeated-key", "tail-tol-negative",
+        "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -334,6 +351,42 @@ def test_resolvent_verify_run_and_csv_schema(tmp_path):
     assert isinstance(plan["q"], float) and 0 < plan["tail_series_bound"] < 1
 
 
+RESOLVENT_2D = ("resolvent-verify", "--set", "direction=both", "--set", "grid_dim=2",
+                "--set", "grid_size=256", "--set", "grid_half_width=40.0")
+
+
+def test_resolvent_verify_checks_operators_on_the_spectrum(tmp_path, transforms):
+    # the operator check composes on each drawn spectrum and takes a
+    # Parseval ratio; only the seminorm rows transform, one term each
+    code, out = run_cli(tmp_path, *RESOLVENT_2D)
+    assert code == 0
+    rows = list(csv.DictReader((out / "resolvent-verify.csv").read_text().splitlines()))
+    assert len(transforms) == len(rows) == 29
+
+
+def test_resolvent_verify_operator_error_matches_the_spatial_composite(tmp_path):
+    # a short truncation fails both operator checks; each error is the
+    # largest relative L^2 error of the spatial composite over the same fields
+    code, out = run_cli(tmp_path, *RESOLVENT_2D, "--set", "truncation=5", "--seed", "4")
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+    assert failed == {"forward_operator", "reverse_operator"}
+    measured = {row["direction"]: float(row["operator_rel_err"])
+                for row in csv.DictReader((out / "resolvent-verify.csv").read_text().splitlines())}
+    grid = GridSpec(2, 256, 40.0)
+    rng = np.random.default_rng(4)
+    for direction, decompose, compose in (("forward", forward_decomposition, apply_forward),
+                                          ("reverse", reverse_decomposition, apply_reverse)):
+        dec = decompose(make_plan(2 + 0j, 1.0, direction=direction, grid=grid, truncation=5))
+        fields = [band_limited_field(grid, 3.0, band_coefficients(grid, 3.0, rng))
+                  for _ in range(5)]
+        spatial = max(lp_norm(compose(dec, f) - apply(dec.target, f), 2) / lp_norm(f, 2)
+                      for f in fields)
+        assert measured[direction] > 1e-8
+        assert measured[direction] == pytest.approx(spatial, rel=1e-8), direction
+
+
 def test_assertion_failure_exits_two_with_outputs(tmp_path):
     # impossible tolerance: outputs still written, exit code 2
     code, out = run_cli(
@@ -369,7 +422,7 @@ def test_workers_do_not_change_output(tmp_path):
           *small_2d, "--dump-field"),
          ["apply.csv", "fields/input.csv", "fields/input.json", "fields/output.csv",
           "fields/output.json"], "2"),
-        # one forked process per direction
+        # runs serially at any --workers
         (("resolvent-verify", "--set", "direction=both", "--set", "grid_size=512",
           "--set", "grid_half_width=20"), ["resolvent-verify.csv"], "2"),
     ]

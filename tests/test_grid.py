@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 from riesz.grid import (
     Field,
     GridSpec,
+    band_coefficients,
+    band_limited_field,
+    band_spectrum,
     forward_transform,
     inverse_transform,
     lattice_offset,
@@ -187,3 +192,45 @@ def test_window_helpers():
     assert g.covers_support(2.0)
     assert g.covers_support(np.inf)
     assert not g.covers_support(100.0)
+
+
+@pytest.mark.parametrize("dim,size,half_width", [(1, 1024, 12.0), (2, 64, 8.0)])
+def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width):
+    g = GridSpec(dim, size, half_width)
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    f = Field.spatial(g, x)
+    spec = Field.frequency(g, x)
+    forward = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(x))) * g.h**g.dim
+    inverse = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(x))) / g.h**g.dim
+    assert forward_transform(f).samples.tobytes() == forward.tobytes()
+    assert inverse_transform(spec).samples.tobytes() == inverse.tobytes()
+    # the inputs are left as they were
+    assert f.samples.tobytes() == x.tobytes() and spec.samples.tobytes() == x.tobytes()
+
+
+def test_a_transform_holds_two_arrays_of_the_grid():
+    # the shifted scratch array is transformed in place: a 2D call peaks at
+    # the scratch array and the shifted result, not at five full-grid copies
+    g = GridSpec(2, 256, 20.0)
+    x = np.random.default_rng(22).standard_normal(g.shape) + 0j
+    for transform, field in ((forward_transform, Field.spatial(g, x)),
+                             (inverse_transform, Field.frequency(g, x))):
+        tracemalloc.start()
+        try:
+            transform(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * x.nbytes, transform.__name__
+
+
+def test_band_limited_field_is_the_inverse_of_its_band_spectrum():
+    g = GridSpec(2, 64, 8.0)
+    coeffs = band_coefficients(g, 2.0, np.random.default_rng(23))
+    spec = band_spectrum(g, 2.0, coeffs)
+    assert spec.domain == "frequency"
+    assert np.count_nonzero(spec.samples) == coeffs.size
+    assert np.array_equal(spec.samples[g.xi_radius() <= 2.0], coeffs)
+    field = band_limited_field(g, 2.0, coeffs)
+    assert field.samples.tobytes() == inverse_transform(spec).samples.tobytes()

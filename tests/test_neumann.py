@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riesz.grid import GridSpec, random_band_limited
+from riesz.grid import GridSpec, forward_transform, inverse_transform, random_band_limited
 from riesz.multiplier import apply
 from riesz.neumann import (
     NeumannPlan,
@@ -162,24 +162,47 @@ def test_transform_counts(grid, rng, transforms):
             before = len(transforms)
             decompose(plan)
             assert len(transforms) - before == 0
-    # apply_forward: one forward transform of f, one inverse for each
-    # multiplier on its spectrum (psi2, the smooth part, psi1, the tail
-    # kernel) and two per ball power.
+    # apply_forward composes on the spectrum: one forward transform of f and
+    # one inverse of the composite's spectrum.
     dec = forward_decomposition(make_plan(2.0, 1.0, grid=grid))
     f = random_band_limited(grid, 3.0, rng)
     before = len(transforms)
     apply_forward(dec, f)
-    assert len(transforms) - before == 2 * dec.plan.n0 + 5
+    assert len(transforms) - before == 2
 
 
 def test_apply_reverse_transforms_its_input_once(grid, rng, transforms):
-    # one forward transform of f, one inverse each for psi2 and the tail
-    # kernel, and two per resolvent power
+    # one forward transform of f and one inverse of the composite's spectrum
     dec = reverse_decomposition(make_plan(2.0, 1.0, direction="reverse", grid=grid))
     f = random_band_limited(grid, 3.0, rng)
     before = len(transforms)
     apply_reverse(dec, f)
-    assert len(transforms) - before == 2 * dec.plan.n0 + 3
+    assert len(transforms) - before == 2
+
+
+def test_compositions_stay_on_the_spectrum(grid, rng, transforms):
+    # spectrum in, spectrum out with no transform; a spatial field is the
+    # inverse transform of its spectrum's composite, bit for bit
+    f = random_band_limited(grid, 3.0, rng)
+    spec = forward_transform(f)
+    for direction, decompose, compose in (("forward", forward_decomposition, apply_forward),
+                                          ("reverse", reverse_decomposition, apply_reverse)):
+        dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
+        before = len(transforms)
+        out = compose(dec, spec)
+        assert len(transforms) - before == 0, direction
+        assert out.domain == "frequency"
+        spatial = compose(dec, f)
+        assert spatial.domain == "spatial"
+        assert inverse_transform(out).samples.tobytes() == spatial.samples.tobytes(), direction
+
+
+def test_compositions_reject_a_field_on_another_grid():
+    grid = GridSpec(1, 256, 40.0)
+    dec = forward_decomposition(make_plan(2.0, 1.0, grid=grid))
+    other = random_band_limited(GridSpec(1, 512, 40.0), 1.0, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="different grids"):
+        apply_forward(dec, other)
 
 
 def test_series_terms_need_the_unit_ball_in_the_window():

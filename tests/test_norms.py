@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riesz.grid import Field, GridSpec, random_band_limited
+from riesz.grid import Field, GridSpec, forward_transform, random_band_limited
 from riesz.multiplier import kernel_of
 from riesz.norms import (
     HerzParams,
@@ -15,6 +15,7 @@ from riesz.norms import (
     default_cube_family,
     herz_norm,
     lp_norm,
+    spectrum_lp_norm,
     triebel_norm,
     weight_samples,
     weighted_lp_norm,
@@ -61,6 +62,27 @@ def test_lp_triangle(grid, rng):
 
 
 # -- weighted L^p --------------------------------------------------------------
+
+def test_lp_norm_holds_one_real_array(rng):
+    # |f| is raised to p in place: half the bytes of the complex samples
+    f = random_band_limited(GridSpec(2, 256, 20.0), 2.0, rng)
+    for p in (1, 1.5, 2, 4):
+        value, peak = _traced_peak(lp_norm, f, p)
+        assert peak <= 0.55 * f.samples.nbytes, p
+        assert value == float(np.sum(np.abs(f.samples) ** p) ** (1.0 / p)
+                              * f.grid.h ** (f.grid.dim / p))
+
+
+def test_spectrum_lp_norm_matches_the_spatial_norm(grid, rng):
+    f = random_band_limited(grid, 3.0, rng)
+    spec = forward_transform(f)
+    # Parseval at p = 2, one inverse transform otherwise
+    assert spectrum_lp_norm(spec, 2) == pytest.approx(lp_norm(f, 2), rel=1e-12)
+    for p in (1, 3):
+        assert spectrum_lp_norm(spec, p) == pytest.approx(lp_norm(f, p), rel=1e-10)
+    with pytest.raises(ValueError):
+        spectrum_lp_norm(f, 2)
+
 
 def test_weighted_zero_exponent_matches_plain(grid, rng):
     f = random_band_limited(grid, 2.0, rng)
