@@ -5,11 +5,17 @@
 
 Subcommands: apply, resolvent-verify, kernel-decay, probe, spectrum-map,
 norms, mikhlin.  Each run writes manifest.json plus <subcommand>.csv into the
-output directory, atomically.  Exit status: 0 when every in-config assertion
+output directory, atomically.  Exit status: 0 when every in-config check
 holds, 2 when one fails, 1 on a usage error (bad flags, unparseable config,
 parameters outside module preconditions).  Every ValueError a module raises
 for a bad input reaches the user through the one handler in main, as a single
 "riesz: <message>" line on stderr.
+
+Each in-config check is a (name, value, bound) triple from its run_* function.
+main alone decides passed = value <= bound (a NaN value fails), records
+{"name", "value", "bound", "passed"} in manifest.json, and names each failed
+check with its numbers on stderr, e.g. "riesz: assertion failed:
+forward_operator (7.2e-07 > 1e-08)".
 
 Each subcommand declares its config keys once, as a table of key -> (parser,
 default) on its run_* function; main resolves the whole table before any
@@ -228,12 +234,20 @@ def _bool(value):
 
 
 def _tuple_of(kind):
-    """A parser of a [list] whose items kind converts."""
+    """A parser of a non-empty [list] whose items kind converts."""
     def parse(values):
-        if not isinstance(values, list):
-            raise ValueError(f"must be a [list], got {values!r}")
+        if not (isinstance(values, list) and values):
+            raise ValueError(f"must be a non-empty [list], got {values!r}")
         return tuple(kind(v) for v in values)
     return parse
+
+
+def _bound(value):
+    """A check's bound: any number but NaN, which no measured value could pass."""
+    bound = float(value)
+    if np.isnan(bound):
+        raise ValueError(f"must be a number, got {value!r}")
+    return bound
 
 
 def _linspace(spec):
@@ -460,7 +474,7 @@ def _command(name, keys):
 
 @_command("apply", {
     **_grid_keys(1, 1024, 16.0), "symbol": (str, _REQUIRED), "field": (str, "gaussian(width=1)"),
-    "assert_output_l2_max": (float, None), "dump_fields": (_bool, False)})
+    "assert_output_l2_max": (_bound, None), "dump_fields": (_bool, False)})
 def run_apply(cfg, out_dir, seed, workers):
     grid = _grid(cfg)
     symbol = parse_symbol_spec(cfg["symbol"])
@@ -470,11 +484,8 @@ def run_apply(cfg, out_dir, seed, workers):
     rows = [{"quantity": quantity, "l1": lp_norm(g, 1), "l2": lp_norm(g, 2),
              "sup": float(np.max(np.abs(g.samples)))}
             for quantity, g in (("input", f), ("output", out))]
-    checks = []
     bound = cfg["assert_output_l2_max"]
-    if bound is not None:
-        checks.append(("output_l2_max", lp_norm(out, 2) <= bound,
-                       f"{lp_norm(out, 2)} <= {bound}"))
+    checks = [] if bound is None else [("output_l2_max", rows[1]["l2"], bound)]
     extras = {"grid": grid}
     if cfg["dump_fields"]:
         bases = [f"{out_dir}/fields/input", f"{out_dir}/fields/output"]
@@ -499,11 +510,12 @@ def _verify_direction(cfg, grid, direc, rng):
     compose = apply_forward if forward else apply_reverse
     target = dec.target.sample(grid)
     band = cfg["band"]
-    op_err = 0.0
+    errors = []
     for _ in range(cfg["op_fields"]):
         spec = band_spectrum(grid, band, band_coefficients(grid, band, rng))
         error = Field.frequency(grid, compose(dec, spec).samples - target * spec.samples)
-        op_err = max(op_err, spectrum_lp_norm(error, 2) / spectrum_lp_norm(spec, 2))
+        errors.append(spectrum_lp_norm(error, 2) / spectrum_lp_norm(spec, 2))
+    op_err = float(np.max(errors))  # a NaN error stays NaN and fails its check
     contraction = dec.contraction_sup if dec.contraction_sup is not None else 0.0
     rows = [{"direction": direc, "n": n, "seminorm": seminorm,
              "certified_tail": dec.certified_tail,
@@ -512,20 +524,15 @@ def _verify_direction(cfg, grid, direc, rng):
             for n, seminorm in tail_term_seminorms(plan)]
     extras = {f"{direc}_plan": {"r0": plan.r0, "n0": plan.n0, "truncation": plan.truncation,
                                 "q": plan.q, "tail_series_bound": tail_kernel_bound(plan)}}
-    tol_operator = cfg["tol_operator"]
-    checks = [
-        (f"{direc}_reconstruction",
-         dec.reconstruction_error <= dec.certified_tail + 1e-10,
-         f"{dec.reconstruction_error} <= {dec.certified_tail} + 1e-10"),
-        (f"{direc}_operator", op_err <= tol_operator, f"{op_err} <= {tol_operator}"),
-    ]
+    checks = [(f"{direc}_reconstruction", dec.reconstruction_error, dec.certified_tail + 1e-10),
+              (f"{direc}_operator", op_err, cfg["tol_operator"])]
     return rows, checks, extras
 
 
 @_command("resolvent-verify", {
     "z": (complex, 2.0 + 0.0j), "delta": (float, 1.0), "direction": (str, "both"),
     **_grid_keys(1, 2048, 40.0), "tail_tol": (float, 1e-10), "op_fields": (_int, 5),
-    "band": (float, 3.0), "tol_operator": (float, 1e-8), "r0": (float, None),
+    "band": (float, 3.0), "tol_operator": (_bound, 1e-8), "r0": (float, None),
     "truncation": (_int, None)})
 def run_resolvent_verify(cfg, out_dir, seed, workers):
     grid = _grid(cfg)
@@ -562,18 +569,17 @@ def run_kernel_decay(cfg, out_dir, seed, workers):
     table = seminorm_table(plan, range(n_min, n_max + 1))
     slope = decay_slope(table)
     ratio_cap = (2.0 * plan.r0) ** delta
-    rows, checks = [], []
-    previous = None
-    ratio_ok = True
+    rows, previous = [], None
     for n, value in table:
         ratio = value / previous if previous else 0.0
         bound = ratio_cap * (n / (n - 1)) ** alpha0 * 1.1 if previous else 0.0
-        if previous and ratio > bound:
-            ratio_ok = False
         rows.append({"n": n, "seminorm": value, "ratio": ratio, "ratio_bound": bound})
         previous = value
+    checks = []
     if cfg["assert_ratio_bound"]:
-        checks.append(("seminorm_ratios", ratio_ok, f"ratios within {ratio_cap} * growth * 1.1"))
+        # ratio - bound > 0 exactly when ratio > bound; the first row has no ratio
+        excess = float(np.max([r["ratio"] - r["ratio_bound"] for r in rows[1:]]))
+        checks.append(("seminorm_ratios", excess, 0.0))
     return rows, ["n", "seminorm", "ratio", "ratio_bound"], checks, {"slope": slope, "grid": grid}
 
 
@@ -587,8 +593,8 @@ def _probe_spec_rows(args):
 @_command("probe", {
     "lambdas": (_tuple_of(float), (0.25, 0.5, 1.0)), "ps": (_tuple_of(float), (1.0, 2.0, 4.0)),
     "ns": (_tuple_of(_int), (8, 16, 32, 64, 128)), "delta": (float, 1.0), "rho": (float, 0.5),
-    "weight_a": (float, None), "grid_dim": (_int, 1), "assert_zero_lambda_tol": (float, 1e-12),
-    "assert_max_halving": (float, None)})
+    "weight_a": (float, None), "grid_dim": (_int, 1), "assert_zero_lambda_tol": (_bound, 1e-12),
+    "assert_max_halving": (_bound, None)})
 def run_probe(cfg, out_dir, seed, workers):
     ns, rho = cfg["ns"], cfg["rho"]
     if len(ns) < 4:
@@ -600,23 +606,16 @@ def run_probe(cfg, out_dir, seed, workers):
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["lambda"], r["p"], r["n"]))
     checks = []
-    zero_tol = cfg["assert_zero_lambda_tol"]
-    zero_rows = [r for r in rows if r["lambda"] == 0.0]
-    if zero_rows:
-        worst = max(r["ratio"] for r in zero_rows)
-        checks.append(("zero_lambda_annihilation", worst <= zero_tol,
-                       f"{worst} <= {zero_tol}"))
-    cap = cfg["assert_max_halving"]
-    if cap is not None:
-        ok, worst = True, 0.0
-        for spec in specs:
-            if not 0 < spec.lam <= 1:
-                continue
-            group = [r for r in rows if r["lambda"] == spec.lam and r["p"] == spec.p]
-            for factor in halving_factors(group):
-                worst = max(worst, factor)
-                ok = ok and factor <= cap
-        checks.append(("halving", ok, f"max factor {worst} <= {cap}"))
+    zero_ratios = [r["ratio"] for r in rows if r["lambda"] == 0.0]
+    if zero_ratios:
+        checks.append(("zero_lambda_annihilation", float(np.max(zero_ratios)),
+                       cfg["assert_zero_lambda_tol"]))
+    if cfg["assert_max_halving"] is not None:
+        factors = [factor for spec in specs if 0 < spec.lam <= 1
+                   for factor in halving_factors([r for r in rows if r["lambda"] == spec.lam
+                                                  and r["p"] == spec.p])]
+        checks.append(("halving", float(np.max(factors, initial=0.0)),
+                       cfg["assert_max_halving"]))
     columns = ["lambda", "lambda_achieved", "xi0", "p", "delta", "n", "ratio", "slope"]
     return rows, columns, checks, {"grid": grid}
 
@@ -628,8 +627,6 @@ def run_probe(cfg, out_dir, seed, workers):
     "pole_margin": (float, 1e-3), "rho": (float, 0.5)})
 def run_spectrum_map(cfg, out_dir, seed, workers):
     ns, rho = cfg["ns"], cfg["rho"]
-    if not ns:
-        raise UsageError("ns must list at least one probe scale")
     zs = [complex(a, b) for a in cfg["re"] for b in cfg["im"]]
     grid = probe_grid(max(ns), rho)
     rows = spectrum_map(zs, cfg["p"], cfg["delta"], grid=grid, n_values=ns, rho=rho,
@@ -686,10 +683,9 @@ def run_mikhlin(cfg, out_dir, seed, workers):
     rows = [{"k": k, "level": level, "points": points, "sup": report.sups[level][k],
              "growth": report.growth[k], "flagged": report.flagged[k]}
             for k in range(report.kmax + 1) for level, points in enumerate(report.points)]
-    checks = []
-    if cfg["assert_not_flagged"]:
-        checks.append(("not_flagged", not report.any_flagged,
-                       f"flags: {report.flagged}"))
+    # the largest growth passes its threshold exactly when no order is flagged
+    checks = ([("not_flagged", float(np.max(report.growth)), report.threshold)]
+              if cfg["assert_not_flagged"] else [])
     return rows, ["k", "level", "points", "sup", "growth", "flagged"], checks, {}
 
 
@@ -753,6 +749,8 @@ def main(argv=None):
 
     csv_path = f"{args.out}/{args.command}.csv"
     write_csv(csv_path, columns, rows)
+    verdicts = [{"name": name, "value": value, "bound": bound, "passed": bool(value <= bound)}
+                for name, value, bound in checks]
     # Worker processes have been reaped by now, so RUSAGE_CHILDREN holds their cost.
     own = resource.getrusage(resource.RUSAGE_SELF)
     reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -764,7 +762,7 @@ def main(argv=None):
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "checks": [{"name": n, "passed": bool(ok), "detail": d} for n, ok, d in checks],
+        "checks": _json_value(verdicts),
         "extras": _json_value(extras),
         "wall_time_s": time.time() - started,
         "cpu_s": own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime,
@@ -772,7 +770,8 @@ def main(argv=None):
         "outputs": [csv_path],
     }
     atomic_write_text(f"{args.out}/manifest.json", json.dumps(manifest, indent=2) + "\n")
-    failed = [name for name, ok, _ in checks if not ok]
+    failed = [f"{c['name']} ({c['value']:.2g} > {c['bound']:.2g})"
+              for c in verdicts if not c["passed"]]
     if failed:
         print(f"riesz: assertion failed: {', '.join(failed)}", file=sys.stderr)
         return 2

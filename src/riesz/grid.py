@@ -196,18 +196,13 @@ def band_spectrum(grid, band, coefficients):
     return Field.frequency(grid, spec)
 
 
-def band_limited_field(grid, band, coefficients):
-    """Spatial field whose spectrum is band_spectrum(grid, band, coefficients)."""
-    return inverse_transform(band_spectrum(grid, band, coefficients))
-
-
 def random_band_limited(grid, band, rng):
     """Spatial field whose spectrum has iid complex Gaussian coefficients in |xi| <= band.
 
     The coefficients are band_coefficients(grid, band, rng), so a seeded
     generator gives the same field on every run.
     """
-    return band_limited_field(grid, band, band_coefficients(grid, band, rng))
+    return inverse_transform(band_spectrum(grid, band, band_coefficients(grid, band, rng)))
 
 
 def _as_vector(xi0, dim):

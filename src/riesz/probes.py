@@ -391,6 +391,11 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     """
     if not (n_values and min(n_values) >= 1):
         raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
+    # checked here, not only where a probe is built, so an all-pole map rejects them too
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if not pole_margin > 0:
         raise ValueError(f"pole margin must be positive, got {pole_margin}")
     if grid is None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riesz import cli
 from riesz.cli import (
     COMMANDS,
     UsageError,
@@ -19,7 +20,7 @@ from riesz.cli import (
     parse_field_spec,
     parse_symbol_spec,
 )
-from riesz.grid import GridSpec, band_coefficients, band_limited_field
+from riesz.grid import GridSpec, random_band_limited
 from riesz.multiplier import apply
 from riesz.neumann import (
     apply_forward,
@@ -30,12 +31,26 @@ from riesz.neumann import (
 )
 from riesz.norms import lp_norm
 from riesz.probes import baseband_grid, probe_grid, spectrum_map
+from riesz.symbols import mikhlin_check
 
 
 def run_cli(tmp_path, *args):
     out = tmp_path / "out"
     code = main([*args, "--out", str(out)])
     return code, out
+
+
+def manifest_checks(out):
+    """The manifest's check records by name, each checked to be a measured
+    value against its bound with passed = value <= bound."""
+    records = json.loads((out / "manifest.json").read_text())["checks"]
+    for record in records:
+        assert sorted(record) == ["bound", "name", "passed", "value"]
+        assert isinstance(record["bound"], float)
+        value = record["value"]
+        assert isinstance(value, float) or value in ("nan", "inf")  # non-finite as str()
+        assert record["passed"] == (float(value) <= record["bound"])
+    return {record["name"]: record for record in records}
 
 
 # -- config parsing ----------------------------------------------------------
@@ -184,6 +199,18 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("resolvent-verify", "--set", "tail_tol=0"),
     # a reverse ratio q/(1 - q) just below 1 needs over 100000 terms
     ("resolvent-verify", "--set", "direction=reverse", "--set", "r0=0.49999"),
+    # an empty sweep or norm list would write only a CSV header and exit 0
+    ("probe", "--set", "lambdas=[]"),
+    ("probe", "--set", "ps=[]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[]"),
+    # every point a pole: no probe is built, but p and delta are still checked
+    ("spectrum-map", "--set", "delta=-1", "--set", "pole_margin=100"),
+    ("spectrum-map", "--set", "p=0.5", "--set", "re=[0.5,0.5,1]", "--set", "im=[0,0,1]"),
+    # a NaN bound is a bad input, not a failed check
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "assert_output_l2_max=nan"),
+    ("resolvent-verify", "--set", "tol_operator=nan"),
+    ("probe", "--set", "assert_zero_lambda_tol=nan"),
+    ("probe", "--set", "assert_max_halving=nan"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -200,7 +227,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "field-unknown-argument", "besov-unknown-argument", "ap-unknown-argument",
         "symbol-argument-twice", "dump-fields-not-bool", "assert-not-flagged-not-bool",
         "dump-field-flag-not-apply", "config-repeated-key", "tail-tol-negative",
-        "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable"])
+        "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable", "probe-no-lambdas",
+        "probe-no-ps", "norms-empty", "map-delta-all-poles", "map-p-all-poles",
+        "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -323,7 +352,7 @@ def test_probe_zero_level_run(tmp_path):
     assert max(ratios) <= 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "probe"
-    assert manifest["checks"][0]["passed"]
+    assert manifest_checks(out)["zero_lambda_annihilation"]["passed"]
 
 
 def test_resolvent_verify_run_and_csv_schema(tmp_path):
@@ -343,6 +372,10 @@ def test_resolvent_verify_run_and_csv_schema(tmp_path):
     first = rows[0]
     assert float(first["reconstruction_error"]) <= float(first["certified_tail"]) + 1e-10
     assert float(first["operator_rel_err"]) <= 1e-8
+    checks = manifest_checks(out)
+    assert sorted(checks) == ["forward_operator", "forward_reconstruction"]
+    assert checks["forward_operator"]["value"] == float(first["operator_rel_err"])
+    assert checks["forward_reconstruction"]["bound"] == float(first["certified_tail"]) + 1e-10
     extras = json.loads((out / "manifest.json").read_text())["extras"]
     assert extras["grid"] == {"dim": 1, "size": 2048, "half_width": 40.0}
     plan = extras["forward_plan"]
@@ -369,8 +402,7 @@ def test_resolvent_verify_operator_error_matches_the_spatial_composite(tmp_path)
     # largest relative L^2 error of the spatial composite over the same fields
     code, out = run_cli(tmp_path, *RESOLVENT_2D, "--set", "truncation=5", "--seed", "4")
     assert code == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    failed = {c["name"] for c in manifest["checks"] if not c["passed"]}
+    failed = {name for name, c in manifest_checks(out).items() if not c["passed"]}
     assert failed == {"forward_operator", "reverse_operator"}
     measured = {row["direction"]: float(row["operator_rel_err"])
                 for row in csv.DictReader((out / "resolvent-verify.csv").read_text().splitlines())}
@@ -379,23 +411,79 @@ def test_resolvent_verify_operator_error_matches_the_spatial_composite(tmp_path)
     for direction, decompose, compose in (("forward", forward_decomposition, apply_forward),
                                           ("reverse", reverse_decomposition, apply_reverse)):
         dec = decompose(make_plan(2 + 0j, 1.0, direction=direction, grid=grid, truncation=5))
-        fields = [band_limited_field(grid, 3.0, band_coefficients(grid, 3.0, rng))
-                  for _ in range(5)]
+        fields = [random_band_limited(grid, 3.0, rng) for _ in range(5)]
         spatial = max(lp_norm(compose(dec, f) - apply(dec.target, f), 2) / lp_norm(f, 2)
                       for f in fields)
         assert measured[direction] > 1e-8
         assert measured[direction] == pytest.approx(spatial, rel=1e-8), direction
 
 
-def test_assertion_failure_exits_two_with_outputs(tmp_path):
+def test_assertion_failure_exits_two_with_outputs(tmp_path, capsys):
     # impossible tolerance: outputs still written, exit code 2
     code, out = run_cli(
         tmp_path, "resolvent-verify", "--set", "z=2+0j", "--set", "tol_operator=1e-30"
     )
     assert code == 2
     assert (out / "resolvent-verify.csv").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert any(not c["passed"] for c in manifest["checks"])
+    checks = manifest_checks(out)
+    failed = [checks[name] for name in ("forward_operator", "reverse_operator")]
+    assert not any(c["passed"] for c in failed)
+    assert checks["forward_reconstruction"]["passed"] and checks["reverse_reconstruction"]["passed"]
+    # the stderr line names each failed check with its value and bound
+    assert capsys.readouterr().err == "riesz: assertion failed: " + ", ".join(
+        f"{c['name']} ({c['value']:.2g} > 1e-30)" for c in failed) + "\n"
+
+
+def test_check_passes_at_its_bound(tmp_path):
+    args = ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+            "--set", "grid_half_width=8")
+    code, out = run_cli(tmp_path, *args)
+    assert code == 0
+    with open(out / "apply.csv", newline="") as handle:
+        l2 = [row["l2"] for row in csv.DictReader(handle) if row["quantity"] == "output"][0]
+    code, out = run_cli(tmp_path, *args, "--set", f"assert_output_l2_max={l2}")
+    check = manifest_checks(out)["output_l2_max"]
+    assert code == 0 and check["passed"] and check["value"] == check["bound"] == float(l2)
+
+
+def test_nan_seminorm_fails_kernel_decay(tmp_path, capsys, monkeypatch):
+    measured = cli.seminorm_table
+
+    def with_nan(plan, n_values):
+        table = list(measured(plan, n_values))
+        table[2] = (table[2][0], float("nan"))
+        return table
+
+    monkeypatch.setattr(cli, "seminorm_table", with_nan)
+    code, out = run_cli(tmp_path, "kernel-decay", "--set", "n_min=20", "--set", "n_max=24")
+    assert code == 2
+    check = manifest_checks(out)["seminorm_ratios"]
+    assert check["value"] == "nan" and not check["passed"]
+    assert capsys.readouterr().err == "riesz: assertion failed: seminorm_ratios (nan > 0)\n"
+
+
+def test_nan_halving_factor_fails_halving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "halving_factors", lambda rows: [0.5, float("nan"), 0.25])
+    code, out = run_cli(tmp_path, "probe", "--set", "lambdas=[0.5]", "--set", "ps=[2.0]",
+                        "--set", "ns=[8,16,32,64]", "--set", "assert_max_halving=0.85")
+    assert code == 2
+    check = manifest_checks(out)["halving"]
+    assert check["value"] == "nan" and not check["passed"]
+    assert capsys.readouterr().err == "riesz: assertion failed: halving (nan > 0.85)\n"
+
+
+@pytest.mark.parametrize("symbol, flagged", [("bochner(delta=0.5)", True),
+                                             ("resolvent(z=2+0j,delta=1)", False)])
+def test_not_flagged_is_the_mikhlin_report_verdict(tmp_path, symbol, flagged):
+    code, out = run_cli(tmp_path, "mikhlin", "--set", f"symbol={symbol}", "--set", "kmax=1",
+                        "--set", "assert_not_flagged=true")
+    report = mikhlin_check(parse_symbol_spec(symbol), 1)
+    assert report.any_flagged == flagged
+    check = manifest_checks(out)["not_flagged"]
+    assert check["passed"] == (not report.any_flagged)
+    assert code == (2 if report.any_flagged else 0)
+    assert check["bound"] == report.threshold
+    assert float(check["value"]) == max(report.growth)
 
 
 def test_reproducible_csv_bodies(tmp_path):
@@ -592,6 +680,7 @@ def test_mikhlin_run_flags_rough_symbol(tmp_path):
         "--set", "assert_not_flagged=true",
     )
     assert code == 2  # flagged symbol fails the in-config assertion
+    assert not manifest_checks(out)["not_flagged"]["passed"]
     lines = (out / "mikhlin.csv").read_text().strip().splitlines()
     flagged = [line.split(",")[-1] for line in lines[1:]]
     assert "true" in flagged
@@ -604,6 +693,7 @@ def test_kernel_decay_run(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert float(manifest["extras"]["slope"]) < 0
+    assert manifest_checks(out)["seminorm_ratios"]["passed"]
 
 
 def test_resolvent_verify_seed_reproducibility(tmp_path):
@@ -626,5 +716,4 @@ def test_probe_run_with_weight(tmp_path):
     )
     code, out = run_cli(tmp_path, "probe", "--config", str(cfg))
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert any(c["name"] == "halving" and c["passed"] for c in manifest["checks"])
+    assert manifest_checks(out)["halving"]["passed"]
