@@ -18,7 +18,6 @@ from .neumann import (
     NeumannPlan,
     choose_r0,
     forward_decomposition,
-    kernel_sequence,
     make_plan,
     reverse_decomposition,
     tail_kernel_bound,

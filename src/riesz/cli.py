@@ -508,7 +508,7 @@ def _verify_direction(cfg, grid, direc, rng):
     forward = direc == "forward"
     dec = (forward_decomposition if forward else reverse_decomposition)(plan)
     compose = apply_forward if forward else apply_reverse
-    target = dec.target.sample(grid)
+    target = dec.target.samples
     band = cfg["band"]
     errors = []
     for _ in range(cfg["op_fields"]):
@@ -599,6 +599,8 @@ def run_probe(cfg, out_dir, seed, workers):
     ns, rho = cfg["ns"], cfg["rho"]
     if len(ns) < 4:
         raise UsageError("probe sweeps need at least 4 scale values")
+    if cfg["assert_max_halving"] is not None and not any(0 < lam <= 1 for lam in cfg["lambdas"]):
+        raise UsageError("assert_max_halving needs a lambda in (0, 1] to check")
     specs = [ProbeSpec(lam, p, cfg["delta"], rho=rho, n_values=ns, weight_a=cfg["weight_a"])
              for lam in cfg["lambdas"] for p in cfg["ps"]]
     grid = probe_grid(max(ns), rho, dim=cfg["grid_dim"])

@@ -13,36 +13,32 @@ Two executable directions:
   modulus on supp psi2 is at most q/(1 - q) < 1; the tail certificate uses
   the measured grid sup of that contraction.
 
-One private generator makes every series-term spectrum s_n (b^n psi2 forward,
-w^n psi2 reverse).  The tail kernel is kept as its spectrum sum c_n s_n, a
-frequency-side Field that the check and the compositions read directly; each
+A Decomposition is its sampled spectra: every component is a frequency-side
+Field on the plan's grid, built from three samples, the ball b, psi1 and
+psi2.  The build checks psi2's support 1 + r0, the widest finite support of
+any component, against the grid's frequency window.  One private generator
+makes every series-term spectrum s_n (b^n psi2 forward, w^n psi2 reverse)
+from those arrays.  The tail kernel is kept as its spectrum sum c_n s_n; each
 seminorm row inverse-transforms one s_n and drops its kernel afterwards.
 
-apply_forward and apply_reverse compose the decomposition on the spectrum:
-spectrum in, spectrum out.  Given a frequency Field they return the
-composite's spectrum and make no transform; given a spatial Field they make
-one forward and one inverse transform.  Every multiplier they apply is
-checked against the grid's frequency window, as `apply` would check it.
+apply_forward and apply_reverse compose the decomposition on the spectrum
+from its arrays alone, sampling no symbol: spectrum in, spectrum out.  Given
+a frequency Field they return the composite's spectrum and make no
+transform; given a spatial Field they make one forward and one inverse
+transform.
 
 Both Decompositions store the certified tail bound next to the measured
 sup-norm reconstruction error so callers can assert one against the other.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, GridSpec, forward_transform, inverse_transform
 from .multiplier import _check_window, schwartz_seminorm
-from .symbols import (
-    Symbol,
-    ball_power_profile,
-    bochner_symbol,
-    cutoff_pair,
-    dist_to_unit_interval,
-    radial_symbol,
-    resolvent_symbol,
-)
+from .symbols import bochner_symbol, cutoff_pair, dist_to_unit_interval
 
 
 def choose_r0(z, delta):
@@ -143,28 +139,26 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
 class Decomposition:
     """Built components of one direction plus its error certificates.
 
-    tail_kernel is the frequency-side Field of the truncated terms.
-    reconstruction_error is the grid sup of |built - target| and is bounded
-    by certified_tail plus rounding whenever the construction is sound.
+    Every component is a frequency-side Field on plan.grid, built from three
+    samples: the ball b, psi1 and psi2.  The reverse direction has no smooth
+    part and no far field (None).  tail_kernel is the spectrum of the
+    truncated terms.  reconstruction_error is the grid sup of
+    |built - target| and is bounded by certified_tail plus rounding whenever
+    the construction is sound.
     """
 
     plan: NeumannPlan
-    psi1: Symbol
-    psi2: Symbol
-    smooth_part: Symbol
-    series_symbol: Symbol
-    far_symbol: Symbol
+    ball: Field
+    psi1: Field
+    psi2: Field
+    smooth_part: Field
+    series_part: Field
+    far_part: Field
     tail_kernel: Field
-    target: Symbol
+    target: Field
     certified_tail: float
     reconstruction_error: float
     contraction_sup: float = None
-
-
-def _contraction_profile(z0, delta):
-    """Radial rule r -> w = 1 - z0 (z0 - b)^(-1) = -b / (z0 - b), b = (1 - r^2)_+^delta."""
-    base = ball_power_profile(delta)
-    return lambda r: -base(r) / (z0 - base(r))
 
 
 def _power_sum(x, first, last):
@@ -176,97 +170,101 @@ def _power_sum(x, first, last):
     return acc
 
 
-def _series_terms(plan, ns, direction):
+def _series_terms(plan, ns, psi2, w=None):
     """Yield (n, s_n), the unscaled series-term spectra on the plan's grid.
 
-    forward: s_n = (1 - |xi|^2)_+^(n delta) psi2, for any indices n >= 1;
-    reverse: s_n = w^n psi2 for the range ns, through w^n = w^(n-1) w.
-    psi2 and the radius are sampled once; each s_n is a fresh array.
+    psi2 and w are sample arrays on that grid.  Forward (w is None):
+    s_n = (1 - |xi|^2)_+^(n delta) psi2, for any indices n >= 1; reverse:
+    s_n = w^n psi2 for the range ns, through w^n = w^(n-1) w.  Each s_n is a
+    fresh array.
     """
     grid = plan.grid
     if not grid.covers_support(1.0):  # every s_n vanishes outside the unit ball
         raise ValueError(f"symbol support radius 1.0 exceeds the grid frequency "
                          f"window {grid.xi_max}")
-    psi2 = cutoff_pair(plan.r0)[1].sample(grid)
-    r = grid.xi_radius()
-    if direction == "forward":
-        base = np.clip(1.0 - r**2, 0.0, None)
+    if w is None:
+        base = np.clip(1.0 - grid.xi_radius()**2, 0.0, None)
         for n in ns:
             if n < 1:
                 raise ValueError(f"series index must be >= 1, got {n}")
             yield n, base ** (n * plan.delta) * psi2
         return
-    w = _contraction_profile(plan.z, plan.delta)(r)
     w_pow = w ** (ns[0] - 1)
     for n in ns:
         w_pow = w_pow * w
         yield n, w_pow * psi2
 
 
-def _tail_kernel(plan, coefficient):
+def _tail_kernel(plan, coefficient, psi2, w=None):
     """Spectrum of the tail kernel, sum_{n0 < n <= T} coefficient(n) s_n, as a Field."""
     ns = range(plan.n0 + 1, plan.truncation + 1)
-    spectrum = sum(coefficient(n) * s_n for n, s_n in _series_terms(plan, ns, plan.direction))
+    spectrum = sum(coefficient(n) * s_n for n, s_n in _series_terms(plan, ns, psi2, w))
     return Field.frequency(plan.grid, spectrum)
 
 
 def _seminorm_rows(plan, ns, direction):
     """(n, seminorm of the kernel of s_n); each kernel is dropped after its row."""
-    return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(plan.grid, s_n)),
+    grid = plan.grid
+    psi2 = cutoff_pair(plan.r0)[1].sample(grid)
+    w = None
+    if direction == "reverse":
+        b = bochner_symbol(plan.delta).sample(grid)
+        w = -b / (plan.z - b)
+    return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(grid, s_n)),
                                        plan.alpha0, plan.beta0))
-            for n, s_n in _series_terms(plan, ns, direction)]
+            for n, s_n in _series_terms(plan, ns, psi2, w)]
+
+
+def _samples(plan):
+    """The ball b, psi1 and psi2 sampled on the plan's grid.
+
+    psi2's support 1 + r0 is the widest finite support of any component, so
+    it alone is checked against the grid's frequency window.
+    """
+    psi1, psi2 = cutoff_pair(plan.r0)
+    _check_window(psi2, plan.grid)
+    return [m.sample(plan.grid) for m in (bochner_symbol(plan.delta), psi1, psi2)]
 
 
 def forward_decomposition(plan):
     """Split the resolvent symbol; certify what truncation discards.
 
-    Components: m1 = (z - b)^(-1) psi1, the Neumann section m21, the kernel
-    of the terms n0 < n <= T (kept as its spectrum), and the far field
+    Components: m1 = (z - b)^(-1) psi1, the Neumann section
+    m21 = z^(-1) sum_{n=0}^{n0} (b/z)^n psi2, the kernel of the terms
+    n0 < n <= T (kept as its spectrum), and the far field
     z^(-1)(1 - psi1 - psi2).
     The sum reproduces the resolvent symbol up to the certified tail.
     """
     if plan.direction != "forward":
         raise ValueError("plan direction must be forward")
-    z, delta, grid = plan.z, plan.delta, plan.grid
-    psi1, psi2 = cutoff_pair(plan.r0)
-    target = resolvent_symbol(z, delta)
+    z = plan.z
+    b, psi1, psi2 = _samples(plan)
+    target = 1.0 / (z - b)
     smooth_part = target * psi1
-    base = ball_power_profile(delta)
-    # m21 = z^(-1) sum_{n=0}^{n0} (b/z)^n psi2
-    series_symbol = radial_symbol(lambda r: _power_sum(base(r) / z, 0, plan.n0) / z,
-                                  np.inf, "piecewise-smooth", (1.0,),
-                                  label=f"neumann-section(n0={plan.n0})") * psi2
-    far_symbol = Symbol(
-        lambda c: (1.0 - psi1.evaluate(c) - psi2.evaluate(c)) / z,
-        np.inf,
-        "cinf-compact",
-        label="far-field",
-    )
-    tail_kernel = _tail_kernel(plan, lambda n: z ** (-(n + 1)))
+    series_part = _power_sum(b / z, 0, plan.n0) / z * psi2
+    far_part = (1.0 - psi1 - psi2) / z
+    tail_kernel = _tail_kernel(plan, lambda n: z ** (-(n + 1)), psi2)
 
     certified = _forward_tail_certificate(z, plan.q, plan.truncation)
-    built = (smooth_part.sample(grid) + series_symbol.sample(grid)
-             + tail_kernel.samples + far_symbol.sample(grid))
-    err = float(np.max(np.abs(built - target.sample(grid))))
-    return Decomposition(plan, psi1, psi2, smooth_part, series_symbol, far_symbol,
-                         tail_kernel, target, certified, err)
+    built = smooth_part + series_part + tail_kernel.samples + far_part
+    err = float(np.max(np.abs(built - target)))
+    freq = functools.partial(Field.frequency, plan.grid)
+    return Decomposition(plan, *map(freq, (b, psi1, psi2, smooth_part, series_part, far_part)),
+                         tail_kernel, freq(target), certified, err)
 
 
-def _compose(dec, f, symbols, spectrum_of):
-    """Composite of f: spectrum_of(F, *sampled symbols) on f's spectrum F.
+def _compose(dec, f, spectrum_of):
+    """Composite of f: spectrum_of(F) on f's spectrum F.
 
-    Each symbol is checked against the grid's window and sampled there.  A
-    frequency-side f gets the composite's spectrum back with no transform; a
-    spatial f is transformed once each way.
+    A frequency-side f gets the composite's spectrum back with no transform;
+    a spatial f is transformed once each way.
     """
     grid = f.grid
     if grid != dec.plan.grid:
         raise ValueError("field and decomposition live on different grids")
-    for m in symbols:
-        _check_window(m, grid)
     spatial = f.domain == "spatial"
     spec = (forward_transform(f) if spatial else f).samples
-    out = Field.frequency(grid, spectrum_of(spec, *(m.sample(grid) for m in symbols)))
+    out = Field.frequency(grid, spectrum_of(spec))
     return inverse_transform(out) if spatial else out
 
 
@@ -278,9 +276,10 @@ def apply_forward(dec, f):
     field, mirroring how the decomposition is proved bounded.
     """
     z, n0 = dec.plan.z, dec.plan.n0
-    tail = dec.tail_kernel.samples
+    ball, psi1, psi2 = dec.ball.samples, dec.psi1.samples, dec.psi2.samples
+    smooth, tail = dec.smooth_part.samples, dec.tail_kernel.samples
 
-    def spectrum_of(spec, psi1, psi2, smooth, ball):
+    def spectrum_of(spec):
         g = psi2 * spec
         acc = (1.0 / z) * g
         current = g
@@ -290,45 +289,43 @@ def apply_forward(dec, f):
         far = (1.0 / z) * (spec - psi1 * spec - g)
         return smooth * spec + acc + tail * spec + far
 
-    symbols = (dec.psi1, dec.psi2, dec.smooth_part, bochner_symbol(dec.plan.delta))
-    return _compose(dec, f, symbols, spectrum_of)
+    return _compose(dec, f, spectrum_of)
 
 
 def reverse_decomposition(plan):
     """Rebuild b * psi2 from resolvent powers; certify the discarded tail.
 
-    The contraction w = 1 - z0 (z0 - b)^(-1) satisfies |w| <= q/(1-q) on
-    supp psi2; the certificate uses the measured grid sup of |w| there.
+    The contraction w = 1 - z0 (z0 - b)^(-1) = -b / (z0 - b) satisfies
+    |w| <= q/(1-q) on supp psi2; the certificate uses the measured grid sup
+    of |w| there.
     """
     if plan.direction != "reverse":
         raise ValueError("plan direction must be reverse")
-    z0, delta, grid = plan.z, plan.delta, plan.grid
-    psi1, psi2 = cutoff_pair(plan.r0)
-    w = _contraction_profile(z0, delta)
+    z0 = plan.z
+    b, psi1, psi2 = _samples(plan)
+    w = -b / (z0 - b)
 
-    on_support = np.abs(psi2.sample(grid)) > 0
-    w_grid = w(grid.xi_radius())
-    contraction_sup = float(np.max(np.abs(w_grid[on_support]))) if on_support.any() else 0.0
-    series_symbol = radial_symbol(lambda r: -z0 * _power_sum(w(r), 1, plan.n0),
-                                  np.inf, "piecewise-smooth", (1.0,),
-                                  label=f"reverse-section(n0={plan.n0})") * psi2
-    tail_kernel = _tail_kernel(plan, lambda n: -z0)
+    on_support = np.abs(psi2) > 0
+    contraction_sup = float(np.max(np.abs(w[on_support]))) if on_support.any() else 0.0
+    series_part = -z0 * _power_sum(w, 1, plan.n0) * psi2
+    tail_kernel = _tail_kernel(plan, lambda n: -z0, psi2, w)
 
-    target = bochner_symbol(delta) * psi2
+    target = b * psi2
     certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
-    built = series_symbol.sample(grid) + tail_kernel.samples
-    err = float(np.max(np.abs(built - target.sample(grid))))
-    return Decomposition(plan, psi1, psi2, None, series_symbol, None, tail_kernel,
-                         target, certified, err, contraction_sup=contraction_sup)
+    err = float(np.max(np.abs(series_part + tail_kernel.samples - target)))
+    freq = functools.partial(Field.frequency, plan.grid)
+    return Decomposition(plan, *map(freq, (b, psi1, psi2)), None, freq(series_part), None,
+                         tail_kernel, freq(target), certified, err, contraction_sup)
 
 
 def apply_reverse(dec, f):
     """Reverse composite acting on f, a spatial field or a spectrum:
     resolvent powers plus the tail kernel."""
     z0, n0 = dec.plan.z, dec.plan.n0
-    tail = dec.tail_kernel.samples
+    psi2, tail = dec.psi2.samples, dec.tail_kernel.samples
+    res = 1.0 / (z0 - dec.ball.samples)
 
-    def spectrum_of(spec, psi2, res):
+    def spectrum_of(spec):
         acc = None
         current = psi2 * spec
         for _ in range(n0):
@@ -336,15 +333,7 @@ def apply_reverse(dec, f):
             acc = current if acc is None else acc + current
         return (-z0) * acc + tail * spec
 
-    symbols = (dec.psi2, resolvent_symbol(z0, dec.plan.delta))
-    return _compose(dec, f, symbols, spectrum_of)
-
-
-def kernel_sequence(plan, n):
-    """Spatial kernel (a Field) of (1 - |xi|^2)_+^(n delta) psi2 and its seminorm."""
-    [(_, s_n)] = _series_terms(plan, [n], "forward")
-    k_n = inverse_transform(Field.frequency(plan.grid, s_n))
-    return k_n, schwartz_seminorm(k_n, plan.alpha0, plan.beta0)
+    return _compose(dec, f, spectrum_of)
 
 
 def seminorm_table(plan, n_values):

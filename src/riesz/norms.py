@@ -121,26 +121,22 @@ class CubeFamily:
 
 
 def default_cube_family(half_width, dim, level=0):
-    """Dyadic sides with centers on a half-side lattice including the origin.
+    """Cubes of side s = 2^(-3-level), centered on a half-side lattice including the origin.
 
-    Centers sit at multiples of s/2 for each side s, so the geometry of the
-    cubes relative to the origin is scale invariant; `level` refines the side
-    list and the quadrature, which is how stability of the estimate is probed.
-    Power-weight products depend only on the center-to-side ratio, so this
-    family reaches the same sup at every scale.
+    Centers sit at multiples of s/2 up to 4 s from the origin.  Power-weight
+    products depend only on a cube's center-to-side ratio, and the smallest
+    side admits every ratio a larger one inside [-half_width, half_width]
+    admits, so this one side reaches the sup of every dyadic side.  `level`
+    refines the side and the quadrature, which is how stability of the
+    estimate is probed; it must be a nonnegative integer.
     """
-    sides = tuple(2.0**k for k in range(-3 - level, 4) if 2.0**k <= half_width)
-    relative = [0.5 * j for j in range(-8, 9)]
-    cubes = []
-    for side in sides:
-        offsets = [r * side for r in relative if abs(r * side) + side / 2.0 <= half_width]
-        if dim == 1:
-            cubes.extend((side, (float(c),)) for c in offsets)
-        else:
-            cubes.extend(
-                (side, (float(cx), float(cy))) for cx in offsets for cy in offsets
-            )
-    return CubeFamily(tuple(cubes), quad_points=4096 * 2**level)
+    if not (isinstance(level, (int, np.integer)) and level >= 0):
+        raise ValueError(f"cube family level must be an integer >= 0, got {level}")
+    side = 2.0 ** (-3 - level)
+    relative = [0.5 * j for j in range(-8, 9)] if side <= half_width else []
+    offsets = [r * side for r in relative if abs(r * side) + side / 2.0 <= half_width]
+    cubes = tuple((side, center) for center in itertools.product(offsets, repeat=dim))
+    return CubeFamily(cubes, quad_points=4096 * 2**level)
 
 
 def _cube_midpoints(centers, side, npts):
@@ -160,6 +156,8 @@ def ap_constant_estimate(w, family, dim=1):
     that cube alone.
     """
     w.validate_for_dim(dim)
+    if not family.cubes:
+        raise ValueError("the cube family is empty: no cube fits the window")
     if w.a == 0:
         return 1.0
     if any(len(center) != dim for _, center in family.cubes):

@@ -21,7 +21,7 @@ from riesz.cli import (
     parse_symbol_spec,
 )
 from riesz.grid import GridSpec, random_band_limited
-from riesz.multiplier import apply
+from riesz.multiplier import convolve
 from riesz.neumann import (
     apply_forward,
     apply_reverse,
@@ -211,6 +211,12 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("resolvent-verify", "--set", "tol_operator=nan"),
     ("probe", "--set", "assert_zero_lambda_tol=nan"),
     ("probe", "--set", "assert_max_halving=nan"),
+    # a halving bound with no lambda in (0, 1] would pass with nothing checked
+    ("probe", "--set", "lambdas=[2.0]", "--set", "ps=[2.0]", "--set", "ns=[8,16,32,64]",
+     "--set", "assert_max_halving=0.01"),
+    # a negative A_p level: a traceback at -1, no cube and a value of 0 at -12
+    ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-1)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-12)]"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -229,7 +235,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "dump-field-flag-not-apply", "config-repeated-key", "tail-tol-negative",
         "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable", "probe-no-lambdas",
         "probe-no-ps", "norms-empty", "map-delta-all-poles", "map-p-all-poles",
-        "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan"])
+        "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan",
+        "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -412,7 +419,7 @@ def test_resolvent_verify_operator_error_matches_the_spatial_composite(tmp_path)
                                           ("reverse", reverse_decomposition, apply_reverse)):
         dec = decompose(make_plan(2 + 0j, 1.0, direction=direction, grid=grid, truncation=5))
         fields = [random_band_limited(grid, 3.0, rng) for _ in range(5)]
-        spatial = max(lp_norm(compose(dec, f) - apply(dec.target, f), 2) / lp_norm(f, 2)
+        spatial = max(lp_norm(compose(dec, f) - convolve(dec.target, f), 2) / lp_norm(f, 2)
                       for f in fields)
         assert measured[direction] > 1e-8
         assert measured[direction] == pytest.approx(spatial, rel=1e-8), direction

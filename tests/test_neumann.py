@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from riesz.grid import GridSpec, forward_transform, inverse_transform, random_band_limited
-from riesz.multiplier import apply
+from riesz.grid import Field, GridSpec, forward_transform, inverse_transform, random_band_limited
+from riesz.multiplier import apply, convolve, kernel_of, schwartz_seminorm
 from riesz.neumann import (
     NeumannPlan,
     apply_forward,
@@ -11,14 +11,19 @@ from riesz.neumann import (
     contraction_ratio,
     decay_slope,
     forward_decomposition,
-    kernel_sequence,
     make_plan,
     reverse_decomposition,
     seminorm_table,
     tail_kernel_bound,
 )
 from riesz.norms import lp_norm
-from riesz.symbols import bochner_symbol, dist_to_unit_interval, resolvent_symbol
+from riesz.symbols import (
+    Symbol,
+    bochner_symbol,
+    cutoff_pair,
+    dist_to_unit_interval,
+    resolvent_symbol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +97,18 @@ def test_forward_region_bookkeeping(grid):
     plan = make_plan(2.0, 1.0, grid=grid)
     dec = forward_decomposition(plan)
     xi = np.abs(grid.xi_axis())
-    target = dec.target.sample(grid)
+    target = dec.target.samples
     inner = xi <= 1.0 - plan.r0
     # the Neumann section and the tail vanish inside; m1 matches alone
-    assert np.max(np.abs(dec.series_symbol.sample(grid)[inner])) == 0.0
+    assert np.max(np.abs(dec.series_part.samples[inner])) == 0.0
     assert np.max(np.abs(dec.tail_kernel.samples[inner])) < 1e-13
-    assert np.max(np.abs(dec.smooth_part.sample(grid)[inner] - target[inner])) < 1e-13
+    assert np.max(np.abs(dec.smooth_part.samples[inner] - target[inner])) < 1e-13
     outer = xi > 1.0 + plan.r0
     composite = (
-        dec.smooth_part.sample(grid)
-        + dec.series_symbol.sample(grid)
+        dec.smooth_part.samples
+        + dec.series_part.samples
         + dec.tail_kernel.samples
-        + dec.far_symbol.sample(grid)
+        + dec.far_part.samples
     )
     assert np.max(np.abs(composite[outer] - 1.0 / plan.z)) < 1e-13
 
@@ -205,6 +210,66 @@ def test_compositions_reject_a_field_on_another_grid():
         apply_forward(dec, other)
 
 
+DECOMPOSITIONS = (("forward", forward_decomposition), ("reverse", reverse_decomposition))
+
+
+@pytest.fixture
+def sampled_symbols(monkeypatch):
+    """Labels of the symbols sampled during a test, one entry per Symbol.sample call."""
+    labels = []
+    sample = Symbol.sample
+    monkeypatch.setattr(Symbol, "sample",
+                        lambda self, grid: labels.append(self.label) or sample(self, grid))
+    return labels
+
+
+def test_components_are_frequency_fields(grid):
+    for direction, decompose in DECOMPOSITIONS:
+        dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
+        parts = [dec.ball, dec.psi1, dec.psi2, dec.series_part, dec.tail_kernel, dec.target]
+        if direction == "forward":
+            parts += [dec.smooth_part, dec.far_part]
+        else:
+            assert dec.smooth_part is None and dec.far_part is None
+        for part in parts:
+            assert isinstance(part, Field), direction
+            assert part.domain == "frequency" and part.grid == grid, direction
+
+
+@pytest.mark.parametrize("grid_2d", [False, True], ids=["1d", "2d"])
+@pytest.mark.parametrize("z, delta", [(2.0, 1.0), (-1.0 + 0.5j, 0.5), (1.2, 2.0)])
+def test_ball_sample_gives_the_resolvent_bit_for_bit(grid, grid_2d, z, delta):
+    # the forward target and the reverse composite's resolvent, 1/(z - b)
+    on = GridSpec(2, 256, 40.0) if grid_2d else grid
+    expected = resolvent_symbol(z, delta).sample(on).tobytes()
+    forward, reverse = (decompose(make_plan(z, delta, direction=direction, grid=on))
+                        for direction, decompose in DECOMPOSITIONS)
+    assert forward.target.samples.tobytes() == expected
+    assert (1.0 / (z - reverse.ball.samples)).tobytes() == expected
+
+
+def test_builds_sample_three_symbols_and_compositions_none(grid, rng, sampled_symbols):
+    f = random_band_limited(grid, 3.0, rng)
+    for direction, decompose in DECOMPOSITIONS:
+        dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
+        assert len(sampled_symbols) == 3, direction  # the ball, psi1 and psi2
+        compose = apply_forward if direction == "forward" else apply_reverse
+        compose(dec, f)
+        compose(dec, forward_transform(f))
+        assert len(sampled_symbols) == 3, direction
+        sampled_symbols.clear()
+
+
+def test_decompositions_check_psi2_support_at_build():
+    # 1 < xi_max < 1 + r0: every series term fits, psi2 does not
+    narrow = GridSpec(1, 70, 100.0)
+    assert 1.0 < narrow.xi_max < 1.0 + choose_r0(2.0, 1.0)
+    for direction, decompose in DECOMPOSITIONS:
+        with pytest.raises(ValueError, match="window"):
+            decompose(make_plan(2.0, 1.0, direction=direction, grid=narrow))
+    seminorm_table(make_plan(2.0, 1.0, grid=narrow), [5])  # s_5 lives in |xi| <= 1
+
+
 def test_series_terms_need_the_unit_ball_in_the_window():
     small = GridSpec(1, 32, 64.0)  # xi_max = pi/4
     with pytest.raises(ValueError, match="window"):
@@ -236,17 +301,16 @@ def test_reverse_vanishes_at_origin(grid):
     plan = make_plan(2.0, 1.0, direction="reverse", grid=grid)
     dec = reverse_decomposition(plan)
     center = grid.size // 2
-    built = dec.series_symbol.sample(grid)[center] + dec.tail_kernel.samples[center]
+    built = dec.series_part.samples[center] + dec.tail_kernel.samples[center]
     assert abs(built) < 1e-12
 
 
 def test_reverse_operator_equivalence(grid, rng):
     plan = make_plan(2.0, 1.0, direction="reverse", grid=grid)
     dec = reverse_decomposition(plan)
-    target = bochner_symbol(1.0) * dec.psi2
     for _ in range(5):
         f = random_band_limited(grid, 3.0, rng)
-        rel = lp_norm(apply_reverse(dec, f) - apply(target, f), 2) / lp_norm(f, 2)
+        rel = lp_norm(apply_reverse(dec, f) - convolve(dec.target, f), 2) / lp_norm(f, 2)
         assert rel <= dec.certified_tail + 1e-9
 
 
@@ -258,9 +322,13 @@ def decay_plan():
 
 
 def test_kernel_sequence_real(decay_plan):
-    k, s = kernel_sequence(decay_plan, 25)
+    # a table row is the seminorm of the kernel of b^n psi2, a real kernel
+    grid, delta = decay_plan.grid, decay_plan.delta
+    k = kernel_of(bochner_symbol(25 * delta) * cutoff_pair(decay_plan.r0)[1], grid)
     assert np.max(np.abs(k.samples.imag)) < 1e-10
+    s = schwartz_seminorm(k, decay_plan.alpha0, decay_plan.beta0)
     assert s > 0
+    assert seminorm_table(decay_plan, [25]) == [(25, s)]
 
 
 def test_kernel_sequence_ratio_majorant(decay_plan):
@@ -283,9 +351,9 @@ def test_kernel_sequence_slope_is_steady(decay_plan):
     assert slope == pytest.approx(half, rel=0.05)
 
 
-def test_kernel_sequence_index_validation(decay_plan):
-    with pytest.raises(ValueError):
-        kernel_sequence(decay_plan, 0)
+def test_seminorm_table_index_validation(decay_plan):
+    with pytest.raises(ValueError, match="series index"):
+        seminorm_table(decay_plan, [0])
 
 
 # -- tail bound --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from riesz.grid import Field, GridSpec, forward_transform, random_band_limited
 from riesz.multiplier import kernel_of
 from riesz.norms import (
+    CubeFamily,
     HerzParams,
     WeightSpec,
     ap_constant_estimate,
@@ -159,6 +161,41 @@ def test_ap_constant_p1_form():
     family = default_cube_family(16.0, 1)
     value = ap_constant_estimate(WeightSpec(-0.5, 1.0), family)
     assert np.isfinite(value) and value > 1.0
+
+
+def test_cube_family_level_and_emptiness():
+    with pytest.raises(ValueError, match="level"):
+        default_cube_family(16.0, 1, level=-1)
+    with pytest.raises(ValueError, match="level"):
+        default_cube_family(16.0, 1, level=0.5)
+    empty = default_cube_family(0.01, 1)  # the side 1/8 does not fit
+    assert empty.cubes == ()
+    for a in (0.0, 0.5):
+        with pytest.raises(ValueError, match="empty"):
+            ap_constant_estimate(WeightSpec(a, 2.0), empty)
+
+
+def _all_sides_family(half_width, dim, level):
+    """Every dyadic side 2^(-3-level) .. 8 within half_width, each on its half-side lattice."""
+    cubes = []
+    for k in range(-3 - level, 4):
+        side = 2.0**k
+        offsets = [0.5 * j * side for j in range(-8, 9)
+                   if side <= half_width and abs(0.5 * j * side) + side / 2.0 <= half_width]
+        cubes += [(side, center) for center in itertools.product(offsets, repeat=dim)]
+    return CubeFamily(tuple(cubes), 4096 * 2**level)
+
+
+@pytest.mark.parametrize("a, p, dim, half_width", [
+    (0.5, 2.0, 2, 40.0), (0.5, 2.0, 1, 16.0), (-0.5, 1.0, 1, 1.0), (-0.4, 2.0, 2, 0.75)])
+def test_smallest_side_reaches_the_sup_of_every_side(a, p, dim, half_width):
+    # power-weight products depend only on the center-to-side ratio
+    w = WeightSpec(a, p)
+    every = _all_sides_family(half_width, dim, 0)
+    assert len({side for side, _ in every.cubes}) > 1
+    single = ap_constant_estimate(w, default_cube_family(half_width, dim), dim)
+    assert ap_constant_estimate(w, every, dim) == pytest.approx(single, rel=1e-14, abs=0)
+    assert ap_constant_estimate(w, every, dim) == _ap_constant_loop(w, every, dim)
 
 
 def _ap_constant_loop(w, family, dim):
