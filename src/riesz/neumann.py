@@ -14,7 +14,7 @@ Two executable directions:
   the measured grid sup of that contraction.
 
 A Decomposition is its sampled spectra: every component is a frequency-side
-Field on the plan's grid, built from three samples, the ball b, psi1 and
+Field on the plan's grid, built from samples of the ball b, psi1 and
 psi2.  The build checks psi2's support 1 + r0, the widest finite support of
 any component, against the grid's frequency window.  One private generator
 makes every series-term spectrum s_n (b^n psi2 forward, w^n psi2 reverse)
@@ -75,7 +75,7 @@ class NeumannPlan:
     def __post_init__(self):
         if self.direction not in ("forward", "reverse"):
             raise ValueError(f"direction must be forward or reverse, got {self.direction}")
-        sup = min(abs(complex(self.z) / 2.0) ** (1.0 / self.delta), 1.0) / 2.0
+        sup = 2.0 * choose_r0(self.z, self.delta)  # rejects z on [0, 1] and delta <= 0
         if not 0 < self.r0 < sup:
             raise ValueError(f"r0={self.r0} outside the admissible interval (0, {sup})")
         if not self.n0 > self.alpha0 / self.delta:
@@ -116,8 +116,8 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
         grid = GridSpec(1, 2048, 40.0)
     if alpha0 is None:
         alpha0 = grid.dim + 1
-    if r0 is None:
-        r0 = choose_r0(z, delta)
+    default_r0 = choose_r0(z, delta)  # rejects z on [0, 1] before q divides by |z|
+    r0 = default_r0 if r0 is None else r0
     if n0 is None:
         n0 = int(np.floor(alpha0 / delta)) + 1
     q = contraction_ratio(z, delta, r0)
@@ -139,12 +139,11 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
 class Decomposition:
     """Built components of one direction plus its error certificates.
 
-    Every component is a frequency-side Field on plan.grid, built from three
-    samples: the ball b, psi1 and psi2.  The reverse direction has no smooth
-    part and no far field (None).  tail_kernel is the spectrum of the
-    truncated terms.  reconstruction_error is the grid sup of
-    |built - target| and is bounded by certified_tail plus rounding whenever
-    the construction is sound.
+    Every component is a frequency-side Field on plan.grid; the reverse
+    direction has no psi1, no smooth part and no far field (None).
+    tail_kernel is the spectrum of the truncated terms.  reconstruction_error
+    is the grid sup of |built - target| and is bounded by certified_tail plus
+    rounding whenever the construction is sound.
     """
 
     plan: NeumannPlan
@@ -202,28 +201,30 @@ def _tail_kernel(plan, coefficient, psi2, w=None):
     return Field.frequency(plan.grid, spectrum)
 
 
-def _seminorm_rows(plan, ns, direction):
+def _contraction(z0, b):
+    """w = 1 - z0 (z0 - b)^(-1) = -b / (z0 - b), the reverse series ratio."""
+    return -b / (z0 - b)
+
+
+def _seminorm_rows(plan, ns, reverse=False):
     """(n, seminorm of the kernel of s_n); each kernel is dropped after its row."""
     grid = plan.grid
     psi2 = cutoff_pair(plan.r0)[1].sample(grid)
-    w = None
-    if direction == "reverse":
-        b = bochner_symbol(plan.delta).sample(grid)
-        w = -b / (plan.z - b)
+    w = _contraction(plan.z, bochner_symbol(plan.delta).sample(grid)) if reverse else None
     return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(grid, s_n)),
                                        plan.alpha0, plan.beta0))
             for n, s_n in _series_terms(plan, ns, psi2, w)]
 
 
 def _samples(plan):
-    """The ball b, psi1 and psi2 sampled on the plan's grid.
+    """The ball b and psi2 sampled on the plan's grid.
 
     psi2's support 1 + r0 is the widest finite support of any component, so
     it alone is checked against the grid's frequency window.
     """
-    psi1, psi2 = cutoff_pair(plan.r0)
+    psi2 = cutoff_pair(plan.r0)[1]
     _check_window(psi2, plan.grid)
-    return [m.sample(plan.grid) for m in (bochner_symbol(plan.delta), psi1, psi2)]
+    return bochner_symbol(plan.delta).sample(plan.grid), psi2.sample(plan.grid)
 
 
 def forward_decomposition(plan):
@@ -238,7 +239,8 @@ def forward_decomposition(plan):
     if plan.direction != "forward":
         raise ValueError("plan direction must be forward")
     z = plan.z
-    b, psi1, psi2 = _samples(plan)
+    b, psi2 = _samples(plan)
+    psi1 = cutoff_pair(plan.r0)[0].sample(plan.grid)
     target = 1.0 / (z - b)
     smooth_part = target * psi1
     series_part = _power_sum(b / z, 0, plan.n0) / z * psi2
@@ -302,8 +304,8 @@ def reverse_decomposition(plan):
     if plan.direction != "reverse":
         raise ValueError("plan direction must be reverse")
     z0 = plan.z
-    b, psi1, psi2 = _samples(plan)
-    w = -b / (z0 - b)
+    b, psi2 = _samples(plan)
+    w = _contraction(z0, b)
 
     on_support = np.abs(psi2) > 0
     contraction_sup = float(np.max(np.abs(w[on_support]))) if on_support.any() else 0.0
@@ -314,7 +316,7 @@ def reverse_decomposition(plan):
     certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
     err = float(np.max(np.abs(series_part + tail_kernel.samples - target)))
     freq = functools.partial(Field.frequency, plan.grid)
-    return Decomposition(plan, *map(freq, (b, psi1, psi2)), None, freq(series_part), None,
+    return Decomposition(plan, freq(b), None, freq(psi2), None, freq(series_part), None,
                          tail_kernel, freq(target), certified, err, contraction_sup)
 
 
@@ -338,7 +340,7 @@ def apply_reverse(dec, f):
 
 def seminorm_table(plan, n_values):
     """Seminorm of the kernel sequence at each requested index."""
-    return _seminorm_rows(plan, n_values, "forward")
+    return _seminorm_rows(plan, n_values)
 
 
 def tail_term_seminorms(plan):
@@ -347,7 +349,8 @@ def tail_term_seminorms(plan):
     Forward terms are the ball-power kernels; reverse terms use powers of
     the contraction symbol.
     """
-    return _seminorm_rows(plan, range(plan.n0 + 1, plan.truncation + 1), plan.direction)
+    return _seminorm_rows(plan, range(plan.n0 + 1, plan.truncation + 1),
+                          plan.direction == "reverse")
 
 
 def decay_slope(table):

@@ -217,6 +217,11 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # a negative A_p level: a traceback at -1, no cube and a value of 0 at -12
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-1)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-12)]"),
+    # a given r0 skips choose_r0, so the plan itself must reject z on [0, 1]
+    ("resolvent-verify", "--set", "z=0.5+0j", "--set", "r0=0.05"),
+    ("resolvent-verify", "--set", "z=1", "--set", "r0=0.1"),
+    ("resolvent-verify", "--set", "z=0", "--set", "r0=0.1"),
+    ("kernel-decay", "--set", "z=0.5", "--set", "r0=0.05"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -236,7 +241,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable", "probe-no-lambdas",
         "probe-no-ps", "norms-empty", "map-delta-all-poles", "map-p-all-poles",
         "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan",
-        "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube"])
+        "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube",
+        "plan-z-on-segment", "plan-z-at-one", "plan-z-at-zero",
+        "kernel-decay-z-on-segment"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riesz.grid import Field, GridSpec, forward_transform, inverse_transform, random_band_limited
-from riesz.multiplier import apply, convolve, kernel_of, schwartz_seminorm
+from riesz.multiplier import apply, kernel_of, schwartz_seminorm
 from riesz.neumann import (
     NeumannPlan,
     apply_forward,
@@ -71,6 +71,11 @@ def test_plan_validation(grid):
         NeumannPlan(2.0, 1.0, 0.25, 3, 3, 2, 0, "forward", grid)  # truncation too short
     with pytest.raises(ValueError):
         NeumannPlan(2.0, 1.0, 0.25, 3, 10, 2, 0, "sideways", grid)
+    with pytest.raises(ValueError, match="segment"):
+        NeumannPlan(0.5, 1.0, 0.05, 3, 10, 2, 0, "forward", grid)  # z on [0, 1]
+    for z, r0 in ((0.5, 0.05), (1.0, 0.1), (0.0, 0.1)):  # a given r0 still checks z
+        with pytest.raises(ValueError, match="segment"):
+            make_plan(z, 1.0, grid=grid, r0=r0)
 
 
 def test_make_plan_tolerance_driven(grid):
@@ -226,11 +231,11 @@ def sampled_symbols(monkeypatch):
 def test_components_are_frequency_fields(grid):
     for direction, decompose in DECOMPOSITIONS:
         dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
-        parts = [dec.ball, dec.psi1, dec.psi2, dec.series_part, dec.tail_kernel, dec.target]
+        parts = [dec.ball, dec.psi2, dec.series_part, dec.tail_kernel, dec.target]
         if direction == "forward":
-            parts += [dec.smooth_part, dec.far_part]
+            parts += [dec.psi1, dec.smooth_part, dec.far_part]
         else:
-            assert dec.smooth_part is None and dec.far_part is None
+            assert dec.psi1 is None and dec.smooth_part is None and dec.far_part is None
         for part in parts:
             assert isinstance(part, Field), direction
             assert part.domain == "frequency" and part.grid == grid, direction
@@ -248,15 +253,16 @@ def test_ball_sample_gives_the_resolvent_bit_for_bit(grid, grid_2d, z, delta):
     assert (1.0 / (z - reverse.ball.samples)).tobytes() == expected
 
 
-def test_builds_sample_three_symbols_and_compositions_none(grid, rng, sampled_symbols):
+def test_builds_sample_once_each_and_compositions_none(grid, rng, sampled_symbols):
     f = random_band_limited(grid, 3.0, rng)
-    for direction, decompose in DECOMPOSITIONS:
+    # forward samples the ball, psi1 and psi2; reverse reads no psi1
+    for (direction, decompose), count in zip(DECOMPOSITIONS, (3, 2)):
         dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
-        assert len(sampled_symbols) == 3, direction  # the ball, psi1 and psi2
+        assert len(sampled_symbols) == count, direction
         compose = apply_forward if direction == "forward" else apply_reverse
         compose(dec, f)
         compose(dec, forward_transform(f))
-        assert len(sampled_symbols) == 3, direction
+        assert len(sampled_symbols) == count, direction
         sampled_symbols.clear()
 
 
@@ -310,7 +316,8 @@ def test_reverse_operator_equivalence(grid, rng):
     dec = reverse_decomposition(plan)
     for _ in range(5):
         f = random_band_limited(grid, 3.0, rng)
-        rel = lp_norm(apply_reverse(dec, f) - convolve(dec.target, f), 2) / lp_norm(f, 2)
+        reference = apply(bochner_symbol(1.0) * cutoff_pair(plan.r0)[1], f)
+        rel = lp_norm(apply_reverse(dec, f) - reference, 2) / lp_norm(f, 2)
         assert rel <= dec.certified_tail + 1e-9
 
 
