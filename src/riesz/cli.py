@@ -521,7 +521,7 @@ def _verify_direction(cfg, grid, direc, rng):
              "certified_tail": dec.certified_tail,
              "reconstruction_error": dec.reconstruction_error,
              "contraction_sup": contraction, "operator_rel_err": op_err}
-            for n, seminorm in tail_term_seminorms(plan)]
+            for n, seminorm in tail_term_seminorms(dec)]
     extras = {f"{direc}_plan": {"r0": plan.r0, "n0": plan.n0, "truncation": plan.truncation,
                                 "q": plan.q, "tail_series_bound": tail_kernel_bound(plan)}}
     checks = [(f"{direc}_reconstruction", dec.reconstruction_error, dec.certified_tail + 1e-10),

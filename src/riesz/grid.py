@@ -10,9 +10,15 @@ sit at x_j = (j - M/2) h with h = 2L/M, frequency samples at
 xi_k = (k - M/2) dxi with dxi = pi/L, so h * dxi = 2 pi / M and the two
 lattices are exactly dual: the forward map is h^d times the centered DFT and
 the round trip is exact to rounding.
+
+Every grid size is even, so centering is a swap of halves on every axis.
+Each transform copies its input into one scratch array with the halves
+swapped, transforms it in place and swaps it back through a temporary of
+half (1D) or a quarter (2D) of the grid; it makes no other grid-sized array.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -136,14 +142,36 @@ class Field:
         return Field(self.grid, self.domain, -self.samples)
 
 
+def _half_blocks(shape):
+    """Index of each half (1D) or quadrant (2D) of an array with even sides.
+
+    Block i and block -1 - i trade places under fftshift, which equals
+    ifftshift at even sizes.
+    """
+    half = shape[0] // 2
+    return list(product((slice(None, half), slice(half, None)), repeat=len(shape)))
+
+
 def _centered(transform, samples):
     """fftshift(transform(ifftshift(samples))) through one scratch array.
 
-    The shifted copy is transformed in place, so a call holds two arrays of
-    the grid's size at most: that scratch array and the shifted result.
+    Every grid size is even, so both shifts are the same swap of halves on
+    every axis.  The input is copied into the scratch array already swapped,
+    transformed there in place and swapped back in place through a temporary
+    of one block, so a call holds the scratch array plus half of one (1D) or
+    a quarter of one (2D).
     """
-    work = np.fft.ifftshift(samples)
-    return np.fft.fftshift(transform(work, out=work))
+    blocks = _half_blocks(samples.shape)
+    work = np.empty_like(samples)
+    for dst, src in zip(blocks, reversed(blocks)):
+        work[dst] = samples[src]
+    transform(work, out=work)
+    spare = np.empty_like(work[blocks[0]])
+    for a, b in zip(blocks[: len(blocks) // 2], reversed(blocks)):
+        spare[...] = work[a]
+        work[a] = work[b]
+        work[b] = spare
+    return work
 
 
 def forward_transform(f):
@@ -152,7 +180,8 @@ def forward_transform(f):
     Equals h^d times the centered DFT of the samples, which approximates
     integral f(x) exp(-i x.xi) dx at every lattice frequency.  The result is
     fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
-    scratch array and scaled in place; f is left unchanged.
+    scratch array, with a temporary of half (1D) or a quarter (2D) of it, and
+    scaled in place; f is left unchanged.
     """
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")
@@ -166,7 +195,7 @@ def inverse_transform(big_f):
     """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
 
     Bit for bit fftshift(ifftn(ifftshift(samples))) / h^d, computed like
-    forward_transform.
+    forward_transform in one scratch array and a half or quarter temporary.
     """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")

@@ -206,11 +206,12 @@ def _contraction(z0, b):
     return -b / (z0 - b)
 
 
-def _seminorm_rows(plan, ns, reverse=False):
-    """(n, seminorm of the kernel of s_n); each kernel is dropped after its row."""
+def _seminorm_rows(plan, ns, psi2, w=None):
+    """(n, seminorm of the kernel of s_n); each kernel is dropped after its row.
+
+    psi2 and w are sample arrays on the plan's grid, as in _series_terms.
+    """
     grid = plan.grid
-    psi2 = cutoff_pair(plan.r0)[1].sample(grid)
-    w = _contraction(plan.z, bochner_symbol(plan.delta).sample(grid)) if reverse else None
     return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(grid, s_n)),
                                        plan.alpha0, plan.beta0))
             for n, s_n in _series_terms(plan, ns, psi2, w)]
@@ -340,17 +341,19 @@ def apply_reverse(dec, f):
 
 def seminorm_table(plan, n_values):
     """Seminorm of the kernel sequence at each requested index."""
-    return _seminorm_rows(plan, n_values)
+    return _seminorm_rows(plan, n_values, cutoff_pair(plan.r0)[1].sample(plan.grid))
 
 
-def tail_term_seminorms(plan):
-    """Per-term kernel seminorms for the truncated range n0 < n <= T.
+def tail_term_seminorms(dec):
+    """Per-term kernel seminorms for a decomposition's truncated range n0 < n <= T.
 
     Forward terms are the ball-power kernels; reverse terms use powers of
-    the contraction symbol.
+    the contraction symbol.  Both come from the decomposition's own psi2 and
+    ball samples, so no symbol is sampled again.
     """
-    return _seminorm_rows(plan, range(plan.n0 + 1, plan.truncation + 1),
-                          plan.direction == "reverse")
+    plan = dec.plan
+    w = _contraction(plan.z, dec.ball.samples) if plan.direction == "reverse" else None
+    return _seminorm_rows(plan, range(plan.n0 + 1, plan.truncation + 1), dec.psi2.samples, w)
 
 
 def decay_slope(table):

@@ -212,8 +212,12 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     of its defect level f - B f.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
-    inside the localizer plateau.  Both fields are dropped on return, so a
-    sweep holds one probe at a time.
+    inside the localizer plateau.  ||f|| is taken first and the defect is
+    formed in one array; f and B f are dropped before its norm.  So a probe
+    peaks inside the inverse transform of `apply`, at f, the product spectrum
+    and the transform's scratch array and temporary (three and a quarter grid
+    arrays in 2D) besides the shared ball sample, and a sweep holds one probe
+    at a time.
     """
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
@@ -223,7 +227,12 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
         )
     xi0, level = achieved
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
-    return spec._norm(f), spec._norm(level * f - apply(_ball_on(spec.delta, grid), f))
+    f_norm = spec._norm(f)
+    bf = apply(_ball_on(spec.delta, grid), f)
+    defect = f.samples * level
+    defect -= bf.samples
+    del f, bf
+    return f_norm, spec._norm(Field.spatial(grid, defect))
 
 
 def probe_ratio(spec, n_scale, grid=None, profile=None):

@@ -15,6 +15,7 @@ from riesz.neumann import (
     reverse_decomposition,
     seminorm_table,
     tail_kernel_bound,
+    tail_term_seminorms,
 )
 from riesz.norms import lp_norm
 from riesz.symbols import (
@@ -255,14 +256,19 @@ def test_ball_sample_gives_the_resolvent_bit_for_bit(grid, grid_2d, z, delta):
 
 def test_builds_sample_once_each_and_compositions_none(grid, rng, sampled_symbols):
     f = random_band_limited(grid, 3.0, rng)
-    # forward samples the ball, psi1 and psi2; reverse reads no psi1
+    # forward samples the ball, psi1 and psi2; reverse reads no psi1; the
+    # tail-term seminorms read the decomposition's psi2 and ball
     for (direction, decompose), count in zip(DECOMPOSITIONS, (3, 2)):
         dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
         assert len(sampled_symbols) == count, direction
         compose = apply_forward if direction == "forward" else apply_reverse
         compose(dec, f)
         compose(dec, forward_transform(f))
+        rows = tail_term_seminorms(dec)
         assert len(sampled_symbols) == count, direction
+        assert [n for n, _ in rows] == list(range(dec.plan.n0 + 1, dec.plan.truncation + 1))
+        if direction == "forward":  # the same rows as the sampling table, bit for bit
+            assert rows == seminorm_table(dec.plan, [n for n, _ in rows])
         sampled_symbols.clear()
 
 

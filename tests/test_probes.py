@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,6 +239,29 @@ def test_threads_sharing_the_ball_get_exact_samples():
         sys.setswitchinterval(interval)
         probes._ball_on.cache_clear()
     assert len(samples) == 32 and all(np.array_equal(s, reference) for s in samples)
+
+
+def test_a_probe_holds_at_most_three_arrays_and_a_quarter_of_the_grid():
+    # ||f|| comes first and the defect is built in place, so a 2D probe peaks
+    # inside apply's inverse transform: f, the product spectrum, the scratch
+    # array and its quarter
+    g = GridSpec(2, 512, 128.0)
+    spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
+    achieved = probes._achieved_level(spec, g)
+    grid_bytes = 16 * g.size**2
+    probes._ball_on.cache_clear()
+    try:
+        expected = probes._probe_norms(spec, 4, g, achieved)  # samples the ball untraced
+        tracemalloc.start()
+        try:
+            norms = probes._probe_norms(spec, 4, g, achieved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        probes._ball_on.cache_clear()
+    assert norms == expected
+    assert peak <= 3.3 * grid_bytes
 
 
 def test_modulation_covariance(grid):
