@@ -61,8 +61,19 @@ def multi_indices(dim, max_total):
     return out
 
 
-def _central_diff(arr, axis, spacing):
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+def _central_diff(arr, axis, spacing, out):
+    """Periodic central difference (arr[i + 1] - arr[i - 1]) / (2 spacing) along
+    axis, written into out."""
+    def along(lo, hi):
+        index = [slice(None)] * arr.ndim
+        index[axis] = slice(lo, hi)
+        return tuple(index)
+
+    np.subtract(arr[along(2, None)], arr[along(None, -2)], out=out[along(1, -1)])
+    np.subtract(arr[along(1, 2)], arr[along(-1, None)], out=out[along(None, 1)])
+    np.subtract(arr[along(0, 1)], arr[along(-2, -1)], out=out[along(-1, None)])
+    out /= 2.0 * spacing
+    return out
 
 
 def schwartz_seminorm(kernel, alpha0, beta0):
@@ -70,7 +81,9 @@ def schwartz_seminorm(kernel, alpha0, beta0):
 
     Derivatives are periodic central differences; weights use the grid
     coordinates.  The kernel is a spatial Field.  Supported orders: beta0 <= 2
-    and alpha0 <= dim + 1.
+    and alpha0 <= dim + 1.  Each |x^alpha D^beta K| is written into buffers
+    made once per call: two complex arrays, which hold a derivative and its
+    weighted copy, and one real array for a 2D weight and then the modulus.
     """
     if kernel.domain != "spatial":
         raise ValueError("schwartz_seminorm expects a spatial kernel")
@@ -82,18 +95,26 @@ def schwartz_seminorm(kernel, alpha0, beta0):
     if alpha0 < 0 or alpha0 > grid.dim + 1:
         raise ValueError(f"alpha0 must lie in [0, dim + 1], got {alpha0}")
     mesh = grid.x_mesh()
+    buffers = (np.empty(grid.shape, complex), np.empty(grid.shape, complex))
+    modulus = np.empty(grid.shape)
     total = 0.0
+    def spare(deriv):
+        return buffers[1] if deriv is buffers[0] else buffers[0]
+
     for beta in multi_indices(grid.dim, beta0):
         deriv = kernel.samples
         for axis, order in enumerate(beta):
             for _ in range(order):
-                deriv = _central_diff(deriv, axis, grid.h)
+                deriv = _central_diff(deriv, axis, grid.h, out=spare(deriv))
+        weighted = spare(deriv)
         for alpha in multi_indices(grid.dim, alpha0):
-            weight = 1.0
-            for axis, order in enumerate(alpha):
-                if order:
-                    weight = weight * mesh[axis] ** order
-            total += float(np.max(np.abs(weight * deriv)))
+            factors = [mesh[axis] ** order for axis, order in enumerate(alpha) if order]
+            if len(factors) == 2:  # the one full-grid weight is made in the modulus buffer
+                weight = np.multiply(*factors, out=modulus)
+            else:
+                weight = factors[0] if factors else 1.0
+            np.multiply(weight, deriv, out=weighted)
+            total += float(np.max(np.abs(weighted, out=modulus)))
     return total
 
 

@@ -8,6 +8,10 @@ phi0(N(xi - xi0)): a bump of radius rho/N around xi0.  The defect ratio
 measured across an N sweep exhibits lambda in [0, 1] as approximate point
 spectrum; the same probes pushed through resolvent symbols give certified
 lower bounds on resolvent norms over the complex plane.
+
+lambda - b is a multiplier, so the defect is built on the probe's spectrum
+F as (lambda - b) F, with the ball b evaluated only on its support box; a
+probe on the full grid peaks at two and a quarter grid arrays in 2D.
 """
 
 import functools
@@ -23,7 +27,6 @@ from .grid import (
     lattice_offset,
     snap_to_lattice,
 )
-from .multiplier import apply
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
 from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
@@ -195,29 +198,17 @@ def _achieved_level(spec, grid):
     return xi0, level
 
 
-@functools.lru_cache(maxsize=2)
-def _ball_on(delta, grid):
-    """bochner_symbol(delta) for the probes on grid.
-
-    One instance serves every probe on grid at delta in a process, so its
-    sample there is made once; the cache holds at most two samples.  Each of
-    the CLI's forked workers has its own cache.  A library caller's threads
-    that miss together each build and sample their own, equal, instance.
-    """
-    return bochner_symbol(delta)
-
-
 def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     """spec's norms of the full-grid probe f at the achieved (xi0, level) and
-    of its defect level f - B f.
+    of its defect (level - B) f.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
-    inside the localizer plateau.  ||f|| is taken first and the defect is
-    formed in one array; f and B f are dropped before its norm.  So a probe
-    peaks inside the inverse transform of `apply`, at f, the product spectrum
-    and the transform's scratch array and temporary (three and a quarter grid
-    arrays in 2D) besides the shared ball sample, and a sweep holds one probe
-    at a time.
+    inside the localizer plateau.  ||f|| is taken first and f is dropped for
+    its spectrum F.  The defect's spectrum (level - b) F is level F, with
+    (level - b) F written over the support box of the ball b, where b alone
+    is evaluated.  So a probe peaks in a transform, at its input, the scratch
+    array and the scratch array's temporary (two and a quarter grid arrays in
+    2D), and a sweep holds one probe at a time.
     """
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
@@ -225,14 +216,20 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
             f"N={n_scale} puts the bump outside the localizer plateau; "
             f"need N >= {np.ceil(rho / spec.localizer_radius()):.0f}"
         )
+    ball = bochner_symbol(spec.delta)
+    if not grid.covers_support(ball.support_radius):
+        raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
     xi0, level = achieved
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
     f_norm = spec._norm(f)
-    bf = apply(_ball_on(spec.delta, grid), f)
-    defect = f.samples * level
-    defect -= bf.samples
-    del f, bf
-    return f_norm, spec._norm(Field.spatial(grid, defect))
+    spectrum = forward_transform(f).samples
+    del f
+    defect = spectrum * level
+    box, b = ball._on_support_box(grid)
+    defect[box] = (level - b) * spectrum[box]
+    del spectrum
+    defect = inverse_transform(Field.frequency(grid, defect))
+    return f_norm, spec._norm(defect)
 
 
 def probe_ratio(spec, n_scale, grid=None, profile=None):

@@ -12,7 +12,6 @@ grid.  Samples are cached per GridSpec, for sweeps that reuse one symbol on
 one grid.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,15 +111,25 @@ class Symbol:
         """
         hit = self._cache.get(grid)
         if hit is None:
-            axis = grid.xi_axis()
-            kept = np.flatnonzero(axis**2 <= self.support_radius**2)  # never empty: 0 is on it
-            box = slice(kept[0], kept[-1] + 1)
-            coords = np.meshgrid(*([axis[box]] * grid.dim), indexing="ij", sparse=True)
+            box, values = self._on_support_box(grid)
             hit = np.zeros(grid.shape, complex)
-            hit[(box,) * grid.dim] = self.evaluate(tuple(coords))
+            hit[box] = values
             hit.setflags(write=False)
             self._cache[grid] = hit
         return hit
+
+    def _on_support_box(self, grid):
+        """Index of the support box on grid's lattice and the values there.
+
+        The box holds the cells whose every coordinate passes
+        xi_axis**2 <= support_radius**2, so no cell `evaluate` keeps lies
+        outside it; it is never empty, because 0 is on every axis.
+        """
+        axis = grid.xi_axis()
+        kept = np.flatnonzero(axis**2 <= self.support_radius**2)
+        box = (slice(kept[0], kept[-1] + 1),) * grid.dim
+        coords = np.meshgrid(*(axis[b] for b in box), indexing="ij", sparse=True)
+        return box, self.evaluate(tuple(coords))
 
     def _combine_smoothness(self, other):
         rank = min(_SMOOTHNESS_RANK[self.smoothness], _SMOOTHNESS_RANK[other.smoothness])
@@ -275,16 +284,20 @@ def cutoff_pair(r0):
     return psi1, psi2
 
 
-@functools.lru_cache(maxsize=2)
+_UNIT_BUMP_MASS = {1: np.float64(0.4439938161680795), 2: np.float64(0.4665123931781548)}
+
+
 def _unit_bump_mass(dim):
-    """Integral of exp(-1/(1-|s|^2)) over the unit ball in R^dim."""
-    if dim not in (1, 2):
+    """Integral of exp(-1/(1-|s|^2)) over the unit ball in R^dim.
+
+    The constants are the trapezoid rule on 2^20 equal intervals of the
+    radius s in [0, 1]: 2 * trapezoid(exp(-1/(1-s^2))) in 1D and
+    2 pi * trapezoid(exp(-1/(1-s^2)) s) in 2D, with the integrand 0 at
+    s = 1.  The tests recompute them bit for bit.
+    """
+    if dim not in _UNIT_BUMP_MASS:
         raise ValueError(f"unsupported dimension {dim}")
-    s = np.linspace(0.0, 1.0, 2**20 + 1)
-    vals = _flat_exp(1.0 - s**2)
-    if dim == 1:
-        return 2.0 * np.trapezoid(vals, s)
-    return 2.0 * np.pi * np.trapezoid(vals * s, s)
+    return _UNIT_BUMP_MASS[dim]
 
 
 def bump_phi0(rho):

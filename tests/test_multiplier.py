@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,51 @@ def test_seminorm_controls_convolution_norm(grid, rng):
         for p in (1.0, 2.0, 4.0):
             f = random_band_limited(grid, 4.0, rng)
             assert lp_norm(convolve(k, f), p) <= bound * lp_norm(f, p) * (1 + 1e-10)
+
+
+def rolled_seminorm(kernel, alpha0, beta0):
+    """schwartz_seminorm with np.roll differences and fresh arrays per term."""
+    grid = kernel.grid
+    mesh = grid.x_mesh()
+    total = 0.0
+    for beta in multi_indices(grid.dim, beta0):
+        deriv = kernel.samples
+        for axis, order in enumerate(beta):
+            for _ in range(order):
+                deriv = (np.roll(deriv, -1, axis=axis) - np.roll(deriv, 1, axis=axis)) / (
+                    2.0 * grid.h
+                )
+        for alpha in multi_indices(grid.dim, alpha0):
+            weight = 1.0
+            for axis, order in enumerate(alpha):
+                if order:
+                    weight = weight * mesh[axis] ** order
+            total += float(np.max(np.abs(weight * deriv)))
+    return total
+
+
+@pytest.mark.parametrize("dim,size", [(1, 2), (1, 6), (1, 512), (2, 2), (2, 6), (2, 64)])
+def test_seminorm_equals_the_rolled_reference(dim, size, rng):
+    g = GridSpec(dim, size, size / 4.0)  # xi_max = 2 pi covers the ball
+    noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    for k in (kernel_of(bochner_symbol(1.0), g), Field.spatial(g, noise)):
+        for alpha0 in range(dim + 2):
+            for beta0 in range(3):
+                assert schwartz_seminorm(k, alpha0, beta0) == rolled_seminorm(k, alpha0, beta0)
+
+
+def test_seminorm_memory_is_bounded():
+    # two complex buffers and a real one; the 2D weight is made in the real one
+    g = GridSpec(2, 256, 40.0)
+    k = kernel_of(bochner_symbol(1.0), g)
+    tracemalloc.start()
+    try:
+        value = schwartz_seminorm(k, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == rolled_seminorm(k, 3, 2)
+    assert peak <= 3.02 * 16 * g.size**2
 
 
 # -- dense oracle ------------------------------------------------------------

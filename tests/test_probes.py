@@ -1,6 +1,4 @@
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,74 +192,51 @@ def test_custom_profile_radius_drives_the_plateau_check(grid):
         probe_ratio(spec, 8, grid, profile=bump_phi0(2.0))
 
 
-@pytest.fixture
-def counted_ball_rules(monkeypatch):
-    """Deltas of the ball rules evaluated, one entry per full-grid sample."""
-    evaluations = []
-
-    def counting_ball(delta):
-        ball = bochner_symbol(delta)
-        rule = ball.fn
-        ball.fn = lambda coords: evaluations.append(delta) or rule(coords)
-        return ball
-
-    probes._ball_on.cache_clear()
-    monkeypatch.setattr(probes, "bochner_symbol", counting_ball)
-    yield evaluations
-    probes._ball_on.cache_clear()
+def spatial_defect_ratio(spec, n_scale, grid):
+    """The defect ratio with the defect formed in space, level f - B f."""
+    xi0, level = probes._achieved_level(spec, grid)
+    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
+    defect = level * f - apply(bochner_symbol(spec.delta), f)
+    return spec._norm(defect) / spec._norm(f)
 
 
-def test_sweeps_sample_the_ball_once_per_grid(grid, counted_ball_rules):
-    spec = ProbeSpec(0.5, 2.0, 1.0, n_values=(8, 16, 32, 64))
-    rows = probes.decay_rows(spec, grid)
-    assert counted_ball_rules == [1.0]
-    probes.decay_rows(ProbeSpec(1.0, 4.0, 1.0, n_values=(8, 16, 32, 64)), grid)
-    probes.decay_rows(ProbeSpec(0.5, 2.0, 2.0, n_values=(8, 16, 32, 64)), grid)
-    assert counted_ball_rules == [1.0, 2.0]
-    fresh = []
-    for n in spec.n_values:  # a fresh ball per probe gives the same ratios bit for bit
-        probes._ball_on.cache_clear()
-        fresh.append(probe_ratio(spec, n, grid))
-    assert [row["ratio"] for row in rows] == fresh
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5])
+def test_spectral_defect_matches_the_spatial_defect(grid, dim, lam):
+    # at lam = 1 the spatial f - B f cancels, so the relative term carries it
+    sweep = grid if dim == 1 else GridSpec(2, 512, 128.0)
+    ns = (8, 16, 32, 64) if dim == 1 else (4,)
+    for p in (1.0, 2.0, 4.0):
+        spec = ProbeSpec(lam, p, 1.0, n_values=ns)
+        for n in ns:
+            old = spatial_defect_ratio(spec, n, sweep)
+            new = probe_ratio(spec, n, sweep)
+            assert abs(new - old) <= 1e-14 + 1e-12 * old, (p, n, new, old)
 
 
-def test_threads_sharing_the_ball_get_exact_samples():
-    g = GridSpec(2, 128, 20.0)
-    reference = bochner_symbol(1.0).sample(g)
-    interval = sys.getswitchinterval()
-    probes._ball_on.cache_clear()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: probes._ball_on(1.0, g).sample(g)) for _ in range(32)]
-            samples = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-        probes._ball_on.cache_clear()
-    assert len(samples) == 32 and all(np.array_equal(s, reference) for s in samples)
+def test_probe_rejects_a_grid_narrower_than_the_ball():
+    narrow = GridSpec(1, 64, 128.0)  # xi_max = pi / 4
+    with pytest.raises(ValueError, match="exceeds the grid frequency window"):
+        probe_ratio(ProbeSpec(1.5, 2.0, 1.0, n_values=(4,)), 4, narrow)
 
 
-def test_a_probe_holds_at_most_three_arrays_and_a_quarter_of_the_grid():
-    # ||f|| comes first and the defect is built in place, so a 2D probe peaks
-    # inside apply's inverse transform: f, the product spectrum, the scratch
-    # array and its quarter
+def test_a_probe_holds_at_most_two_and_a_quarter_arrays_of_the_grid():
+    # ||f|| comes first, f gives way to its spectrum and the defect spectrum
+    # to its inverse, so a 2D probe peaks in a transform: its input, the
+    # scratch array and its quarter.  No untraced call comes first, so the
+    # ball's box and the bump's normalisation are traced too.
     g = GridSpec(2, 512, 128.0)
     spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
     achieved = probes._achieved_level(spec, g)
     grid_bytes = 16 * g.size**2
-    probes._ball_on.cache_clear()
+    tracemalloc.start()
     try:
-        expected = probes._probe_norms(spec, 4, g, achieved)  # samples the ball untraced
-        tracemalloc.start()
-        try:
-            norms = probes._probe_norms(spec, 4, g, achieved)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        norms = probes._probe_norms(spec, 4, g, achieved)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        probes._ball_on.cache_clear()
-    assert norms == expected
-    assert peak <= 3.3 * grid_bytes
+        tracemalloc.stop()
+    assert norms == probes._probe_norms(spec, 4, g, achieved)
+    assert peak <= 2.3 * grid_bytes
 
 
 def test_modulation_covariance(grid):

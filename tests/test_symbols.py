@@ -181,6 +181,15 @@ def test_bump_normalization_2d():
     assert abs(spatial.samples[g.size // 2, g.size // 2] - 1.0) < 1e-8
 
 
+def test_unit_bump_mass_is_the_trapezoid_bit_for_bit():
+    s = np.linspace(0.0, 1.0, 2**20 + 1)
+    vals = symbols._flat_exp(1.0 - s**2)
+    assert symbols._unit_bump_mass(1) == 2.0 * np.trapezoid(vals, s)
+    assert symbols._unit_bump_mass(2) == 2.0 * np.pi * np.trapezoid(vals * s, s)
+    with pytest.raises(ValueError, match="unsupported dimension"):
+        symbols._unit_bump_mass(3)
+
+
 @pytest.mark.parametrize("rho", [1e-200, 1e200, -1.0, 0.0, np.inf, np.nan])
 def test_bump_rejects_a_radius_it_cannot_normalise(rho):
     with pytest.raises(ValueError):
