@@ -15,6 +15,10 @@ Every grid size is even, so centering is a swap of halves on every axis.
 Each transform copies its input into one scratch array with the halves
 swapped, transforms it in place and swaps it back through a temporary of
 half (1D) or a quarter (2D) of the grid; it makes no other grid-sized array.
+With overwrite=True (scipy.fft's overwrite_x) it skips the scratch array:
+the halves of the input's own samples are swapped in place, transformed and
+swapped back, and that array, bit for bit the same result, is returned.  The
+caller must have made the array and must not use the input afterwards.
 """
 
 from dataclasses import dataclass
@@ -152,29 +156,40 @@ def _half_blocks(shape):
     return list(product((slice(None, half), slice(half, None)), repeat=len(shape)))
 
 
-def _centered(transform, samples):
-    """fftshift(transform(ifftshift(samples))) through one scratch array.
-
-    Every grid size is even, so both shifts are the same swap of halves on
-    every axis.  The input is copied into the scratch array already swapped,
-    transformed there in place and swapped back in place through a temporary
-    of one block, so a call holds the scratch array plus half of one (1D) or
-    a quarter of one (2D).
-    """
-    blocks = _half_blocks(samples.shape)
-    work = np.empty_like(samples)
-    for dst, src in zip(blocks, reversed(blocks)):
-        work[dst] = samples[src]
-    transform(work, out=work)
-    spare = np.empty_like(work[blocks[0]])
+def _swap_halves(work, blocks, spare):
+    """Swap block i with block -1 - i of work in place, through spare."""
     for a, b in zip(blocks[: len(blocks) // 2], reversed(blocks)):
         spare[...] = work[a]
         work[a] = work[b]
         work[b] = spare
+
+
+def _centered(transform, samples, overwrite):
+    """fftshift(transform(ifftshift(samples))) in one grid-sized array.
+
+    Every grid size is even, so both shifts are the same swap of halves on
+    every axis.  Without overwrite the input is copied into a scratch array
+    already swapped; with it, samples itself is swapped in place and becomes
+    the result.  Either way the array is transformed in place and swapped
+    back through a temporary of one block, so a call holds that array plus
+    half of one (1D) or a quarter of one (2D).
+    """
+    blocks = _half_blocks(samples.shape)
+    spare = np.empty_like(samples[blocks[0]])
+    if overwrite:
+        work = samples
+        work.setflags(write=True)
+        _swap_halves(work, blocks, spare)
+    else:
+        work = np.empty_like(samples)
+        for dst, src in zip(blocks, reversed(blocks)):
+            work[dst] = samples[src]
+    transform(work, out=work)
+    _swap_halves(work, blocks, spare)
     return work
 
 
-def forward_transform(f):
+def forward_transform(f, overwrite=False):
     """Riemann-sum Fourier transform of a spatial field.
 
     Equals h^d times the centered DFT of the samples, which approximates
@@ -182,26 +197,33 @@ def forward_transform(f):
     fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
     scratch array, with a temporary of half (1D) or a quarter (2D) of it, and
     scaled in place; f is left unchanged.
+
+    overwrite=True, as scipy.fft's overwrite_x, computes the same bits in f's
+    own sample array and returns it as the result, so no scratch array is
+    made.  Only a caller that made that array and gives f up may pass it:
+    f holds the spectrum afterwards.  A cached `Symbol.sample` never qualifies.
     """
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")
     g = f.grid
-    spec = _centered(np.fft.fftn, f.samples)
+    spec = _centered(np.fft.fftn, f.samples, overwrite)
     spec *= g.h**g.dim
     return Field.frequency(g, spec)
 
 
-def inverse_transform(big_f):
+def inverse_transform(big_f, overwrite=False):
     """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
 
     Bit for bit fftshift(ifftn(ifftshift(samples))) / h^d, computed like
-    forward_transform in one scratch array and a half or quarter temporary.
+    forward_transform in one scratch array and a half or quarter temporary,
+    or, with overwrite=True, in big_f's own sample array, on the same terms
+    as forward_transform's.
     """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")
     g = big_f.grid
     # (2 pi)^(-d) dxi^d M^d collapses to h^(-d) because M h dxi = 2 pi.
-    samp = _centered(np.fft.ifftn, big_f.samples)
+    samp = _centered(np.fft.ifftn, big_f.samples, overwrite)
     samp /= g.h**g.dim
     return Field.spatial(g, samp)
 
@@ -231,7 +253,8 @@ def random_band_limited(grid, band, rng):
     The coefficients are band_coefficients(grid, band, rng), so a seeded
     generator gives the same field on every run.
     """
-    return inverse_transform(band_spectrum(grid, band, band_coefficients(grid, band, rng)))
+    spectrum = band_spectrum(grid, band, band_coefficients(grid, band, rng))
+    return inverse_transform(spectrum, overwrite=True)
 
 
 def _as_vector(xi0, dim):

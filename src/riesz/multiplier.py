@@ -8,7 +8,11 @@ circulant matrix for brute-force comparison on small grids.
 A kernel is a `Field`.  `apply` and `convolve` take either side of the
 transform for the field, and `convolve` for the kernel too, so a caller that
 applies several operators to one field transforms it once, and a kernel kept
-as its spectrum is never transformed at all.
+as its spectrum is never transformed at all.  Both invert a product array
+they made themselves in place (`inverse_transform(..., overwrite=True)`), so
+`apply` holds one grid array and a quarter of one in 2D beyond its input and
+the symbol's cached sample; `kernel_of` inverts that cached sample, so it
+makes a scratch array instead.
 """
 
 from itertools import product
@@ -32,9 +36,19 @@ def _spectrum(f):
 
 
 def apply(m, f):
-    """Apply the multiplier with symbol m: inverse(m * forward(f)); f may be a spectrum."""
+    """Apply the multiplier with symbol m: inverse(m * forward(f)); f may be a spectrum.
+
+    The product is formed in f's fresh spectrum, or in one new array for a
+    spectrum f, and inverted in place.
+    """
     _check_window(m, f.grid)
-    return inverse_transform(Field.frequency(f.grid, m.sample(f.grid) * _spectrum(f)))
+    if f.domain == "frequency":
+        spec = m.sample(f.grid) * f.samples
+    else:
+        spec = forward_transform(f).samples
+        spec.setflags(write=True)  # made by this call alone
+        np.multiply(m.sample(f.grid), spec, out=spec)
+    return inverse_transform(Field.frequency(f.grid, spec), overwrite=True)
 
 
 def kernel_of(m, grid):
@@ -49,7 +63,8 @@ def convolve(kernel, f):
     """Periodic convolution K * f through the transform domain; K and f may be spectra."""
     if kernel.grid != f.grid:
         raise ValueError("kernel and field live on different grids")
-    return inverse_transform(Field.frequency(f.grid, _spectrum(kernel) * _spectrum(f)))
+    product = _spectrum(kernel) * _spectrum(f)
+    return inverse_transform(Field.frequency(f.grid, product), overwrite=True)
 
 
 def multi_indices(dim, max_total):

@@ -210,11 +210,12 @@ def _seminorm_rows(plan, ns, psi2, w=None):
     """(n, seminorm of the kernel of s_n); each kernel is dropped after its row.
 
     psi2 and w are sample arrays on the plan's grid, as in _series_terms.
+    Each s_n is a fresh array, so its kernel is inverted in place.
     """
     grid = plan.grid
-    return [(int(n), schwartz_seminorm(inverse_transform(Field.frequency(grid, s_n)),
-                                       plan.alpha0, plan.beta0))
-            for n, s_n in _series_terms(plan, ns, psi2, w)]
+    kernels = ((n, inverse_transform(Field.frequency(grid, s_n), overwrite=True))
+               for n, s_n in _series_terms(plan, ns, psi2, w))
+    return [(int(n), schwartz_seminorm(k, plan.alpha0, plan.beta0)) for n, k in kernels]
 
 
 def _samples(plan):
@@ -260,7 +261,8 @@ def _compose(dec, f, spectrum_of):
     """Composite of f: spectrum_of(F) on f's spectrum F.
 
     A frequency-side f gets the composite's spectrum back with no transform;
-    a spatial f is transformed once each way.
+    a spatial f is transformed once each way, the inverse in place in the new
+    array that spectrum_of returns.
     """
     grid = f.grid
     if grid != dec.plan.grid:
@@ -268,7 +270,7 @@ def _compose(dec, f, spectrum_of):
     spatial = f.domain == "spatial"
     spec = (forward_transform(f) if spatial else f).samples
     out = Field.frequency(grid, spectrum_of(spec))
-    return inverse_transform(out) if spatial else out
+    return inverse_transform(out, overwrite=True) if spatial else out
 
 
 def apply_forward(dec, f):

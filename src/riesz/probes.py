@@ -11,7 +11,7 @@ lower bounds on resolvent norms over the complex plane.
 
 lambda - b is a multiplier, so the defect is built on the probe's spectrum
 F as (lambda - b) F, with the ball b evaluated only on its support box; a
-probe on the full grid peaks at two and a quarter grid arrays in 2D.
+full-grid probe lives in one array of its own and peaks at one and a half.
 """
 
 import functools
@@ -93,8 +93,8 @@ def probe_field(xi0, n_scale, grid, rho=0.5, profile=None):
     xi0 must sit on the frequency lattice (so modulation identities are
     exact) and the bump must span at least 4 frequency cells.
     """
-    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
-    return inverse_transform(Field.frequency(grid, spec.sample(grid)))
+    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile).fresh_sample(grid)
+    return inverse_transform(Field.frequency(grid, spec), overwrite=True)
 
 
 BASEBAND_OVERSAMPLING = 32
@@ -203,12 +203,11 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     of its defect (level - B) f.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
-    inside the localizer plateau.  ||f|| is taken first and f is dropped for
-    its spectrum F.  The defect's spectrum (level - b) F is level F, with
-    (level - b) F written over the support box of the ball b, where b alone
-    is evaluated.  So a probe peaks in a transform, at its input, the scratch
-    array and the scratch array's temporary (two and a quarter grid arrays in
-    2D), and a sweep holds one probe at a time.
+    inside the localizer plateau.  ||f|| is taken first; then f's array is
+    transformed in place into F, scaled by level outside the support box of
+    the ball b (where b alone is evaluated) and set to (level - b) F on it,
+    and inverted in place.  So a probe holds one grid array, plus lp_norm's
+    real moduli while a norm is taken: one and a half grid arrays.
     """
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
@@ -222,13 +221,14 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     xi0, level = achieved
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
     f_norm = spec._norm(f)
-    spectrum = forward_transform(f).samples
-    del f
-    defect = spectrum * level
+    defect = forward_transform(f, overwrite=True).samples
+    defect.setflags(write=True)  # f's own array; f is not read again
     box, b = ball._on_support_box(grid)
-    defect[box] = (level - b) * spectrum[box]
-    del spectrum
-    defect = inverse_transform(Field.frequency(grid, defect))
+    edge = (level - b) * defect[box]
+    defect *= level
+    defect[box] = edge
+    del b, edge
+    defect = inverse_transform(Field.frequency(grid, defect), overwrite=True)
     return f_norm, spec._norm(defect)
 
 

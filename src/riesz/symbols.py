@@ -5,11 +5,12 @@ support radius and a smoothness annotation.  Rules act on tuples of per-axis
 coordinate arrays so one symbol serves any grid dimension.  Every rule is
 pointwise: its value at a point depends only on that point's coordinates, so
 evaluating on a sub-box of the lattice gives exactly the full lattice's values
-there.  `Symbol.sample` relies on this: it evaluates only on the box of
+there.  `Symbol.fresh_sample` relies on this: it evaluates only on the box of
 lattice cells within the support radius on every axis and writes exact zeros
 elsewhere, so a sample costs in proportion to its support box, not to the
-grid.  Samples are cached per GridSpec, for sweeps that reuse one symbol on
-one grid.
+grid.  It returns a new array the caller may overwrite; `Symbol.sample`
+caches that array per GridSpec, read-only, for sweeps that reuse one symbol
+on one grid.
 """
 
 import math
@@ -74,7 +75,7 @@ class Symbol:
 
     fn              : pointwise rule mapping a tuple of coordinate arrays to
                       values (the value at a point depends on that point's
-                      coordinates alone; `sample` relies on it)
+                      coordinates alone; `fresh_sample` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
     smoothness      : "cinf-compact" | "piecewise-smooth" | "bounded"
     nonsmooth_radii : radii of origin-centered spheres where derivatives may
@@ -102,21 +103,26 @@ class Symbol:
         return vals
 
     def sample(self, grid):
-        """Values on the grid frequency lattice, cached per GridSpec (read-only).
+        """`fresh_sample(grid)`, cached per GridSpec (read-only)."""
+        hit = self._cache.get(grid)
+        if hit is None:
+            hit = self.fresh_sample(grid)
+            hit.setflags(write=False)
+            self._cache[grid] = hit
+        return hit
+
+    def fresh_sample(self, grid):
+        """Values on the grid frequency lattice, in a new array the caller owns.
 
         The rule runs only on the box of cells whose every coordinate passes
         xi_axis**2 <= support_radius**2, the comparison `evaluate` masks with,
         so no cell `evaluate` keeps lies outside it; the rest are exact zeros.
         The result equals the masked full-lattice evaluation bit for bit.
         """
-        hit = self._cache.get(grid)
-        if hit is None:
-            box, values = self._on_support_box(grid)
-            hit = np.zeros(grid.shape, complex)
-            hit[box] = values
-            hit.setflags(write=False)
-            self._cache[grid] = hit
-        return hit
+        box, values = self._on_support_box(grid)
+        out = np.zeros(grid.shape, complex)
+        out[box] = values
+        return out
 
     def _on_support_box(self, grid):
         """Index of the support box on grid's lattice and the values there.

@@ -210,24 +210,34 @@ def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width
     assert inverse_transform(spec).samples.tobytes() == inverse.tobytes()
     # the inputs are left as they were
     assert f.samples.tobytes() == x.tobytes() and spec.samples.tobytes() == x.tobytes()
+    # overwrite gives the same bits in the input's own array
+    for transform, make, expected in ((forward_transform, Field.spatial, forward),
+                                      (inverse_transform, Field.frequency, inverse)):
+        given = make(g, x.copy())
+        out = transform(given, overwrite=True)
+        assert out.samples is given.samples and not out.samples.flags.writeable
+        assert out.samples.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim,size,bound", [(2, 256, 1.3), (1, 16384, 1.55)])
 def test_a_transform_holds_one_array_of_the_grid(dim, size, bound):
     # the input is copied into one scratch array with its halves swapped,
     # transformed in place and swapped back through a temporary of one half
-    # (1D) or one quadrant (2D)
+    # (1D) or one quadrant (2D); overwrite makes no scratch array, so it
+    # holds that temporary alone
     g = GridSpec(dim, size, 20.0)
     x = np.random.default_rng(22).standard_normal(g.shape) + 0j
-    for transform, field in ((forward_transform, Field.spatial(g, x)),
-                             (inverse_transform, Field.frequency(g, x))):
-        tracemalloc.start()
-        try:
-            transform(field)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * x.nbytes, transform.__name__
+    for overwrite, limit in ((False, bound), (True, bound - 1.0)):
+        for transform, make in ((forward_transform, Field.spatial),
+                                (inverse_transform, Field.frequency)):
+            field = make(g, x.copy())
+            tracemalloc.start()
+            try:
+                transform(field, overwrite=overwrite)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * x.nbytes, (transform.__name__, overwrite)
 
 
 def test_transforms_make_no_roll_or_shift_call(monkeypatch):
@@ -243,6 +253,8 @@ def test_transforms_make_no_roll_or_shift_call(monkeypatch):
             patch.setattr(owner, name, refuse)
         forward_transform(f)
         inverse_transform(spec)
+        forward_transform(Field.spatial(g, x.copy()), overwrite=True)
+        inverse_transform(Field.frequency(g, x.copy()), overwrite=True)
 
 
 def test_band_limited_field_is_the_inverse_of_its_band_spectrum():

@@ -239,6 +239,26 @@ def test_seminorm_equals_the_rolled_reference(dim, size, rng):
                 assert schwartz_seminorm(k, alpha0, beta0) == rolled_seminorm(k, alpha0, beta0)
 
 
+@pytest.mark.parametrize("domain", ["spatial", "frequency"])
+def test_apply_holds_one_array_of_the_grid(domain):
+    # the product is formed in f's fresh spectrum (or in one new array for a
+    # spectrum) and inverted in place: that array and a quarter of one
+    g = GridSpec(2, 512, 40.0)
+    m = bochner_symbol(1.0)
+    m.sample(g)  # the cached sample is the symbol's, not the call's
+    f = Field(g, domain, np.random.default_rng(25).standard_normal(g.shape) + 0j)
+    tracemalloc.start()
+    try:
+        out = apply(m, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spectrum = f.samples if domain == "frequency" else forward_transform(f).samples
+    expected = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(m.sample(g) * spectrum)))
+    assert out.samples.tobytes() == (expected / g.h**2).tobytes()
+    assert peak <= 1.3 * 16 * g.size**2
+
+
 def test_seminorm_memory_is_bounded():
     # two complex buffers and a real one; the 2D weight is made in the real one
     g = GridSpec(2, 256, 40.0)

@@ -4,10 +4,13 @@ configs use only keys the CLI declares.
 
 The self-test fails when a change removes a function the tracer wraps, binds
 one where the tracer cannot rebind it, or changes the default probe sweep's
-transform count.
+transform count.  A second test traces one small config of every subcommand
+and fails when any of them makes an fftn/ifftn call that is not a traced
+transform.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +34,44 @@ def test_tracer_selftest_passes(tmp_path, monkeypatch):
     # every wrapped function is bound, traced transforms equal the fft calls,
     # and the default probe sweep makes exactly SELFTEST_TRANSFORMS of them
     assert _load_run(monkeypatch).tracer_selftest(tmp_path) == []
+
+
+NORMS = '["lp(p=1)","weighted(p=2,a=0.5)","herz(alpha=0.5,p=2,q=1)",' \
+        '"besov(alpha=0,p=2,q=2,levels=3)","triebel(alpha=0,p=2,q=2,levels=3)","ap(a=0.5,p=2)"]'
+
+# One small config of every subcommand, in order: norms reads apply's dump.
+TRACED_COMMANDS = (
+    ("spectrum-map", "re=[-0.5,1.5,3]", "im=[-1.0,1.0,3]", "p=1.0", "ns=[8,16]"),
+    ("probe", "lambdas=[0.5]", "ps=[1.0,2.0]", "ns=[4,5,6,8]"),
+    ("resolvent-verify", "direction=both", "grid_size=256", "grid_half_width=20.0",
+     "op_fields=1"),
+    ("kernel-decay", "grid_size=512", "grid_half_width=32.0", "n_min=20", "n_max=24"),
+    ("mikhlin", "symbol=bochner(delta=1)", "base_points=64", "refinements=1"),
+    ("apply", "symbol=bochner(delta=1)", "field=random(band=2)", "grid_dim=2",
+     "grid_size=64", "grid_half_width=6.0"),
+    ("norms", "field=apply/fields/output", f"norms={NORMS}"),
+)
+
+
+def test_the_tracer_sees_every_transform_of_every_subcommand(tmp_path, monkeypatch):
+    # a transform made outside the two traced functions would show here as
+    # more fftn/ifftn calls than traced transforms
+    run = _load_run(monkeypatch)
+    transforms = {}
+    for command, *settings in TRACED_COMMANDS:
+        out = command.split("-")[0]
+        argv = [sys.executable, str(run.TRACER), f"{out}.spans.json", "--", command,
+                "--out", out, "--workers", "1",
+                *(arg for text in settings for arg in ("--set", text))]
+        if command == "apply":
+            argv.append("--dump-field")
+        proc = run.Proc(argv, tmp_path, run.child_env(), tmp_path / f"{out}.log")
+        assert proc.exit == 0, (tmp_path / f"{out}.log").read_text()
+        process = json.loads((tmp_path / f"{out}.spans.json").read_text())
+        assert run.tracer_problems([process]) == []
+        transforms[command] = process["fft_calls"]
+    # every subcommand but the Mikhlin screen transforms something
+    assert [c for c, n in transforms.items() if n == 0] == ["mikhlin"]
 
 
 def _load_workloads():
