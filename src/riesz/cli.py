@@ -53,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .fieldio import atomic_write_text, dump_field, load_field
-from .grid import Field, GridSpec, band_coefficients, band_spectrum, random_band_limited
+from .grid import Field, GridSpec, band_spectrum, random_band_limited
 from .multiplier import apply as apply_op
 from .neumann import (
     apply_forward,
@@ -512,7 +512,7 @@ def _verify_direction(cfg, grid, direc, rng):
     band = cfg["band"]
     errors = []
     for _ in range(cfg["op_fields"]):
-        spec = band_spectrum(grid, band, band_coefficients(grid, band, rng))
+        spec = band_spectrum(grid, band, rng)
         error = Field.frequency(grid, compose(dec, spec).samples - target * spec.samples)
         errors.append(spectrum_lp_norm(error, 2) / spectrum_lp_norm(spec, 2))
     op_err = float(np.max(errors))  # a NaN error stays NaN and fails its check

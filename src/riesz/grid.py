@@ -228,33 +228,25 @@ def inverse_transform(big_f, overwrite=False):
     return Field.spatial(g, samp)
 
 
-def band_coefficients(grid, band, rng):
-    """iid complex Gaussian coefficients for the lattice cells |xi| <= band.
+def band_spectrum(grid, band, rng):
+    """Frequency field of iid complex Gaussian coefficients on |xi| <= band, zero elsewhere.
 
-    All real parts are drawn before all imaginary parts, so a seeded
-    generator gives the same coefficients on every run.
+    The coefficients fill the band's lattice cells in lattice order, all real
+    parts drawn before all imaginary parts, so a seeded generator gives the
+    same spectrum on every run.
     """
     if not band > 0:
         raise ValueError(f"band must be positive, got {band}")
-    count = int(np.count_nonzero(grid.xi_radius() <= band))
-    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
-
-
-def band_spectrum(grid, band, coefficients):
-    """Frequency field holding coefficients, in lattice order, on |xi| <= band, zero elsewhere."""
+    inside = grid.xi_radius() <= band
+    count = int(np.count_nonzero(inside))
     spec = np.zeros(grid.shape, dtype=complex)
-    spec[grid.xi_radius() <= band] = coefficients
+    spec[inside] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return Field.frequency(grid, spec)
 
 
 def random_band_limited(grid, band, rng):
-    """Spatial field whose spectrum has iid complex Gaussian coefficients in |xi| <= band.
-
-    The coefficients are band_coefficients(grid, band, rng), so a seeded
-    generator gives the same field on every run.
-    """
-    spectrum = band_spectrum(grid, band, band_coefficients(grid, band, rng))
-    return inverse_transform(spectrum, overwrite=True)
+    """Spatial field whose spectrum is band_spectrum(grid, band, rng)."""
+    return inverse_transform(band_spectrum(grid, band, rng), overwrite=True)
 
 
 def _as_vector(xi0, dim):

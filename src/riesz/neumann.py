@@ -17,9 +17,10 @@ A Decomposition is its sampled spectra: every component is a frequency-side
 Field on the plan's grid, built from samples of the ball b, psi1 and
 psi2.  The build checks psi2's support 1 + r0, the widest finite support of
 any component, against the grid's frequency window.  One private generator
-makes every series-term spectrum s_n (b^n psi2 forward, w^n psi2 reverse)
-from those arrays.  The tail kernel is kept as its spectrum sum c_n s_n; each
-seminorm row inverse-transforms one s_n and drops its kernel afterwards.
+makes every series-term spectrum s_n: b^n psi2 forward, with b^n a fresh
+sample of the ball of exponent n delta, and w^n psi2 reverse.  The tail
+kernel is kept as its spectrum sum c_n s_n; each seminorm row
+inverse-transforms one s_n and drops its kernel afterwards.
 
 apply_forward and apply_reverse compose the decomposition on the spectrum
 from its arrays alone, sampling no symbol: spectrum in, spectrum out.  Given
@@ -173,20 +174,18 @@ def _series_terms(plan, ns, psi2, w=None):
     """Yield (n, s_n), the unscaled series-term spectra on the plan's grid.
 
     psi2 and w are sample arrays on that grid.  Forward (w is None):
-    s_n = (1 - |xi|^2)_+^(n delta) psi2, for any indices n >= 1; reverse:
-    s_n = w^n psi2 for the range ns, through w^n = w^(n-1) w.  Each s_n is a
-    fresh array.
+    s_n = (1 - |xi|^2)_+^(n delta) psi2, for any indices n >= 1, each ball
+    power a fresh sample of the ball symbol, evaluated on the unit box only;
+    reverse: s_n = w^n psi2 for the range ns, through w^n = w^(n-1) w.  Each
+    s_n is a fresh array.
     """
-    grid = plan.grid
-    if not grid.covers_support(1.0):  # every s_n vanishes outside the unit ball
-        raise ValueError(f"symbol support radius 1.0 exceeds the grid frequency "
-                         f"window {grid.xi_max}")
+    # every s_n vanishes outside the unit ball, the ball's support
+    _check_window(bochner_symbol(plan.delta), plan.grid)
     if w is None:
-        base = np.clip(1.0 - grid.xi_radius()**2, 0.0, None)
         for n in ns:
             if n < 1:
                 raise ValueError(f"series index must be >= 1, got {n}")
-            yield n, base ** (n * plan.delta) * psi2
+            yield n, bochner_symbol(n * plan.delta).fresh_sample(plan.grid) * psi2
         return
     w_pow = w ** (ns[0] - 1)
     for n in ns:

@@ -248,10 +248,8 @@ def build_lp_family(ell_max):
     """Construct the telescoping partition and verify it on a dense sample."""
     if ell_max < 1:
         raise ValueError("need at least one annular level")
-    base = radial_symbol(BumpProfile(1.0, 2.0), 2.0, "cinf-compact", label="lp-base")
-    annular = base - base.dilated(2.0)
-    annular = Symbol(annular.fn, 2.0, "cinf-compact", label="lp-annular")
-    family = LPFamily(base, annular, int(ell_max))
+    base = radial_symbol(BumpProfile(1.0, 2.0), 2.0)
+    family = LPFamily(base, base - base.dilated(2.0), int(ell_max))
     r = np.linspace(0.0, family.valid_band, 4097)
     total = base.evaluate((r,)).real.copy()
     for ell in range(1, ell_max + 1):

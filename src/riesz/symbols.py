@@ -1,11 +1,12 @@
 """Frequency-side symbols: ball multipliers, resolvents, cutoffs, bumps.
 
 A Symbol is an evaluation rule on frequency vectors together with a declared
-support radius and a smoothness annotation.  Rules act on tuples of per-axis
-coordinate arrays so one symbol serves any grid dimension.  Every rule is
-pointwise: its value at a point depends only on that point's coordinates, so
-evaluating on a sub-box of the lattice gives exactly the full lattice's values
-there.  `Symbol.fresh_sample` relies on this: it evaluates only on the box of
+support radius and the origin-centered spheres where it may fail to be
+smooth.  Rules act on tuples of per-axis coordinate arrays so one symbol
+serves any grid dimension.  Every rule is pointwise: its value at a point
+depends only on that point's coordinates, so evaluating on a sub-box of the
+lattice gives exactly the full lattice's values there.
+`Symbol.fresh_sample` relies on this: it evaluates only on the box of
 lattice cells within the support radius on every axis and writes exact zeros
 elsewhere, so a sample costs in proportion to its support box, not to the
 grid.  It returns a new array the caller may overwrite; `Symbol.sample`
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_SMOOTHNESS_RANK = {"cinf-compact": 2, "piecewise-smooth": 1, "bounded": 0}
 _STRIP_POINTS = 2**17  # mikhlin_check's strip size; the 1D default's levels are one strip
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 
@@ -69,29 +69,26 @@ class BumpProfile:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Symbol:
-    """Complex-valued frequency symbol with declared support and smoothness.
+    """Complex-valued frequency symbol with a declared support.
 
     fn              : pointwise rule mapping a tuple of coordinate arrays to
                       values (the value at a point depends on that point's
                       coordinates alone; `fresh_sample` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
-    smoothness      : "cinf-compact" | "piecewise-smooth" | "bounded"
     nonsmooth_radii : radii of origin-centered spheres where derivatives may
                       fail to exist (finite-difference screens avoid them)
+
+    Frozen, so the per-grid sample cache stays true to fn and support_radius.
     """
 
     fn: object
     support_radius: float = np.inf
-    smoothness: str = "bounded"
     nonsmooth_radii: tuple = ()
-    label: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.smoothness not in _SMOOTHNESS_RANK:
-            raise ValueError(f"unknown smoothness class {self.smoothness!r}")
         if not self.support_radius >= 0:
             raise ValueError(f"support radius must be >= 0, got {self.support_radius}")
 
@@ -137,25 +134,17 @@ class Symbol:
         coords = np.meshgrid(*(axis[b] for b in box), indexing="ij", sparse=True)
         return box, self.evaluate(tuple(coords))
 
-    def _combine_smoothness(self, other):
-        rank = min(_SMOOTHNESS_RANK[self.smoothness], _SMOOTHNESS_RANK[other.smoothness])
-        return next(k for k, v in _SMOOTHNESS_RANK.items() if v == rank)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return Symbol(
                 lambda c, s=self, a=other: a * s.evaluate(c),
                 self.support_radius,
-                self.smoothness,
                 self.nonsmooth_radii,
-                label=f"({other})*{self.label}",
             )
         return Symbol(
             lambda c, s=self, o=other: s.evaluate(c) * o.evaluate(c),
             min(self.support_radius, other.support_radius),
-            self._combine_smoothness(other),
             tuple(sorted(set(self.nonsmooth_radii) | set(other.nonsmooth_radii))),
-            label=f"{self.label}*{other.label}",
         )
 
     __rmul__ = __mul__
@@ -164,9 +153,7 @@ class Symbol:
         return Symbol(
             lambda c, s=self, o=other: s.evaluate(c) + o.evaluate(c),
             max(self.support_radius, other.support_radius),
-            self._combine_smoothness(other),
             tuple(sorted(set(self.nonsmooth_radii) | set(other.nonsmooth_radii))),
-            label=f"{self.label}+{other.label}",
         )
 
     def __sub__(self, other):
@@ -186,7 +173,7 @@ class Symbol:
             return s.evaluate(tuple(c - w for c, w in zip(coords, comps)))
         # Off-center spheres are not tracked; derivative screens apply to the
         # unshifted symbol.
-        return Symbol(fn, support, self.smoothness, (), label=f"{self.label}@{xi0}")
+        return Symbol(fn, support)
 
     def dilated(self, factor):
         """Symbol xi -> value(factor * xi)."""
@@ -195,9 +182,7 @@ class Symbol:
         return Symbol(
             lambda c, s=self, a=factor: s.evaluate(tuple(a * ci for ci in c)),
             self.support_radius / factor,
-            self.smoothness,
             tuple(r / factor for r in self.nonsmooth_radii),
-            label=f"{self.label}(x{factor})",
         )
 
 
@@ -205,18 +190,12 @@ def scalar_symbol(value):
     """Constant symbol."""
     def fn(coords):
         return np.full(np.broadcast(*coords).shape, complex(value))
-    return Symbol(fn, np.inf, "cinf-compact", label=f"scalar({value})")
+    return Symbol(fn)
 
 
-def radial_symbol(profile, support_radius, smoothness, nonsmooth_radii=(), label=""):
+def radial_symbol(profile, support_radius, nonsmooth_radii=()):
     """Symbol depending on |xi| only."""
-    return Symbol(
-        lambda c: profile(np.sqrt(_radius2(c))),
-        support_radius,
-        smoothness,
-        nonsmooth_radii,
-        label=label,
-    )
+    return Symbol(lambda c: profile(np.sqrt(_radius2(c))), support_radius, nonsmooth_radii)
 
 
 def ball_power_profile(delta):
@@ -231,13 +210,7 @@ def bochner_symbol(delta):
     """Ball multiplier symbol (1 - |xi|^2)_+^delta."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return radial_symbol(
-        ball_power_profile(delta),
-        support_radius=1.0,
-        smoothness="piecewise-smooth",
-        nonsmooth_radii=(1.0,),
-        label=f"bochner(delta={delta})",
-    )
+    return radial_symbol(ball_power_profile(delta), 1.0, (1.0,))
 
 
 def dist_to_unit_interval(z):
@@ -259,13 +232,7 @@ def resolvent_symbol(z, delta):
     if dist_to_unit_interval(z) <= 1e-12:
         raise ValueError(f"z={z} is within 1e-12 of the segment [0, 1] (pole)")
     base = ball_power_profile(delta)
-    return radial_symbol(
-        lambda r: 1.0 / (z - base(r)),
-        support_radius=np.inf,
-        smoothness="bounded",
-        nonsmooth_radii=(1.0,),
-        label=f"resolvent(z={z}, delta={delta})",
-    )
+    return radial_symbol(lambda r: 1.0 / (z - base(r)), np.inf, (1.0,))
 
 
 def cutoff_pair(r0):
@@ -280,13 +247,8 @@ def cutoff_pair(r0):
         raise ValueError(f"r0 must lie in (0, 1/2), got {r0}")
     inner = BumpProfile(1.0 - r0, 1.0 - r0 / 2.0)
     outer = BumpProfile(1.0 + r0 / 2.0, 1.0 + r0)
-    psi1 = radial_symbol(inner, 1.0 - r0 / 2.0, "cinf-compact", label=f"cutoff1(r0={r0})")
-    psi2 = radial_symbol(
-        lambda r: (1.0 - inner(r)) * outer(r),
-        1.0 + r0,
-        "cinf-compact",
-        label=f"cutoff2(r0={r0})",
-    )
+    psi1 = radial_symbol(inner, 1.0 - r0 / 2.0)
+    psi2 = radial_symbol(lambda r: (1.0 - inner(r)) * outer(r), 1.0 + r0)
     return psi1, psi2
 
 
@@ -324,7 +286,7 @@ def bump_phi0(rho):
         r2 = _radius2(coords) / rho**2
         return scale * _flat_exp(1.0 - r2)
 
-    return Symbol(fn, rho, "cinf-compact", label=f"bump(rho={rho})")
+    return Symbol(fn, rho)
 
 
 def critical_delta(p, d):

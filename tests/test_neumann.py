@@ -221,12 +221,12 @@ DECOMPOSITIONS = (("forward", forward_decomposition), ("reverse", reverse_decomp
 
 @pytest.fixture
 def sampled_symbols(monkeypatch):
-    """Labels of the symbols sampled during a test, one entry per Symbol.sample call."""
-    labels = []
+    """The symbols sampled during a test, one entry per Symbol.sample call."""
+    sampled = []
     sample = Symbol.sample
     monkeypatch.setattr(Symbol, "sample",
-                        lambda self, grid: labels.append(self.label) or sample(self, grid))
-    return labels
+                        lambda self, grid: sampled.append(self) or sample(self, grid))
+    return sampled
 
 
 def test_components_are_frequency_fields(grid):

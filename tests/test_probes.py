@@ -161,10 +161,7 @@ def localized_defect_ratio(spec, n_scale, grid):
     """
     xi0, level = probes._achieved_level(spec, grid)
     plateau = (1.0 - abs(xi0[0])) / 2.0
-    localizer = radial_symbol(
-        BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau, "cinf-compact",
-        label="localizer",
-    ).shifted(xi0)
+    localizer = radial_symbol(BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau).shifted(xi0)
     m_loc = (scalar_symbol(level) - bochner_symbol(spec.delta)) * localizer
     f = probe_field(xi0, n_scale, grid, rho=spec.rho)
     return spec._norm(apply(m_loc, f)) / spec._norm(f)

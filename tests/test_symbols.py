@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -221,7 +222,7 @@ def test_critical_delta_validation():
 # -- symbol algebra ----------------------------------------------------------
 
 def test_support_radius_enforced_exactly():
-    raw = Symbol(lambda c: np.ones(np.broadcast(*c).shape, dtype=complex), 1.0, "bounded")
+    raw = Symbol(lambda c: np.ones(np.broadcast(*c).shape, dtype=complex), 1.0)
     vals = ev1(raw, [0.5, 1.0, 1.0001, 3.0])
     assert list(vals.real) == [1.0, 1.0, 0.0, 0.0]
 
@@ -316,6 +317,40 @@ def test_product_and_shift_combinators():
     dil = b.dilated(2.0)
     assert dil.support_radius == pytest.approx(0.5)
     assert ev1(dil, [0.3])[0] == pytest.approx(1.0 - 0.36)
+
+
+def _bookkeeping(m):
+    return m.support_radius, m.nonsmooth_radii
+
+
+def test_algebra_carries_support_and_nonsmooth_radii():
+    ball, resolvent = bochner_symbol(1.0), resolvent_symbol(2.0, 1.0)
+    psi1, psi2 = cutoff_pair(0.25)  # supports 0.875 and 1.25, both smooth
+    assert _bookkeeping(scalar_symbol(3.0)) == (np.inf, ())
+    assert _bookkeeping(2.0 * ball) == _bookkeeping(ball * 2.0) == (1.0, (1.0,))
+    assert _bookkeeping(-ball) == (1.0, (1.0,))
+    # a product lives on the smaller support, a sum on the larger; radii unite
+    assert _bookkeeping(ball * psi2) == (1.0, (1.0,))
+    assert _bookkeeping(psi1 * psi2) == (0.875, ())
+    assert _bookkeeping(psi1 + psi2) == (1.25, ())
+    assert _bookkeeping(psi2 - ball) == (1.25, (1.0,))
+    assert _bookkeeping(resolvent - ball) == (np.inf, (1.0,))
+    assert _bookkeeping(ball.dilated(2.0) + ball) == (1.0, (0.5, 1.0))
+    # dilation by 2 halves the support and every radius
+    assert _bookkeeping((ball * psi2).dilated(2.0)) == (0.5, (0.5,))
+    # a shift widens a finite support by |xi0| and drops the off-center spheres
+    assert _bookkeeping(ball.shifted(0.5)) == (1.5, ())
+    assert _bookkeeping(ball.shifted([0.3, 0.4])) == (1.5, ())
+    assert _bookkeeping(resolvent.shifted(0.5)) == (np.inf, ())
+
+
+def test_a_symbol_is_frozen_to_its_rule_support_and_radii():
+    assert [f.name for f in dataclasses.fields(Symbol)] == [
+        "fn", "support_radius", "nonsmooth_radii", "_cache"]
+    ball = bochner_symbol(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ball.support_radius = 2.0
+    assert ball.support_radius == 1.0
 
 
 # -- derivative screen -------------------------------------------------------
