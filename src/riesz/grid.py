@@ -201,7 +201,7 @@ def forward_transform(f, overwrite=False):
     overwrite=True, as scipy.fft's overwrite_x, computes the same bits in f's
     own sample array and returns it as the result, so no scratch array is
     made.  Only a caller that made that array and gives f up may pass it:
-    f holds the spectrum afterwards.  A cached `Symbol.sample` never qualifies.
+    f holds the spectrum afterwards.
     """
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")

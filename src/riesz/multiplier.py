@@ -8,11 +8,11 @@ circulant matrix for brute-force comparison on small grids.
 A kernel is a `Field`.  `apply` and `convolve` take either side of the
 transform for the field, and `convolve` for the kernel too, so a caller that
 applies several operators to one field transforms it once, and a kernel kept
-as its spectrum is never transformed at all.  Both invert a product array
-they made themselves in place (`inverse_transform(..., overwrite=True)`), so
-`apply` holds one grid array and a quarter of one in 2D beyond its input and
-the symbol's cached sample; `kernel_of` inverts that cached sample, so it
-makes a scratch array instead.
+as its spectrum is never transformed at all.  Symbols are sampled fresh,
+never from a cache, and `apply` forms its product on the symbol's support
+box only (`Symbol._on_support_box`).  `apply`, `kernel_of` and `convolve`
+invert an array they made in place (`inverse_transform(..., overwrite=True)`),
+so `apply` and `kernel_of` hold one grid array and a quarter of one in 2D.
 """
 
 from itertools import product
@@ -38,16 +38,20 @@ def _spectrum(f):
 def apply(m, f):
     """Apply the multiplier with symbol m: inverse(m * forward(f)); f may be a spectrum.
 
-    The product is formed in f's fresh spectrum, or in one new array for a
-    spectrum f, and inverted in place.
+    The product is formed on m's support box, written into f's fresh spectrum
+    (a new array for a spectrum f) with exact zeros off it, and inverted in place.
     """
     _check_window(m, f.grid)
+    box, product = m._on_support_box(f.grid)
+    spec = _spectrum(f)
+    product *= spec[box]
     if f.domain == "frequency":
-        spec = m.sample(f.grid) * f.samples
+        spec = np.zeros(f.grid.shape, complex)
     else:
-        spec = forward_transform(f).samples
-        spec.setflags(write=True)  # made by this call alone
-        np.multiply(m.sample(f.grid), spec, out=spec)
+        spec.setflags(write=True)  # f's fresh spectrum, made by this call alone
+        spec.fill(0.0)
+    spec[box] = product
+    del product  # grid-sized for an infinite support: not kept through the inverse
     return inverse_transform(Field.frequency(f.grid, spec), overwrite=True)
 
 
@@ -56,7 +60,7 @@ def kernel_of(m, grid):
     if not np.isfinite(m.support_radius):
         raise ValueError("kernel extraction needs a compactly supported symbol")
     _check_window(m, grid)
-    return inverse_transform(Field.frequency(grid, m.sample(grid)))
+    return inverse_transform(Field.frequency(grid, m.fresh_sample(grid)), overwrite=True)
 
 
 def convolve(kernel, f):

@@ -14,13 +14,13 @@ Two executable directions:
   the measured grid sup of that contraction.
 
 A Decomposition is its sampled spectra: every component is a frequency-side
-Field on the plan's grid, built from samples of the ball b, psi1 and
-psi2.  The build checks psi2's support 1 + r0, the widest finite support of
-any component, against the grid's frequency window.  One private generator
-makes every series-term spectrum s_n: b^n psi2 forward, with b^n a fresh
-sample of the ball of exponent n delta, and w^n psi2 reverse.  The tail
-kernel is kept as its spectrum sum c_n s_n; each seminorm row
-inverse-transforms one s_n and drops its kernel afterwards.
+Field on the plan's grid, built from fresh samples (`Symbol.fresh_sample`)
+of the ball b, psi1 and psi2.  The build checks psi2's support 1 + r0, the
+widest finite support of any component, against the grid's frequency window.
+One private generator makes every series-term spectrum s_n: b^n psi2
+forward, with b^n a fresh sample of the ball of exponent n delta, and
+w^n psi2 reverse.  The tail kernel is kept as its spectrum sum c_n s_n;
+each seminorm row inverse-transforms one s_n and drops its kernel afterwards.
 
 apply_forward and apply_reverse compose the decomposition on the spectrum
 from its arrays alone, sampling no symbol: spectrum in, spectrum out.  Given
@@ -225,7 +225,7 @@ def _samples(plan):
     """
     psi2 = cutoff_pair(plan.r0)[1]
     _check_window(psi2, plan.grid)
-    return bochner_symbol(plan.delta).sample(plan.grid), psi2.sample(plan.grid)
+    return bochner_symbol(plan.delta).fresh_sample(plan.grid), psi2.fresh_sample(plan.grid)
 
 
 def forward_decomposition(plan):
@@ -241,7 +241,7 @@ def forward_decomposition(plan):
         raise ValueError("plan direction must be forward")
     z = plan.z
     b, psi2 = _samples(plan)
-    psi1 = cutoff_pair(plan.r0)[0].sample(plan.grid)
+    psi1 = cutoff_pair(plan.r0)[0].fresh_sample(plan.grid)
     target = 1.0 / (z - b)
     smooth_part = target * psi1
     series_part = _power_sum(b / z, 0, plan.n0) / z * psi2
@@ -342,7 +342,7 @@ def apply_reverse(dec, f):
 
 def seminorm_table(plan, n_values):
     """Seminorm of the kernel sequence at each requested index."""
-    return _seminorm_rows(plan, n_values, cutoff_pair(plan.r0)[1].sample(plan.grid))
+    return _seminorm_rows(plan, n_values, cutoff_pair(plan.r0)[1].fresh_sample(plan.grid))
 
 
 def tail_term_seminorms(dec):

@@ -190,8 +190,9 @@ class HerzParams:
     q: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("Herz exponents p, q must be >= 1")
+        finite = all(map(math.isfinite, (self.alpha, self.p, self.q)))
+        if not (finite and min(self.p, self.q) >= 1):
+            raise ValueError("Herz exponents alpha, p, q must be finite, with p, q >= 1")
 
     def validate_for_dim(self, dim):
         if not self.alpha > -dim / self.p:
@@ -260,43 +261,46 @@ def build_lp_family(ell_max):
     return family
 
 
-def _block_fields(f, alpha, q, family):
-    """Base block of f and a generator of its weighted level blocks.
+def _block_fields(f, alpha, p, q, family):
+    """L^p norm of f's base block and a generator of its weighted level blocks.
 
-    One transform gives the spectrum, which is checked against the band at
-    once; each level block 2^(ell alpha q), apply(level_symbol(ell), spec) is
-    made only when the caller asks for it, so a caller that folds the blocks
-    in one pass holds one block at a time.
+    Non-finite exponents and q <= 0 are rejected before the one transform.
+    Its spectrum is checked against the band at once, on one real array of
+    moduli, and the base block is reduced to its norm before any level block
+    2^(ell alpha q), apply(level_symbol(ell), spec) is made, each only when
+    the caller asks; a caller that folds them in one pass holds one at a time.
     """
+    if not (all(map(math.isfinite, (alpha, p, q))) and q > 0):
+        raise ValueError(f"need finite alpha, p, q and q > 0, got {alpha}, {p}, {q}")
     spec = forward_transform(f)
-    r = f.grid.xi_radius()
-    outside = r > family.valid_band
-    if outside.any():
-        leak = float(np.max(np.abs(spec.samples[outside])))
-        peak = float(np.max(np.abs(spec.samples)))
-        if leak > 1e-9 * max(peak, 1e-300):
-            raise ValueError(
-                f"field has frequency content beyond the family band "
-                f"{family.valid_band} (leak {leak:.2e})"
-            )
+    moduli = np.abs(spec.samples)
+    peak = float(np.max(moduli))
+    moduli[f.grid.xi_radius() <= family.valid_band] = 0.0
+    leak = float(np.max(moduli))
+    del moduli
+    if leak > 1e-9 * max(peak, 1e-300):
+        raise ValueError(
+            f"field has frequency content beyond the family band "
+            f"{family.valid_band} (leak {leak:.2e})"
+        )
     blocks = (
         (2.0 ** (ell * alpha * q), apply(family.level_symbol(ell), spec))
         for ell in range(1, family.ell_max + 1)
     )
-    return apply(family.base, spec), blocks
+    return lp_norm(apply(family.base, spec), p), blocks
 
 
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
-    base_term, blocks = _block_fields(f, alpha, q, family)
+    base_norm, blocks = _block_fields(f, alpha, p, q, family)
     tail = sum(wt * lp_norm(blk, p) ** q for wt, blk in blocks)
-    return lp_norm(base_term, p) + tail ** (1.0 / q)
+    return base_norm + tail ** (1.0 / q)
 
 
 def triebel_norm(f, alpha, p, q, family):
     """Base L^p term plus the L^p norm of the pointwise weighted l^q sum."""
-    base_term, blocks = _block_fields(f, alpha, q, family)
+    base_norm, blocks = _block_fields(f, alpha, p, q, family)
     stack = sum(wt * np.abs(blk.samples) ** q for wt, blk in blocks)
     g = f.grid
     inner = float(np.sum(stack ** (p / q)) ** (1.0 / p) * g.h ** (g.dim / p))
-    return lp_norm(base_term, p) + inner
+    return base_norm + inner

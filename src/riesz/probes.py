@@ -346,7 +346,7 @@ def resolvent_norm_oracle(z, delta):
 
 def resolvent_norm_grid_sup(z, delta, grid):
     """Sup of the resolvent symbol over the grid frequency lattice."""
-    return float(np.max(np.abs(resolvent_symbol(z, delta).sample(grid))))
+    return float(np.max(np.abs(resolvent_symbol(z, delta).fresh_sample(grid))))
 
 
 def probe_lower_bound(z, delta, p, grid, probes):

@@ -6,12 +6,11 @@ smooth.  Rules act on tuples of per-axis coordinate arrays so one symbol
 serves any grid dimension.  Every rule is pointwise: its value at a point
 depends only on that point's coordinates, so evaluating on a sub-box of the
 lattice gives exactly the full lattice's values there.
-`Symbol.fresh_sample` relies on this: it evaluates only on the box of
-lattice cells within the support radius on every axis and writes exact zeros
-elsewhere, so a sample costs in proportion to its support box, not to the
-grid.  It returns a new array the caller may overwrite; `Symbol.sample`
-caches that array per GridSpec, read-only, for sweeps that reuse one symbol
-on one grid.
+`Symbol._on_support_box`, the one sampler, relies on this: it evaluates only
+on the box of lattice cells within the support radius on every axis, so a
+sample costs in proportion to its support box, not to the grid.  Products are
+formed on that box; `Symbol.fresh_sample` writes it into a new grid array
+with exact zeros elsewhere.  The cached `Symbol.sample` has no package caller.
 """
 
 import math
@@ -74,8 +73,9 @@ class Symbol:
     """Complex-valued frequency symbol with a declared support.
 
     fn              : pointwise rule mapping a tuple of coordinate arrays to
-                      values (the value at a point depends on that point's
-                      coordinates alone; `fresh_sample` relies on it)
+                      a new array of their broadcast shape (the value at a
+                      point depends on that point's coordinates alone;
+                      `_on_support_box` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
     nonsmooth_radii : radii of origin-centered spheres where derivatives may
                       fail to exist (finite-difference screens avoid them)
@@ -100,7 +100,11 @@ class Symbol:
         return vals
 
     def sample(self, grid):
-        """`fresh_sample(grid)`, cached per GridSpec (read-only)."""
+        """`fresh_sample(grid)`, cached per GridSpec in `_cache` (read-only).
+
+        No package path calls it; it and `_cache` stay only for the benchmark
+        tracer, which wraps it and reads the cache.
+        """
         hit = self._cache.get(grid)
         if hit is None:
             hit = self.fresh_sample(grid)
@@ -122,7 +126,7 @@ class Symbol:
         return out
 
     def _on_support_box(self, grid):
-        """Index of the support box on grid's lattice and the values there.
+        """Index of the support box on grid's lattice and, in a new array, the values there.
 
         The box holds the cells whose every coordinate passes
         xi_axis**2 <= support_radius**2, so no cell `evaluate` keeps lies

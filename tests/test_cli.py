@@ -31,7 +31,8 @@ from riesz.neumann import (
 )
 from riesz.norms import lp_norm
 from riesz.probes import baseband_grid, probe_grid, spectrum_map
-from riesz.symbols import mikhlin_check
+from riesz.symbols import Symbol, mikhlin_check
+from test_perfbench import TRACED_COMMANDS  # one small config of every subcommand
 
 
 def run_cli(tmp_path, *args):
@@ -217,6 +218,17 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # a negative A_p level: a traceback at -1, no cube and a value of 0 at -12
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-1)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-12)]"),
+    # block and Herz exponents: q = 0 divided by zero, the rest gave a meaningless value
+    ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=0,p=2,q=0,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[triebel(alpha=0,p=2,q=0,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=0,p=2,q=-1,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[triebel(alpha=0,p=2,q=-2,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=0,p=2,q=inf,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=nan,p=2,q=2,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[triebel(alpha=inf,p=2,q=2,levels=3)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=inf,q=1)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=2,q=inf)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=inf,p=2,q=1)]"),
     # a given r0 skips choose_r0, so the plan itself must reject z on [0, 1]
     ("resolvent-verify", "--set", "z=0.5+0j", "--set", "r0=0.05"),
     ("resolvent-verify", "--set", "z=1", "--set", "r0=0.1"),
@@ -242,6 +254,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "probe-no-ps", "norms-empty", "map-delta-all-poles", "map-p-all-poles",
         "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan",
         "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube",
+        "besov-q-zero", "triebel-q-zero", "besov-q-negative", "triebel-q-negative",
+        "besov-q-inf", "besov-alpha-nan", "triebel-alpha-inf", "herz-p-inf", "herz-q-inf",
+        "herz-alpha-inf",
         "plan-z-on-segment", "plan-z-at-one", "plan-z-at-zero",
         "kernel-decay-z-on-segment"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
@@ -601,6 +616,20 @@ def test_apply_dump_and_norms_pipeline(tmp_path):
     with open(tmp_path / "norms-out" / "norms.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [row["spec"] for row in rows] == ["lp(p=2)", "herz(alpha=0.5,p=2,q=1)"]
+
+
+def test_no_subcommand_reads_the_sample_cache(tmp_path, monkeypatch):
+    # every symbol sample is a fresh array: the cached Symbol.sample has no caller
+    def cached_sample(self, grid):
+        raise AssertionError("Symbol.sample called")
+
+    monkeypatch.setattr(Symbol, "sample", cached_sample)
+    monkeypatch.chdir(tmp_path)
+    for command, *settings in TRACED_COMMANDS:
+        flags = ["--dump-field"] if command == "apply" else []
+        argv = [command, "--out", command.split("-")[0], "--workers", "1", *flags,
+                *(arg for text in settings for arg in ("--set", text))]
+        assert main(argv) == 0, command
 
 
 def test_manifest_records_peak_rss(tmp_path):

@@ -241,11 +241,11 @@ def test_seminorm_equals_the_rolled_reference(dim, size, rng):
 
 @pytest.mark.parametrize("domain", ["spatial", "frequency"])
 def test_apply_holds_one_array_of_the_grid(domain):
-    # the product is formed in f's fresh spectrum (or in one new array for a
-    # spectrum) and inverted in place: that array and a quarter of one
+    # the product is formed on the symbol's support box, written into f's
+    # fresh spectrum (or one new array for a spectrum) and inverted in place:
+    # that array and a quarter of one, with no full-grid symbol sample
     g = GridSpec(2, 512, 40.0)
     m = bochner_symbol(1.0)
-    m.sample(g)  # the cached sample is the symbol's, not the call's
     f = Field(g, domain, np.random.default_rng(25).standard_normal(g.shape) + 0j)
     tracemalloc.start()
     try:
@@ -254,8 +254,23 @@ def test_apply_holds_one_array_of_the_grid(domain):
     finally:
         tracemalloc.stop()
     spectrum = f.samples if domain == "frequency" else forward_transform(f).samples
-    expected = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(m.sample(g) * spectrum)))
+    expected = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(m.fresh_sample(g) * spectrum)))
     assert out.samples.tobytes() == (expected / g.h**2).tobytes()
+    assert peak <= 1.3 * 16 * g.size**2
+
+
+def test_kernel_of_holds_one_array_of_the_grid():
+    # a fresh sample of the symbol, inverted in place: that array and a quarter of one
+    g = GridSpec(2, 512, 40.0)
+    m = bochner_symbol(1.0)
+    tracemalloc.start()
+    try:
+        kernel = kernel_of(m, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(m.fresh_sample(g))))
+    assert kernel.samples.tobytes() == (expected / g.h**2).tobytes()
     assert peak <= 1.3 * 16 * g.size**2
 
 

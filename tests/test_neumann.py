@@ -221,10 +221,10 @@ DECOMPOSITIONS = (("forward", forward_decomposition), ("reverse", reverse_decomp
 
 @pytest.fixture
 def sampled_symbols(monkeypatch):
-    """The symbols sampled during a test, one entry per Symbol.sample call."""
+    """The symbols sampled during a test, one entry per Symbol.fresh_sample call."""
     sampled = []
-    sample = Symbol.sample
-    monkeypatch.setattr(Symbol, "sample",
+    sample = Symbol.fresh_sample
+    monkeypatch.setattr(Symbol, "fresh_sample",
                         lambda self, grid: sampled.append(self) or sample(self, grid))
     return sampled
 
@@ -256,16 +256,21 @@ def test_ball_sample_gives_the_resolvent_bit_for_bit(grid, grid_2d, z, delta):
 
 def test_builds_sample_once_each_and_compositions_none(grid, rng, sampled_symbols):
     f = random_band_limited(grid, 3.0, rng)
-    # forward samples the ball, psi1 and psi2; reverse reads no psi1; the
-    # tail-term seminorms read the decomposition's psi2 and ball
-    for (direction, decompose), count in zip(DECOMPOSITIONS, (3, 2)):
+    # forward samples the ball, psi1, psi2 and one ball power per tail term;
+    # reverse samples the ball and psi2 and forms its powers from them; the
+    # forward tail-term seminorms sample each ball power again, the reverse
+    # ones nothing
+    for direction, decompose in DECOMPOSITIONS:
         dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
+        terms = dec.plan.truncation - dec.plan.n0
+        count = 3 + terms if direction == "forward" else 2
         assert len(sampled_symbols) == count, direction
         compose = apply_forward if direction == "forward" else apply_reverse
         compose(dec, f)
         compose(dec, forward_transform(f))
-        rows = tail_term_seminorms(dec)
         assert len(sampled_symbols) == count, direction
+        rows = tail_term_seminorms(dec)
+        assert len(sampled_symbols) == count + (terms if direction == "forward" else 0)
         assert [n for n, _ in rows] == list(range(dec.plan.n0 + 1, dec.plan.truncation + 1))
         if direction == "forward":  # the same rows as the sampling table, bit for bit
             assert rows == seminorm_table(dec.plan, [n for n, _ in rows])

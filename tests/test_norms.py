@@ -360,14 +360,18 @@ def _traced_peak(fn, *args):
 
 def test_dyadic_norms_hold_one_block_at_a_time():
     # the level blocks are made and folded one by one, so adding a level
-    # adds no memory; a 512^2 block is 4 MiB
+    # adds no memory; a 512^2 block is 4 MiB.  The band check holds one real
+    # array of moduli, and the base block is reduced to its norm before the
+    # first level block, so besov holds the spectrum, one block and a real
+    # array, and triebel its stack of moduli besides
     g = GridSpec(2, 512, 16.0)
     f = random_band_limited(g, 2.0, np.random.default_rng(8))
     values = {}
-    for norm in (besov_norm, triebel_norm):
+    for norm, arrays in ((besov_norm, 3.5), (triebel_norm, 4.0)):
         peaks = [_traced_peak(norm, f, 0.5, 3.0, 1.5, build_lp_family(levels))
                  for levels in (2, 3)]
         assert peaks[1][1] - peaks[0][1] <= 2**20, norm.__name__
+        assert peaks[1][1] <= arrays * 16 * g.size**2, norm.__name__
         values[norm.__name__] = peaks[1][0]
     # levels = 3 gives the values the list-of-blocks implementation gave, bit for bit
     assert values == {"besov_norm": 0.4296055689712979, "triebel_norm": 0.42960556897129787}
@@ -378,6 +382,31 @@ def test_band_limit_guard(grid, rng):
     f = random_band_limited(grid, 4.0, rng)
     with pytest.raises(ValueError):
         besov_norm(f, 0.0, 2.0, 2.0, family)
+
+
+@pytest.mark.parametrize("alpha, p, q", [
+    (0.0, 2.0, 0.0), (0.0, 2.0, -1.0), (0.0, 2.0, -2.0), (0.0, 2.0, np.inf),
+    (np.nan, 2.0, 2.0), (np.inf, 2.0, 2.0), (0.0, np.nan, 2.0), (0.0, 2.0, np.nan),
+])
+def test_block_norms_reject_bad_exponents_before_any_transform(grid, rng, transforms,
+                                                               alpha, p, q):
+    # q = 0 divided by zero; the rest gave a value with no meaning
+    family = build_lp_family(3)
+    f = random_band_limited(grid, 2.0, rng)
+    before = len(transforms)
+    for norm in (besov_norm, triebel_norm):
+        with pytest.raises(ValueError, match="finite alpha, p, q and q > 0"):
+            norm(f, alpha, p, q, family)
+    assert len(transforms) == before
+
+
+@pytest.mark.parametrize("alpha, p, q", [
+    (np.inf, 2.0, 1.0), (np.nan, 2.0, 1.0), (0.5, np.inf, 1.0), (0.5, 2.0, np.inf),
+    (0.5, np.nan, 1.0), (0.5, 2.0, np.nan),
+])
+def test_herz_params_reject_non_finite_exponents(alpha, p, q):
+    with pytest.raises(ValueError, match="finite"):
+        HerzParams(alpha, p, q)
 
 
 def test_norm_triangle_inequalities(grid, rng):
