@@ -34,10 +34,11 @@ fork.  manifest.json counts the workers' CPU time and peak RSS with the
 process's own.
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
-true/false, double-quoted strings, and [comma, separated, lists]; # starts a
-comment.  A list item shaped name(...), such as a norm spec, may go unquoted.
-A key appears at most once per file.  --set overrides win over the file and
-accept bare strings.
+true/false, strings, and [comma, separated, lists]; a # outside quotes and
+brackets starts a comment.  A key appears at most once per file, and --set
+overrides win over the file.  A value from a file or --set, a list item and a
+spec argument all stay text, less one pair of surrounding double quotes, until
+their key's parser reads them, once; so a string or list item may go unquoted.
 """
 
 import argparse
@@ -106,62 +107,38 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _parse_value(text, where):
-    text = text.strip()
-    if not text:
-        raise UsageError(f"{where}: empty value")
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        # an unquoted name(...) item, e.g. a norm spec, stays a string
-        return [part if _is_call(part) else _parse_value(part, where)
-                for part in _split_top(inner)]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    raise UsageError(f"{where}: cannot parse value {text!r}")
-
-
-def _is_call(text):
-    name, paren, _ = text.partition("(")
-    return bool(paren) and text.endswith(")") and name.strip().isidentifier()
-
-
-def _split_top(text):
-    parts, depth, start = [], 0, 0
+def _split_top(text, sep=","):
+    """text's stripped parts between the seps outside brackets, parentheses and quotes."""
+    parts, depth, start, quoted = [], 0, 0, False
     for i, ch in enumerate(text):
-        if ch in "([":
+        if ch == '"':
+            quoted = not quoted
+        elif quoted:
+            continue
+        elif ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i].strip())
             start = i + 1
-    parts.append(text[start:])
-    return [p for p in (part.strip() for part in parts) if p]
+    parts.append(text[start:].strip())
+    return parts
+
+
+def _text(value):
+    """value without surrounding blanks and one pair of surrounding double quotes."""
+    value = value.strip()
+    if len(value) >= 2 and value[0] == value[-1] == '"':
+        return value[1:-1]
+    return value
 
 
 def parse_config_text(text):
+    """{key: value text} of a config file; its key's parser types each value."""
     config, key_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        if '"' not in line:
-            line = line.split("#", 1)[0]
-        elif line.lstrip().startswith("#"):
-            line = ""
-        line = line.strip()
+        line = _split_top(raw, "#")[0]
         if not line:
             continue
         if "=" not in line:
@@ -174,7 +151,7 @@ def parse_config_text(text):
             raise UsageError(f"config line {lineno}: key {key!r} is already set on line "
                              f"{key_lines[key]}")
         key_lines[key] = lineno
-        config[key] = _parse_value(value, f"config line {lineno} ({key})")
+        config[key] = value
     return config
 
 
@@ -183,10 +160,7 @@ def apply_overrides(config, pairs):
         if "=" not in pair:
             raise UsageError(f"--set needs key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        try:
-            config[key.strip()] = _parse_value(value, f"--set {key}")
-        except UsageError:
-            config[key.strip()] = value.strip()
+        config[key.strip()] = value
     return config
 
 
@@ -197,8 +171,8 @@ _REQUIRED = object()
 
 
 def _resolve(table, given, where):
-    """{key: parser(given[key]), or default when given lacks key} over table's
-    key -> (parser, default) entries.  An undeclared key, a missing required
+    """{key: parser(_text(given[key])), or default when given lacks key} over
+    table's key -> (parser, default) entries.  An undeclared key, a missing required
     key, or a value its parser rejects is a UsageError naming where and the key."""
     for key in given:
         if key not in table:
@@ -211,51 +185,59 @@ def _resolve(table, given, where):
             resolved[key] = default
             continue
         try:
-            resolved[key] = parse(given[key])
+            resolved[key] = parse(_text(given[key]))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"{where} {key!r}: {exc}")
     return resolved
 
 
-def _int(value):
-    """An integer value: 2, 2.0 and "2.0" pass, 2.7 is rejected rather than truncated."""
-    if isinstance(value, str):  # a DSL argument
-        value = float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+def _int(text):
+    """An integer: 2 and 2.0 pass, 2.7 is rejected rather than truncated."""
+    number = float(text)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {text!r}")
+    return int(number)
 
 
-def _bool(value):
-    """true or false; any other value, such as a bare no, is rejected, not read as truthy."""
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
+def _bool(text):
+    """true or false; any other text, such as no, is rejected, not read as truthy."""
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+def _items(text):
+    """The unquoted items of a [comma, separated] list; none when text is not one."""
+    if not (text.startswith("[") and text.endswith("]")):
+        return []
+    return [_text(item) for item in _split_top(text[1:-1]) if item]
 
 
 def _tuple_of(kind):
     """A parser of a non-empty [list] whose items kind converts."""
-    def parse(values):
-        if not (isinstance(values, list) and values):
-            raise ValueError(f"must be a non-empty [list], got {values!r}")
-        return tuple(kind(v) for v in values)
+    def parse(text):
+        items = _items(text)
+        if not items:
+            raise ValueError(f"must be a non-empty [list], got {text!r}")
+        return tuple(kind(item) for item in items)
     return parse
 
 
-def _bound(value):
+def _bound(text):
     """A check's bound: any number but NaN, which no measured value could pass."""
-    bound = float(value)
+    bound = float(text)
     if np.isnan(bound):
-        raise ValueError(f"must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {text!r}")
     return bound
 
 
-def _linspace(spec):
-    if not (isinstance(spec, list) and len(spec) == 3):
+def _linspace(text):
+    items = _items(text)
+    if len(items) != 3:
         raise ValueError("must be [min, max, steps]")
-    if _int(spec[2]) < 1:
-        raise ValueError(f"needs at least one step, got {spec[2]}")
-    return tuple(float(v) for v in np.linspace(float(spec[0]), float(spec[1]), _int(spec[2])))
+    if _int(items[2]) < 1:
+        raise ValueError(f"needs at least one step, got {items[2]}")
+    return tuple(float(v) for v in np.linspace(float(items[0]), float(items[1]), _int(items[2])))
 
 
 def _grid_keys(dim, size, half_width):
@@ -276,7 +258,7 @@ def _parse_call(text, where):
     if "(" not in text or not text.endswith(")"):
         raise UsageError(f"{where}: expected name(arg, ...), got {text!r}")
     name, _, inner = text.partition("(")
-    return name.strip(), _split_top(inner[:-1])
+    return name.strip(), [part for part in _split_top(inner[:-1]) if part]
 
 
 def _scalar(text, where):
@@ -312,7 +294,7 @@ def _spec_args(name, parts, kinds, where):
             raise UsageError(f"{where}: expected key=value, got {part!r}")
         if key in given:
             raise UsageError(f"{where}: {name} argument {key!r} is given twice")
-        given[key] = value.strip()
+        given[key] = value
     return _resolve(kinds[name], given, f"{where}: {name} argument")
 
 
@@ -624,7 +606,7 @@ def run_probe(cfg, out_dir, seed, workers):
 
 # spectrum-map sizes its own grid from ns and rho, so it has no grid key
 @_command("spectrum-map", {
-    "re": (_linspace, _linspace([-0.5, 1.5, 9])), "im": (_linspace, _linspace([-1.0, 1.0, 9])),
+    "re": (_linspace, _linspace("[-0.5, 1.5, 9]")), "im": (_linspace, _linspace("[-1.0, 1.0, 9]")),
     "p": (float, 2.0), "delta": (float, 1.0), "ns": (_tuple_of(_int), (32, 64, 128)),
     "pole_margin": (float, 1e-3), "rho": (float, 0.5)})
 def run_spectrum_map(cfg, out_dir, seed, workers):

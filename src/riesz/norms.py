@@ -128,10 +128,11 @@ def default_cube_family(half_width, dim, level=0):
     side admits every ratio a larger one inside [-half_width, half_width]
     admits, so this one side reaches the sup of every dyadic side.  `level`
     refines the side and the quadrature, which is how stability of the
-    estimate is probed; it must be a nonnegative integer.
+    estimate is probed; it must be an integer in [0, 5]: at level 5 one
+    cube's 4096 * 2^5 nodes (362^2 in 2D) fill one _STRIP_POINTS strip.
     """
-    if not (isinstance(level, (int, np.integer)) and level >= 0):
-        raise ValueError(f"cube family level must be an integer >= 0, got {level}")
+    if not (isinstance(level, (int, np.integer)) and 0 <= level <= 5):
+        raise ValueError(f"cube family level must be an integer in [0, 5], got {level}")
     side = 2.0 ** (-3 - level)
     relative = [0.5 * j for j in range(-8, 9)] if side <= half_width else []
     offsets = [r * side for r in relative if abs(r * side) + side / 2.0 <= half_width]

@@ -245,21 +245,9 @@ def decay_rows(spec, grid=None, profile=None):
     if grid is None:
         grid = spec.default_grid()
     xi0, level = _achieved_level(spec, grid)
-    rows = []
-    for n in spec.n_values:
-        f_norm, defect_norm = _probe_norms(spec, n, grid, (xi0, level), profile)
-        rows.append(
-            {
-                "lambda": spec.lam,
-                "lambda_achieved": level,
-                "xi0": float(xi0[0]),
-                "p": spec.p,
-                "delta": spec.delta,
-                "n": int(n),
-                "ratio": defect_norm / f_norm,
-            }
-        )
-    return rows
+    return [{"lambda": spec.lam, "lambda_achieved": level, "xi0": float(xi0[0]), "p": spec.p,
+             "delta": spec.delta, "n": int(n), "ratio": probe_ratio(spec, n, grid, profile)}
+            for n in spec.n_values]
 
 
 @dataclass(frozen=True)

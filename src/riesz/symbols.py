@@ -59,13 +59,9 @@ class BumpProfile:
             raise ValueError(f"need 0 <= inner < outer, got {self.inner}, {self.outer}")
 
     def __call__(self, t):
+        # (outer - r) / width rounds to >= 1 on r <= inner and to <= 0 on r >= outer
         r = np.abs(np.asarray(t, dtype=float))
-        width = self.outer - self.inner
-        return np.where(
-            r <= self.inner,
-            1.0,
-            np.where(r >= self.outer, 0.0, smoothstep((self.outer - r) / width)),
-        )
+        return smoothstep((self.outer - r) / (self.outer - self.inner))
 
 
 @dataclass(frozen=True, eq=False)

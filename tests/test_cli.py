@@ -65,21 +65,111 @@ def test_parse_config_values():
     flag = true
     ns = [8, 16, 32]
     """
-    cfg = parse_config_text(text)
-    assert cfg == {"delta": 1.5, "n": 42, "name": "probe", "flag": True, "ns": [8, 16, 32]}
+    table = {"delta": (float, None), "n": (_int, None), "name": (str, None),
+             "flag": (cli._bool, None), "ns": (cli._tuple_of(_int), None)}
+    cfg = cli._resolve(table, parse_config_text(text), "test key")
+    assert cfg == {"delta": 1.5, "n": 42, "name": "probe", "flag": True, "ns": (8, 16, 32)}
+    assert isinstance(cfg["n"], int) and all(isinstance(n, int) for n in cfg["ns"])
 
 
 def test_parse_config_diagnostics_carry_line_numbers():
     with pytest.raises(UsageError) as err:
         parse_config_text("good = 1\nbad value\n")
     assert "line 2" in str(err.value)
+    # a value stays text until its key's parser reads it, so the key names a bad one
     with pytest.raises(UsageError) as err:
-        parse_config_text("x = {}\n")
-    assert "line 1" in str(err.value)
+        cli._resolve(COMMANDS["kernel-decay"][1], parse_config_text("delta = {}\n"),
+                     "kernel-decay config key")
+    assert str(err.value).startswith("kernel-decay config key 'delta': ")
     # a repeated key would silently keep its last value
     with pytest.raises(UsageError) as err:
         parse_config_text("rho = 2.0\n# the second one\nrho = 0.5\n")
     assert str(err.value) == "config line 3: key 'rho' is already set on line 1"
+
+
+_SMALL_GRID = "grid_size = 64\ngrid_half_width = 8\n"
+
+
+@pytest.mark.parametrize("command, config, overrides, expected", [
+    # a comment after a quoted value was read as part of the value
+    ("apply", 'symbol = "bochner(delta=1)"  # the ball\n' + _SMALL_GRID, (),
+     {"symbol": "bochner(delta=1)"}),
+    # a bare string and a complex number ran from --set but not from a file
+    ("apply", "symbol = bochner(delta=1)\n" + _SMALL_GRID, (), {"symbol": "bochner(delta=1)"}),
+    ("kernel-decay", "z = 2+0j\nn_min = 20\nn_max = 22\n", (), {"z": {"re": 2.0, "im": 0.0}}),
+    # true ran as the number 1
+    ("resolvent-verify", "delta = true\n", (),
+     "riesz: resolvent-verify config key 'delta': could not convert string to float: 'true'"),
+    ("resolvent-verify", "op_fields = true\n", (),
+     "riesz: resolvent-verify config key 'op_fields': could not convert string to float: 'true'"),
+    ("probe", "", ("lambdas=[true]",),
+     "riesz: probe config key 'lambdas': could not convert string to float: 'true'"),
+    # a comma inside a quoted list item split the item; now the whole spec is named
+    ("norms", 'field = "nowhere"\nnorms = ["lp(p=2)", "x,y"]\n', (),
+     "riesz: norms: expected name(arg, ...), got 'x,y'"),
+], ids=["comment-after-quotes", "bare-string", "complex", "true-as-float", "true-as-int",
+        "true-in-list", "comma-in-quotes"])
+def test_every_value_is_text_until_its_parser_reads_it(tmp_path, capsys, command, config,
+                                                       overrides, expected):
+    path = tmp_path / "run.toml"
+    path.write_text(config)
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    code, out = run_cli(tmp_path, command, "--config", str(path), *sets)
+    stderr = capsys.readouterr().err
+    if isinstance(expected, str):  # a usage error
+        assert (code, stderr) == (1, expected + "\n")
+        return
+    assert (code, stderr) == (0, "")
+    resolved = json.loads((out / "manifest.json").read_text())["config"]
+    assert {key: resolved[key] for key in expected} == expected
+
+
+# The benchmark's value of each key whose default is unset, and a sample value
+# of each such key the benchmark leaves unset.
+_UNSET_KEY_TEXT = {
+    ("apply", "symbol"): '"bochner(delta=1)"', ("apply", "assert_output_l2_max"): "1e3",
+    ("mikhlin", "symbol"): '"resolvent(z=2+0j,delta=1)"', ("mikhlin", "refinements"): "2",
+    ("norms", "field"): '"apply/fields/output"', ("resolvent-verify", "r0"): "0.25",
+    ("resolvent-verify", "truncation"): "12", ("kernel-decay", "r0"): "0.25",
+    ("probe", "weight_a"): "0.5", ("probe", "assert_max_halving"): "0.75",
+}
+
+
+def _default_text(value):
+    """A resolved default written as config text."""
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(_default_text, value)) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, complex):
+        return str(value).strip("()")
+    return json.dumps(value) if isinstance(value, str) else repr(value)
+
+
+def _value_text(command, key, parse, default):
+    """Config text for key: _UNSET_KEY_TEXT's value, or its default written out."""
+    if (command, key) in _UNSET_KEY_TEXT:
+        return _UNSET_KEY_TEXT[command, key]
+    if parse is cli._linspace:
+        return f"[{default[0]!r}, {default[-1]!r}, {len(default)}]"
+    return _default_text(default)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_file_and_set_resolve_alike(tmp_path, command):
+    table = COMMANDS[command][1]
+    texts = {key: _value_text(command, key, parse, default)
+             for key, (parse, default) in table.items()}
+    path = tmp_path / "all.toml"
+    path.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()))
+    parser = cli._arg_parser()
+    from_file = cli.resolve_config(parser.parse_args([command, "--config", str(path)]))
+    sets = [arg for key, text in texts.items() for arg in ("--set", f"{key}={text}")]
+    from_set = cli.resolve_config(parser.parse_args([command, *sets]))
+    assert from_file == from_set
+    for key, (_, default) in table.items():
+        if (command, key) not in _UNSET_KEY_TEXT:
+            assert from_file[key] == default and type(from_file[key]) is type(default)
 
 
 def test_symbol_dsl():
@@ -218,6 +308,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
     # a negative A_p level: a traceback at -1, no cube and a value of 0 at -12
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-1)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=-12)]"),
+    # a large A_p level: 2^52 quadrature nodes per cube, a 32-PiB request
+    ("norms", "--set", "field=DUMP", "--set", "norms=[ap(a=0.5,p=2,level=40)]"),
     # block and Herz exponents: q = 0 divided by zero, the rest gave a meaningless value
     ("norms", "--set", "field=DUMP", "--set", "norms=[besov(alpha=0,p=2,q=0,levels=3)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[triebel(alpha=0,p=2,q=0,levels=3)]"),
@@ -253,7 +345,7 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "tail-tol-nan", "tail-tol-zero", "tail-tol-unreachable", "probe-no-lambdas",
         "probe-no-ps", "norms-empty", "map-delta-all-poles", "map-p-all-poles",
         "output-l2-max-nan", "tol-operator-nan", "zero-lambda-tol-nan", "max-halving-nan",
-        "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube",
+        "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube", "ap-level-large",
         "besov-q-zero", "triebel-q-zero", "besov-q-negative", "triebel-q-negative",
         "besov-q-inf", "besov-alpha-nan", "triebel-alpha-inf", "herz-p-inf", "herz-q-inf",
         "herz-alpha-inf",
@@ -660,8 +752,9 @@ def test_manifest_counts_worker_cost(tmp_path):
 
 
 def test_norms_list_items_need_no_quotes(tmp_path):
-    assert parse_config_text('norms = [lp(p=2), "lp(p=1)", [herz(alpha=0.5,p=2,q=1)]]') == {
-        "norms": ["lp(p=2)", "lp(p=1)", ["herz(alpha=0.5,p=2,q=1)"]]}
+    text = 'field = dump\nnorms = [lp(p=2), "lp(p=1)", herz(alpha=0.5,p=2,q=1)]'
+    assert cli._resolve(COMMANDS["norms"][1], parse_config_text(text), "norms config key") == {
+        "field": "dump", "norms": ("lp(p=2)", "lp(p=1)", "herz(alpha=0.5,p=2,q=1)")}
     code, out = run_cli(tmp_path, "apply", "--set", "symbol=bochner(delta=1)",
                         "--set", "dump_fields=true")
     assert code == 0

@@ -22,6 +22,7 @@ from riesz.norms import (
     weight_samples,
     weighted_lp_norm,
 )
+from riesz.symbols import _STRIP_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,17 @@ def test_cube_family_level_and_emptiness():
     for a in (0.0, 0.5):
         with pytest.raises(ValueError, match="empty"):
             ap_constant_estimate(WeightSpec(a, 2.0), empty)
+
+
+def test_cube_family_level_is_capped_at_one_strip_per_cube():
+    # level 6 would give one cube 2^18 nodes; level 40, 2^52 (a 32-PiB request)
+    for level in (6, 40):
+        with pytest.raises(ValueError, match="level"):
+            default_cube_family(16.0, 1, level=level)
+    family = default_cube_family(16.0, 1, level=5)
+    assert family.quad_points == _STRIP_POINTS
+    value = ap_constant_estimate(WeightSpec(0.5, 2.0), family)
+    assert np.isfinite(value) and value > 1.0
 
 
 def _all_sides_family(half_width, dim, level):
