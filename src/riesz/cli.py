@@ -126,6 +126,22 @@ def _split_top(text, sep=","):
     return parts
 
 
+def _listed(text):
+    """The comma-separated items of text, the inside of a [list] or name(call).
+
+    No text is no item, and one trailing comma is allowed, as TOML allows it;
+    any other empty item is a mistyped list, rejected rather than dropped.
+    """
+    parts = _split_top(text)
+    if parts == [""]:
+        return []
+    if len(parts) > 1 and not parts[-1]:
+        parts.pop()
+    if "" in parts:
+        raise ValueError(f"empty item in {text!r}")
+    return parts
+
+
 def _text(value):
     """value without surrounding blanks and one pair of surrounding double quotes."""
     value = value.strip()
@@ -210,7 +226,7 @@ def _items(text):
     """The unquoted items of a [comma, separated] list; none when text is not one."""
     if not (text.startswith("[") and text.endswith("]")):
         return []
-    return [_text(item) for item in _split_top(text[1:-1]) if item]
+    return [_text(item) for item in _listed(text[1:-1])]
 
 
 def _tuple_of(kind):
@@ -258,7 +274,10 @@ def _parse_call(text, where):
     if "(" not in text or not text.endswith(")"):
         raise UsageError(f"{where}: expected name(arg, ...), got {text!r}")
     name, _, inner = text.partition("(")
-    return name.strip(), [part for part in _split_top(inner[:-1]) if part]
+    try:
+        return name.strip(), _listed(inner[:-1])
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def _scalar(text, where):

@@ -10,9 +10,11 @@ transform for the field, and `convolve` for the kernel too, so a caller that
 applies several operators to one field transforms it once, and a kernel kept
 as its spectrum is never transformed at all.  Symbols are sampled fresh,
 never from a cache, and `apply` forms its product on the symbol's support
-box only (`Symbol._on_support_box`).  `apply`, `kernel_of` and `convolve`
-invert an array they made in place (`inverse_transform(..., overwrite=True)`),
-so `apply` and `kernel_of` hold one grid array and a quarter of one in 2D.
+box only, one row strip at a time (`Symbol._strips`), so a symbol's rule
+never makes a grid-sized temporary, whatever its support.  `apply`,
+`kernel_of` and `convolve` invert an array they made in place
+(`inverse_transform(..., overwrite=True)`), so `apply` and `kernel_of` hold
+one grid array, plus a quarter of one in 2D while it is transformed.
 """
 
 from itertools import product
@@ -38,20 +40,23 @@ def _spectrum(f):
 def apply(m, f):
     """Apply the multiplier with symbol m: inverse(m * forward(f)); f may be a spectrum.
 
-    The product is formed on m's support box, written into f's fresh spectrum
-    (a new array for a spectrum f) with exact zeros off it, and inverted in place.
+    The product is formed in f's fresh spectrum (a copy of a spectrum f):
+    each row strip of m's support box is multiplied in as it is sampled,
+    the rest is set to exact zeros, and the array is inverted in place.
     """
     _check_window(m, f.grid)
-    box, product = m._on_support_box(f.grid)
-    spec = _spectrum(f)
-    product *= spec[box]
+    off, strips = m._strips(f.grid)
     if f.domain == "frequency":
-        spec = np.zeros(f.grid.shape, complex)
+        spec = f.samples.copy()
     else:
+        spec = forward_transform(f).samples
         spec.setflags(write=True)  # f's fresh spectrum, made by this call alone
-        spec.fill(0.0)
-    spec[box] = product
-    del product  # grid-sized for an infinite support: not kept through the inverse
+    for index in off:
+        spec[index] = 0.0
+    for index, values in strips:
+        values *= spec[index]
+        spec[index] = values
+        del values  # not held while the next strip is evaluated
     return inverse_transform(Field.frequency(f.grid, spec), overwrite=True)
 
 

@@ -294,14 +294,26 @@ def _block_fields(f, alpha, p, q, family):
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
     base_norm, blocks = _block_fields(f, alpha, p, q, family)
-    tail = sum(wt * lp_norm(blk, p) ** q for wt, blk in blocks)
+    tail = 0.0
+    for wt, blk in blocks:
+        tail += wt * lp_norm(blk, p) ** q
+        del blk  # dropped before the next block is made
     return base_norm + tail ** (1.0 / q)
 
 
 def triebel_norm(f, alpha, p, q, family):
-    """Base L^p term plus the L^p norm of the pointwise weighted l^q sum."""
+    """Base L^p term plus the L^p norm of the pointwise weighted l^q sum.
+
+    The stack of wt |block|^q is one real array, accumulated in place.
+    """
     base_norm, blocks = _block_fields(f, alpha, p, q, family)
-    stack = sum(wt * np.abs(blk.samples) ** q for wt, blk in blocks)
+    stack = 0.0
+    for wt, blk in blocks:
+        term = np.abs(blk.samples)
+        term **= q
+        term *= wt
+        stack += term
+        del blk, term  # neither is held while the next block is made
     g = f.grid
     inner = float(np.sum(stack ** (p / q)) ** (1.0 / p) * g.h ** (g.dim / p))
     return base_norm + inner

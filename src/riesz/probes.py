@@ -205,7 +205,7 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     N must keep the bump (radius spec.rho, or the profile's support radius)
     inside the localizer plateau.  ||f|| is taken first; then f's array is
     transformed in place into F, scaled by level outside the support box of
-    the ball b (where b alone is evaluated) and set to (level - b) F on it,
+    the ball b and set to (level - b) F on it, one row strip of b at a time,
     and inverted in place.  So a probe holds one grid array, plus lp_norm's
     real moduli while a norm is taken: one and a half grid arrays.
     """
@@ -223,11 +223,13 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
     defect.setflags(write=True)  # f's own array; f is not read again
-    box, b = ball._on_support_box(grid)
-    edge = (level - b) * defect[box]
-    defect *= level
-    defect[box] = edge
-    del b, edge
+    off, strips = ball._strips(grid)
+    for index in off:
+        defect[index] *= level
+    for index, b in strips:
+        np.subtract(level, b, out=b)
+        b *= defect[index]
+        defect[index] = b
     defect = inverse_transform(Field.frequency(grid, defect), overwrite=True)
     return f_norm, spec._norm(defect)
 

@@ -6,11 +6,13 @@ smooth.  Rules act on tuples of per-axis coordinate arrays so one symbol
 serves any grid dimension.  Every rule is pointwise: its value at a point
 depends only on that point's coordinates, so evaluating on a sub-box of the
 lattice gives exactly the full lattice's values there.
-`Symbol._on_support_box`, the one sampler, relies on this: it evaluates only
-on the box of lattice cells within the support radius on every axis, so a
-sample costs in proportion to its support box, not to the grid.  Products are
-formed on that box; `Symbol.fresh_sample` writes it into a new grid array
-with exact zeros elsewhere.  The cached `Symbol.sample` has no package caller.
+`Symbol._strips`, the one sampler, relies on this: it evaluates only on the
+box of lattice cells within the support radius on every axis, in row strips
+of about _SAMPLE_STRIP_POINTS points, so a sample costs in proportion to its
+support box, not to the grid, and a compound rule's temporaries are bounded
+by a strip.  Products are formed strip by strip; `Symbol.fresh_sample`
+writes the strips into a new grid array with exact zeros elsewhere.  The
+cached `Symbol.sample` has no package caller.
 """
 
 import math
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _STRIP_POINTS = 2**17  # mikhlin_check's strip size; the 1D default's levels are one strip
+_SAMPLE_STRIP_POINTS = 2**14  # a support box is evaluated in row strips of about this many points
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 
 
@@ -71,7 +74,7 @@ class Symbol:
     fn              : pointwise rule mapping a tuple of coordinate arrays to
                       a new array of their broadcast shape (the value at a
                       point depends on that point's coordinates alone;
-                      `_on_support_box` relies on it)
+                      `_strips` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
     nonsmooth_radii : radii of origin-centered spheres where derivatives may
                       fail to exist (finite-difference screens avoid them)
@@ -111,28 +114,41 @@ class Symbol:
     def fresh_sample(self, grid):
         """Values on the grid frequency lattice, in a new array the caller owns.
 
-        The rule runs only on the box of cells whose every coordinate passes
-        xi_axis**2 <= support_radius**2, the comparison `evaluate` masks with,
-        so no cell `evaluate` keeps lies outside it; the rest are exact zeros.
-        The result equals the masked full-lattice evaluation bit for bit.
+        The rule runs only on the support box (see `_strips`), so no cell
+        `evaluate` keeps lies outside it; the rest are exact zeros.  The
+        result equals the masked full-lattice evaluation bit for bit.
         """
-        box, values = self._on_support_box(grid)
         out = np.zeros(grid.shape, complex)
-        out[box] = values
+        for index, values in self._strips(grid)[1]:
+            out[index] = values
         return out
 
-    def _on_support_box(self, grid):
-        """Index of the support box on grid's lattice and, in a new array, the values there.
+    def _strips(self, grid):
+        """The grid's blocks off the support box, and the box's values in row strips.
 
         The box holds the cells whose every coordinate passes
         xi_axis**2 <= support_radius**2, so no cell `evaluate` keeps lies
-        outside it; it is never empty, because 0 is on every axis.
+        outside it; it is never empty, because 0 is on every axis.  Returns
+        a list of index tuples that together cover the grid off the box, and
+        a generator of (index, values): consecutive rows of the box along the
+        first axis, about _SAMPLE_STRIP_POINTS points at a time, each
+        evaluated into a new array only when the caller asks for it.
         """
         axis = grid.xi_axis()
         kept = np.flatnonzero(axis**2 <= self.support_radius**2)
-        box = (slice(kept[0], kept[-1] + 1),) * grid.dim
-        coords = np.meshgrid(*(axis[b] for b in box), indexing="ij", sparse=True)
-        return box, self.evaluate(tuple(coords))
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+        span = slice(lo, hi)
+        off = [(span,) * a + (side,) + (slice(None),) * (grid.dim - a - 1)
+               for a in range(grid.dim) for side in (slice(None, lo), slice(hi, None))]
+        rows = max(1, _SAMPLE_STRIP_POINTS // (hi - lo) ** (grid.dim - 1))
+
+        def strips():
+            for start in range(lo, hi, rows):
+                index = (slice(start, min(start + rows, hi)),) + (span,) * (grid.dim - 1)
+                coords = np.meshgrid(*(axis[i] for i in index), indexing="ij", sparse=True)
+                yield index, self.evaluate(tuple(coords))
+
+        return off, strips()
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -323,7 +339,13 @@ class MikhlinReport:
 
 
 def _directional_gradients(tensors, spacing):
-    return [np.gradient(t, spacing, axis=axis) for t in tensors for axis in range(t.ndim)]
+    """Each tensor's directional gradients in turn; each tensor leaves the
+    list as its gradients start, so the caller's list holds only those not
+    yet differentiated."""
+    while tensors:
+        t = tensors.pop(0)
+        for axis in range(t.ndim):
+            yield np.gradient(t, spacing, axis=axis)
 
 
 def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None):
@@ -335,7 +357,10 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
     stencils, are excluded.  Each level runs in row strips of _STRIP_POINTS
     points along the first axis, with a kmax-row halo so the strip's own edge
     stencils never reach a kept row: the sups equal those of the whole mesh,
-    in O(strip x row) memory per level.  This is a report-only screen.
+    in O(strip x row) memory per level.  Each order-k directional derivative
+    is folded into one running sum of squares as soon as it is made, so a
+    strip holds only the order-(k-1) tensors that order k still needs, never
+    all dim^k order-k ones.  This is a report-only screen.
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
@@ -359,21 +384,31 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             lo, hi = max(start - kmax, 0), min(stop + kmax, n)
-            coords = tuple(np.meshgrid(axis[lo:hi], *([axis] * (dim - 1)), indexing="ij"))
+            coords = tuple(np.meshgrid(axis[lo:hi], *([axis] * (dim - 1)),
+                                       indexing="ij", sparse=True))
             radius = np.sqrt(_radius2(coords))
             tensors = [m.evaluate(coords)]
             for k in range(kmax + 1):
-                if k > 0:
-                    tensors = _directional_gradients(tensors, spacing)
                 # global rows and columns k..n-k-1: the frame's stencils are one-sided
                 row0, row1 = max(start, k) - lo, min(stop, n - k) - lo
+                inner = (slice(row0, row1),) + (slice(k, n - k),) * (dim - 1)
+                made = tensors if k == 0 else _directional_gradients(tensors, spacing)
+                tensors, square = [], 0.0
+                for t in made:
+                    if row0 < row1:
+                        term = np.abs(t[inner])
+                        term **= 2
+                        square += term
+                        del term
+                    if k < kmax:  # kept for the next order's gradients
+                        tensors.append(t)
+                    del t
                 if row0 >= row1:
                     continue
-                inner = (slice(row0, row1),) + (slice(k, n - k),) * (dim - 1)
                 r = radius[inner]
                 keep = np.all([np.abs(r - r_ns) > max(2, k) * spacing
                                for r_ns in m.nonsmooth_radii], axis=0)
-                mag = np.sqrt(sum(np.abs(t[inner]) ** 2 for t in tensors))
+                mag = np.sqrt(square)
                 level_sups[k] = float(np.max(r**k * mag, where=keep, initial=level_sups[k]))
         points.append(n)
         sups.append(level_sups)

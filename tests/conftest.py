@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 # numpy loads numpy.fft on first use; import it here, so that no test's
 # tracemalloc region counts that import against its memory bound
@@ -14,3 +16,16 @@ def transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name,
                             lambda *a, _fn=original, **k: calls.append(1) or _fn(*a, **k))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args, **kwargs): fn's value and the peak bytes that
+    tracemalloc traced while fn ran."""
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

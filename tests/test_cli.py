@@ -321,6 +321,16 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=inf,q=1)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=2,q=inf)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=inf,p=2,q=1)]"),
+    # an empty item ran a different sweep, or built a spec, without a word
+    ("probe", "--set", "ns=[8,,16,32,64]"),
+    ("probe", "--set", "lambdas=[,0.5]"),
+    ("probe", "--set", "ps=[2,,]"),
+    ("probe", "--set", "ps=[,]"),
+    ("spectrum-map", "--set", "re=[0.5,,2,3]"),
+    ("apply", "--set", "symbol=bochner(,delta=1,)"),
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=2,,)"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[lp(p=2),,lp(p=1)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[lp(,p=2)]"),
     # a given r0 skips choose_r0, so the plan itself must reject z on [0, 1]
     ("resolvent-verify", "--set", "z=0.5+0j", "--set", "r0=0.05"),
     ("resolvent-verify", "--set", "z=1", "--set", "r0=0.1"),
@@ -348,7 +358,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "max-halving-no-lambda", "ap-level-negative", "ap-level-no-cube", "ap-level-large",
         "besov-q-zero", "triebel-q-zero", "besov-q-negative", "triebel-q-negative",
         "besov-q-inf", "besov-alpha-nan", "triebel-alpha-inf", "herz-p-inf", "herz-q-inf",
-        "herz-alpha-inf",
+        "herz-alpha-inf", "empty-item-ns", "empty-item-lambdas", "empty-item-two-trailing",
+        "empty-item-comma-only", "empty-item-linspace", "empty-item-symbol",
+        "empty-item-field", "empty-item-norms", "empty-item-norm-argument",
         "plan-z-on-segment", "plan-z-at-one", "plan-z-at-zero",
         "kernel-decay-z-on-segment"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
@@ -749,6 +761,16 @@ def test_manifest_counts_worker_cost(tmp_path):
     assert isinstance(manifest["cpu_s"], float) and before <= manifest["cpu_s"] <= after
     workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert manifest["peak_rss_mib"] >= workers_peak > 0
+
+
+def test_one_trailing_comma_is_allowed():
+    # as in TOML; any other empty item is a usage error (see the empty-item cases)
+    table = {"ns": (cli._tuple_of(_int), None), "norms": (cli._tuple_of(str), None)}
+    text = "ns = [8, 16, ]\nnorms = [lp(p=2,), herz(alpha=0.5,p=2,q=1),]"
+    assert cli._resolve(table, parse_config_text(text), "test key") == {
+        "ns": (8, 16), "norms": ("lp(p=2,)", "herz(alpha=0.5,p=2,q=1)")}
+    assert cli._parse_call("lp(p=2,)", "norms") == ("lp", ["p=2"])
+    assert cli._parse_call("lp()", "norms") == ("lp", [])
 
 
 def test_norms_list_items_need_no_quotes(tmp_path):

@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,16 +79,11 @@ def test_streamed_csv_is_one_repr_per_sample(tmp_path, monkeypatch):
     assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))
 
 
-def test_dump_memory_is_bounded(tmp_path):
+def test_dump_memory_is_bounded(tmp_path, traced_peak):
     # the whole 512^2 text is about 13 MiB and its list of lines about 50 MiB
     g = GridSpec(2, 512, 16.0)
     f = random_band_limited(g, 2.0, np.random.default_rng(7))
-    tracemalloc.start()
-    try:
-        dump_field(f, str(tmp_path / "big"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(dump_field, f, str(tmp_path / "big"))
     assert peak < 16 * 2**20
 
 

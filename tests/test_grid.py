@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,7 +217,7 @@ def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width
 
 
 @pytest.mark.parametrize("dim,size,bound", [(2, 256, 1.3), (1, 16384, 1.55)])
-def test_a_transform_holds_one_array_of_the_grid(dim, size, bound):
+def test_a_transform_holds_one_array_of_the_grid(dim, size, bound, traced_peak):
     # the input is copied into one scratch array with its halves swapped,
     # transformed in place and swapped back through a temporary of one half
     # (1D) or one quadrant (2D); overwrite makes no scratch array, so it
@@ -229,13 +227,7 @@ def test_a_transform_holds_one_array_of_the_grid(dim, size, bound):
     for overwrite, limit in ((False, bound), (True, bound - 1.0)):
         for transform, make in ((forward_transform, Field.spatial),
                                 (inverse_transform, Field.frequency)):
-            field = make(g, x.copy())
-            tracemalloc.start()
-            try:
-                transform(field, overwrite=overwrite)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(transform, make(g, x.copy()), overwrite=overwrite)
             assert peak <= limit * x.nbytes, (transform.__name__, overwrite)
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -217,7 +215,7 @@ def test_probe_rejects_a_grid_narrower_than_the_ball():
         probe_ratio(ProbeSpec(1.5, 2.0, 1.0, n_values=(4,)), 4, narrow)
 
 
-def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid():
+def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
     # the probe is built, transformed and inverted in one array of its own,
     # so a 2D probe peaks while a norm is taken: that array and lp_norm's
     # real moduli.  No untraced call comes first, so the ball's box and the
@@ -226,12 +224,7 @@ def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid():
     spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
     achieved = probes._achieved_level(spec, g)
     grid_bytes = 16 * g.size**2
-    tracemalloc.start()
-    try:
-        norms = probes._probe_norms(spec, 4, g, achieved)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    norms, peak = traced_peak(probes._probe_norms, spec, 4, g, achieved)
     assert norms == probes._probe_norms(spec, 4, g, achieved)
     assert peak <= 1.6 * grid_bytes
 

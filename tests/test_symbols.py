@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,16 +400,24 @@ def test_mikhlin_sups_do_not_depend_on_the_strip(monkeypatch, dim, symbol):
         assert len(reprs) == 1, (kmax, reprs)
 
 
-def test_mikhlin_memory_is_bounded_by_the_strip():
+def test_mikhlin_memory_is_bounded_by_the_strip(traced_peak):
     # the 2D default's finest level is 2049^2 points; holding it whole with its
-    # k <= 2 derivative tensors made tracemalloc peak near 680 MiB
-    tracemalloc.start()
-    try:
-        mikhlin_check(resolvent_symbol(2.0, 1.0), 2, dim=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # k <= 2 derivative tensors made tracemalloc peak near 680 MiB, and strips
+    # holding every order-k tensor at once near 19 MiB
+    _, peak = traced_peak(mikhlin_check, resolvent_symbol(2.0, 1.0), 2, dim=2)
+    assert peak < 12.5 * 2**20
+
+
+def test_mikhlin_streams_the_orders_of_the_benchmark_config(traced_peak):
+    # the benchmark's screen: 2D, kmax = 2, two refinements.  A strip of
+    # 2^17 points holds one order-1 tensor not yet differentiated, the one
+    # being differentiated, the gradient being made and one real running
+    # sum of squares; the dim^2 order-2 tensors are never held together
+    # (holding them traced 18.8 MiB)
+    report, peak = traced_peak(mikhlin_check, resolvent_symbol(2.0, 1.0), 2, dim=2,
+                               refinements=2)
+    assert peak < 12 * 2**20
+    assert not report.any_flagged
 
 
 def test_mikhlin_rejects_large_order():
