@@ -177,7 +177,6 @@ def apply_overrides(config, pairs):
             raise UsageError(f"--set needs key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         config[key.strip()] = value
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +228,19 @@ def _items(text):
     return [_text(item) for item in _listed(text[1:-1])]
 
 
+def _finite(kind):
+    """A parser of a finite number of kind, float or complex: inf and nan are rejected."""
+    def parse(text):
+        number = kind(text)
+        if not np.isfinite(number):
+            raise ValueError(f"must be finite, got {text!r}")
+        return number
+    return parse
+
+
+_real, _complex = _finite(float), _finite(complex)
+
+
 def _tuple_of(kind):
     """A parser of a non-empty [list] whose items kind converts."""
     def parse(text):
@@ -253,13 +265,13 @@ def _linspace(text):
         raise ValueError("must be [min, max, steps]")
     if _int(items[2]) < 1:
         raise ValueError(f"needs at least one step, got {items[2]}")
-    return tuple(float(v) for v in np.linspace(float(items[0]), float(items[1]), _int(items[2])))
+    return tuple(float(v) for v in np.linspace(_real(items[0]), _real(items[1]), _int(items[2])))
 
 
 def _grid_keys(dim, size, half_width):
     """The grid keys of a command whose default grid is GridSpec(dim, size, half_width)."""
     return {"grid_dim": (_int, dim), "grid_size": (_int, size),
-            "grid_half_width": (float, half_width)}
+            "grid_half_width": (_real, half_width)}
 
 
 def _grid(cfg):
@@ -282,18 +294,18 @@ def _parse_call(text, where):
 
 def _scalar(text, where):
     try:
-        return complex(text)
+        return _complex(text)
     except ValueError as exc:
         raise UsageError(f"{where}: bad number {text!r}") from exc
 
 
 # The key=value arguments of each spec kind, declared like a command's keys.
-_NUMBER = (float, _REQUIRED)
+_NUMBER = (_real, _REQUIRED)
 SYMBOL_ARGS = {"bochner": {"delta": _NUMBER},
-               "resolvent": {"z": (complex, _REQUIRED), "delta": _NUMBER},
+               "resolvent": {"z": (_complex, _REQUIRED), "delta": _NUMBER},
                "cutoff1": {"r0": _NUMBER}, "cutoff2": {"r0": _NUMBER}, "bump": {"rho": _NUMBER}}
-FIELD_ARGS = {"gaussian": {"width": (float, 1.0)}, "bump": {"radius": (float, 1.0)},
-              "random": {"band": (float, 2.0)}}
+FIELD_ARGS = {"gaussian": {"width": (_real, 1.0)}, "bump": {"radius": (_real, 1.0)},
+              "random": {"band": (_real, 2.0)}}
 _BLOCK_NORM_ARGS = {"alpha": _NUMBER, "p": _NUMBER, "q": _NUMBER, "levels": (_int, 4)}
 NORM_ARGS = {"lp": {"p": _NUMBER}, "weighted": {"p": _NUMBER, "a": _NUMBER},
              "herz": {"alpha": _NUMBER, "p": _NUMBER, "q": _NUMBER},
@@ -387,12 +399,13 @@ def _format_cell(value):
     return str(value)
 
 
-def write_csv(path, columns, rows):
+def write_csv(path, rows):
+    """Write rows, dicts with one set of keys, as CSV headed by the first row's keys."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow(_format_cell(row[c]) for c in columns)
+        writer.writerow(_format_cell(row[key]) for key in rows[0])
     atomic_write_text(path, text.getvalue())
 
 
@@ -493,7 +506,7 @@ def run_apply(cfg, out_dir, seed, workers):
         os.makedirs(f"{out_dir}/fields", exist_ok=True)
         _fork_map(lambda job: dump_field(*job), list(zip((f, out), bases)), workers)
         extras["field_dumps"] = bases
-    return rows, ["quantity", "l1", "l2", "sup"], checks, extras
+    return rows, checks, extras
 
 
 def _verify_direction(cfg, grid, direc, rng):
@@ -531,9 +544,9 @@ def _verify_direction(cfg, grid, direc, rng):
 
 
 @_command("resolvent-verify", {
-    "z": (complex, 2.0 + 0.0j), "delta": (float, 1.0), "direction": (str, "both"),
-    **_grid_keys(1, 2048, 40.0), "tail_tol": (float, 1e-10), "op_fields": (_int, 5),
-    "band": (float, 3.0), "tol_operator": (_bound, 1e-8), "r0": (float, None),
+    "z": (_complex, 2.0 + 0.0j), "delta": (_real, 1.0), "direction": (str, "both"),
+    **_grid_keys(1, 2048, 40.0), "tail_tol": (_real, 1e-10), "op_fields": (_int, 5),
+    "band": (_real, 3.0), "tol_operator": (_bound, 1e-8), "r0": (_real, None),
     "truncation": (_int, None)})
 def run_resolvent_verify(cfg, out_dir, seed, workers):
     grid = _grid(cfg)
@@ -551,15 +564,13 @@ def run_resolvent_verify(cfg, out_dir, seed, workers):
         rows += direc_rows
         checks += direc_checks
         extras.update(direc_extras)
-    columns = ["direction", "n", "seminorm", "certified_tail",
-               "reconstruction_error", "contraction_sup", "operator_rel_err"]
-    return rows, columns, checks, extras
+    return rows, checks, extras
 
 
 @_command("kernel-decay", {
-    "z": (complex, 2.0 + 0.0j), "delta": (float, 1.0), **_grid_keys(1, 4096, 64.0),
+    "z": (_complex, 2.0 + 0.0j), "delta": (_real, 1.0), **_grid_keys(1, 4096, 64.0),
     "alpha0": (_int, 2), "beta0": (_int, 0), "n_min": (_int, 20), "n_max": (_int, 60),
-    "r0": (float, None), "assert_ratio_bound": (_bool, True)})
+    "r0": (_real, None), "assert_ratio_bound": (_bool, True)})
 def run_kernel_decay(cfg, out_dir, seed, workers):
     delta, alpha0 = cfg["delta"], cfg["alpha0"]
     n_min, n_max = cfg["n_min"], cfg["n_max"]
@@ -581,32 +592,24 @@ def run_kernel_decay(cfg, out_dir, seed, workers):
         # ratio - bound > 0 exactly when ratio > bound; the first row has no ratio
         excess = float(np.max([r["ratio"] - r["ratio_bound"] for r in rows[1:]]))
         checks.append(("seminorm_ratios", excess, 0.0))
-    return rows, ["n", "seminorm", "ratio", "ratio_bound"], checks, {"slope": slope, "grid": grid}
-
-
-def _probe_spec_rows(args):
-    spec, grid = args
-    curve = decay_curve(spec, grid)
-    return [{**row, "slope": curve.slope} for row in curve.rows]
+    return rows, checks, {"slope": slope, "grid": grid}
 
 
 # probe sizes its own grid from ns and rho, so grid_size and grid_half_width are unknown keys
 @_command("probe", {
-    "lambdas": (_tuple_of(float), (0.25, 0.5, 1.0)), "ps": (_tuple_of(float), (1.0, 2.0, 4.0)),
-    "ns": (_tuple_of(_int), (8, 16, 32, 64, 128)), "delta": (float, 1.0), "rho": (float, 0.5),
-    "weight_a": (float, None), "grid_dim": (_int, 1), "assert_zero_lambda_tol": (_bound, 1e-12),
+    "lambdas": (_tuple_of(_real), (0.25, 0.5, 1.0)), "ps": (_tuple_of(_real), (1.0, 2.0, 4.0)),
+    "ns": (_tuple_of(_int), (8, 16, 32, 64, 128)), "delta": (_real, 1.0), "rho": (_real, 0.5),
+    "weight_a": (_real, None), "grid_dim": (_int, 1), "assert_zero_lambda_tol": (_bound, 1e-12),
     "assert_max_halving": (_bound, None)})
 def run_probe(cfg, out_dir, seed, workers):
     ns, rho = cfg["ns"], cfg["rho"]
-    if len(ns) < 4:
-        raise UsageError("probe sweeps need at least 4 scale values")
     if cfg["assert_max_halving"] is not None and not any(0 < lam <= 1 for lam in cfg["lambdas"]):
         raise UsageError("assert_max_halving needs a lambda in (0, 1] to check")
     specs = [ProbeSpec(lam, p, cfg["delta"], rho=rho, n_values=ns, weight_a=cfg["weight_a"])
              for lam in cfg["lambdas"] for p in cfg["ps"]]
     grid = probe_grid(max(ns), rho, dim=cfg["grid_dim"])
-    grouped = _fork_map(_probe_spec_rows, [(spec, grid) for spec in specs], workers)
-    rows = [row for group in grouped for row in group]
+    curves = _fork_map(lambda spec: decay_curve(spec, grid), specs, workers)
+    rows = [{**row, "slope": curve.slope} for curve in curves for row in curve.rows]
     rows.sort(key=lambda r: (r["lambda"], r["p"], r["n"]))
     checks = []
     zero_ratios = [r["ratio"] for r in rows if r["lambda"] == 0.0]
@@ -619,15 +622,14 @@ def run_probe(cfg, out_dir, seed, workers):
                                                   and r["p"] == spec.p])]
         checks.append(("halving", float(np.max(factors, initial=0.0)),
                        cfg["assert_max_halving"]))
-    columns = ["lambda", "lambda_achieved", "xi0", "p", "delta", "n", "ratio", "slope"]
-    return rows, columns, checks, {"grid": grid}
+    return rows, checks, {"grid": grid}
 
 
 # spectrum-map sizes its own grid from ns and rho, so it has no grid key
 @_command("spectrum-map", {
     "re": (_linspace, _linspace("[-0.5, 1.5, 9]")), "im": (_linspace, _linspace("[-1.0, 1.0, 9]")),
-    "p": (float, 2.0), "delta": (float, 1.0), "ns": (_tuple_of(_int), (32, 64, 128)),
-    "pole_margin": (float, 1e-3), "rho": (float, 0.5)})
+    "p": (_real, 2.0), "delta": (_real, 1.0), "ns": (_tuple_of(_int), (32, 64, 128)),
+    "pole_margin": (_real, 1e-3), "rho": (_real, 0.5)})
 def run_spectrum_map(cfg, out_dir, seed, workers):
     ns, rho = cfg["ns"], cfg["rho"]
     zs = [complex(a, b) for a in cfg["re"] for b in cfg["im"]]
@@ -640,14 +642,14 @@ def run_spectrum_map(cfg, out_dir, seed, workers):
             row["lower_bound"] = -1.0
             row["oracle_p2"] = -1.0
     extras = {"grid": grid, "baseband_sizes": {n: baseband_grid(grid, n, rho).size for n in ns}}
-    return rows, ["re_z", "im_z", "pole", "lower_bound", "oracle_p2"], [], extras
+    return rows, [], extras
 
 
 def _norm_value(field, name, arg):
     if name == "lp":
         return lp_norm(field, arg["p"])
     if name == "weighted":
-        return weighted_lp_norm(field, arg["p"], WeightSpec(arg["a"], arg["p"]))
+        return weighted_lp_norm(field, WeightSpec(arg["a"], arg["p"]))
     if name == "herz":
         return herz_norm(field, HerzParams(arg["alpha"], arg["p"], arg["q"]))
     if name == "ap":
@@ -673,11 +675,11 @@ def run_norms(cfg, out_dir, seed, workers):
             for text, (name, arg) in zip(cfg["norms"], specs)]
     record = {row["spec"]: row["value"] for row in rows}
     atomic_write_text(f"{out_dir}/norms.json", json.dumps(record, indent=2) + "\n")
-    return rows, ["kind", "spec", "value"], [], {"grid": field.grid}
+    return rows, [], {"grid": field.grid}
 
 
 @_command("mikhlin", {
-    "symbol": (str, _REQUIRED), "kmax": (_int, 2), "grid_dim": (_int, 1), "xi_max": (float, 4.0),
+    "symbol": (str, _REQUIRED), "kmax": (_int, 2), "grid_dim": (_int, 1), "xi_max": (_real, 4.0),
     "base_points": (_int, 256), "refinements": (_int, None), "assert_not_flagged": (_bool, False)})
 def run_mikhlin(cfg, out_dir, seed, workers):
     symbol = parse_symbol_spec(cfg["symbol"])
@@ -689,7 +691,7 @@ def run_mikhlin(cfg, out_dir, seed, workers):
     # the largest growth passes its threshold exactly when no order is flagged
     checks = ([("not_flagged", float(np.max(report.growth)), report.threshold)]
               if cfg["assert_not_flagged"] else [])
-    return rows, ["k", "level", "points", "sup", "growth", "flagged"], checks, {}
+    return rows, checks, {}
 
 
 def _arg_parser():
@@ -743,15 +745,13 @@ def main(argv=None):
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         cfg = resolve_config(args)
         os.makedirs(args.out, exist_ok=True)
-        rows, columns, checks, extras = COMMANDS[args.command][0](
-            cfg, args.out, args.seed, args.workers
-        )
+        rows, checks, extras = COMMANDS[args.command][0](cfg, args.out, args.seed, args.workers)
     except ValueError as exc:  # UsageError and every module precondition
         print(f"riesz: {exc}", file=sys.stderr)
         return 1
 
     csv_path = f"{args.out}/{args.command}.csv"
-    write_csv(csv_path, columns, rows)
+    write_csv(csv_path, rows)
     verdicts = [{"name": name, "value": value, "bound": bound, "passed": bool(value <= bound)}
                 for name, value, bound in checks]
     # Worker processes have been reaped by now, so RUSAGE_CHILDREN holds their cost.

@@ -45,8 +45,8 @@ class GridSpec:
             raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
         if self.size < 2 or self.size % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 2, got {self.size}")
-        if not self.half_width > 0:
-            raise ValueError(f"half-width must be positive, got {self.half_width}")
+        if not (self.half_width > 0 and all(0 < s * s < np.inf for s in (self.h, self.dxi))):
+            raise ValueError(f"half-width {self.half_width}: need L > 0, h^2 and dxi^2 in (0, inf)")
 
     @property
     def h(self):

@@ -358,9 +358,11 @@ def tail_term_seminorms(dec):
 
 
 def decay_slope(table):
-    """Least-squares slope of log seminorm against the series index."""
-    ns = np.array([row[0] for row in table], dtype=float)
-    vals = np.array([row[1] for row in table], dtype=float)
+    """Least-squares slope of log seminorm against the index; each must be positive, finite."""
+    for n, value in table:
+        if not 0 < value < np.inf:  # zero, as when it underflowed, has no log
+            raise ValueError(f"seminorm at n={n} is {value}, not positive and finite")
+    ns, vals = np.array(table, dtype=float).T
     return float(np.polyfit(ns, np.log(vals), 1)[0])
 
 

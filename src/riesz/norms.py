@@ -98,18 +98,17 @@ def weight_samples(grid, a):
     return w
 
 
-def weighted_lp_norm(f, p, w):
-    """(sum |f|^p w h^d)^(1/p) with the admissibility of w enforced."""
+def weighted_lp_norm(f, w):
+    """(sum |f|^p w h^d)^(1/p) at the exponent p = w.p the weight serves, with
+    the admissibility of w for that p enforced."""
     if f.domain != "spatial":
         raise ValueError("weighted_lp_norm expects a spatial field")
-    if w.p != p:
-        raise ValueError(f"weight was declared for p={w.p}, norm asked for p={p}")
     w.validate_for_dim(f.grid.dim)
     if w.a == 0:
-        return lp_norm(f, p)
+        return lp_norm(f, w.p)
     g = f.grid
-    total = np.sum(np.abs(f.samples) ** p * weight_samples(g, w.a)) * g.h**g.dim
-    return float(total ** (1.0 / p))
+    total = np.sum(np.abs(f.samples) ** w.p * weight_samples(g, w.a)) * g.h**g.dim
+    return float(total ** (1.0 / w.p))
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class CubeFamily:
     """Axis-aligned cubes as (side, center) pairs with a quadrature budget."""
 
     cubes: tuple
-    quad_points: int = 4096
+    quad_points: int
 
 
 def default_cube_family(half_width, dim, level=0):

@@ -52,8 +52,7 @@ def probe_grid(n_max, rho, dim=1, spread_factor=16.0, cells_per_bump=8.0):
     """Grid sized for an N sweep: the spatial window holds spread_factor
     periods of the widest probe and the frequency spacing puts at least
     cells_per_bump cells across the narrowest bump radius rho/n_max."""
-    if not rho > 0:
-        raise ValueError(f"bump radius must be positive, got {rho}")
+    bump_phi0(rho)  # rho must be positive with a finite nonzero square
     half_width = max(
         spread_factor * n_max * max(1.0, rho) / rho,
         cells_per_bump * np.pi * n_max / rho,
@@ -165,8 +164,7 @@ class ProbeSpec:
             raise ValueError(f"p must lie in [1, inf), got {self.p}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.rho > 0:
-            raise ValueError(f"bump radius must be positive, got {self.rho}")
+        bump_phi0(self.rho)  # rho must be positive with a finite nonzero square
 
     def localizer_radius(self):
         xi0 = lambda_to_xi0(self.lam, self.delta)
@@ -184,7 +182,7 @@ class ProbeSpec:
     def _norm(self, f):
         if self.weight_a is None:
             return lp_norm(f, self.p)
-        return weighted_lp_norm(f, self.p, WeightSpec(self.weight_a, self.p))
+        return weighted_lp_norm(f, WeightSpec(self.weight_a, self.p))
 
 
 def _achieved_level(spec, grid):
@@ -198,9 +196,9 @@ def _achieved_level(spec, grid):
     return xi0, level
 
 
-def _probe_norms(spec, n_scale, grid, achieved, profile=None):
-    """spec's norms of the full-grid probe f at the achieved (xi0, level) and
-    of its defect (level - B) f.
+def _probe_norms(spec, n_scale, grid, profile=None):
+    """spec's norms of the full-grid probe f at the achieved (xi0, level) of
+    `_achieved_level` and of its defect (level - B) f.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
     inside the localizer plateau.  ||f|| is taken first; then f's array is
@@ -218,7 +216,7 @@ def _probe_norms(spec, n_scale, grid, achieved, profile=None):
     ball = bochner_symbol(spec.delta)
     if not grid.covers_support(ball.support_radius):
         raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
-    xi0, level = achieved
+    xi0, level = _achieved_level(spec, grid)
     f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
@@ -238,7 +236,7 @@ def probe_ratio(spec, n_scale, grid=None, profile=None):
     """Defect ratio ||(lambda I - B) f_{N,xi0}|| / ||f_{N,xi0}||."""
     if grid is None:
         grid = spec.default_grid()
-    f_norm, defect_norm = _probe_norms(spec, n_scale, grid, _achieved_level(spec, grid), profile)
+    f_norm, defect_norm = _probe_norms(spec, n_scale, grid, profile)
     return defect_norm / f_norm
 
 
@@ -304,8 +302,7 @@ def weighted_probe_report(spec, n_scale, grid=None):
         grid = spec.default_grid()
     d = grid.dim
     p = spec.p
-    WeightSpec(spec.weight_a, p).validate_for_dim(d)
-    f_norm, defect_norm = _probe_norms(spec, n_scale, grid, _achieved_level(spec, grid))
+    f_norm, defect_norm = _probe_norms(spec, n_scale, grid)
     ratio = defect_norm / f_norm
     n = float(n_scale)
     eps0 = half_peak_radius(grid, spec.rho)
@@ -342,18 +339,19 @@ def resolvent_norm_grid_sup(z, delta, grid):
 def probe_lower_bound(z, delta, p, grid, probes):
     """Best resolvent-norm lower bound ||R f||_p / ||f||_p from (probe, ||f||_p) pairs.
 
-    A probe is a field on grid, spatial or given by its spectrum (which saves
-    its forward transform), or a baseband pair (xi, spectrum) from
-    `_baseband_probe`: a spectrum on a small grid of grid's half-width with
-    its absolute lattice frequencies xi.  The resolvent is sampled at the
-    probe's frequencies; ||R f||_2 is a Parseval sum with no transform, and
-    any other p takes one inverse transform per probe on the probe's grid.
+    A probe is a spatial field on grid, whose spectrum takes one forward
+    transform, or a baseband pair (xi, spectrum) from `_baseband_probe`: a
+    spectrum on a small grid of grid's half-width with its absolute lattice
+    frequencies xi.  A frequency field is a ValueError.  The resolvent is
+    sampled at the probe's frequencies; ||R f||_2 is a Parseval sum with no
+    transform, and any other p takes one inverse transform per probe on the
+    probe's grid.
     """
     res = resolvent_symbol(z, delta)
     best = 0.0
     for probe, f_norm in probes:
         if isinstance(probe, Field):
-            spectrum = probe if probe.domain == "frequency" else forward_transform(probe)
+            spectrum = forward_transform(probe)
             xi = probe.grid.xi_mesh()
         else:
             xi, spectrum = probe

@@ -336,6 +336,32 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("resolvent-verify", "--set", "z=1", "--set", "r0=0.1"),
     ("resolvent-verify", "--set", "z=0", "--set", "r0=0.1"),
     ("kernel-decay", "--set", "z=0.5", "--set", "r0=0.05"),
+    # a non-finite number: NaN norms, a NaN output or NaN rows with exit 0, or
+    # a message about something else
+    ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
+     "--set", "grid_size=64", "--set", "grid_half_width=inf"),
+    ("kernel-decay", "--set", "delta=inf"),
+    ("spectrum-map", "--set", "delta=inf"),
+    ("mikhlin", "--set", "symbol=bochner(delta=inf)"),
+    ("mikhlin", "--set", "symbol=resolvent(z=2+nanj,delta=1)"),
+    ("mikhlin", "--set", "symbol=resolvent(z=infj,delta=1)"),
+    ("apply", "--set", "symbol=scale(nan,bochner(delta=1))"),
+    ("spectrum-map", "--set", "im=[0.5,nan,2]"),
+    ("resolvent-verify", "--set", "z=2+nanj"),
+    ("apply", "--set", "symbol=resolvent(z=nan,delta=1)"),
+    ("spectrum-map", "--set", "re=[nan,1,3]"),
+    ("probe", "--set", "rho=inf"),
+    # a finite value whose grid spacing, its square or the square of rho
+    # overflows or underflows: NaN norms with exit 0, or a traceback
+    ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
+     "--set", "grid_size=64", "--set", "grid_half_width=1e308"),
+    ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
+     "--set", "grid_size=64", "--set", "grid_half_width=1e-320"),
+    ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
+     "--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=1e200"),
+    ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
+     "--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=1e-200"),
+    ("probe", "--set", "rho=1e308"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -362,7 +388,11 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "empty-item-comma-only", "empty-item-linspace", "empty-item-symbol",
         "empty-item-field", "empty-item-norms", "empty-item-norm-argument",
         "plan-z-on-segment", "plan-z-at-one", "plan-z-at-zero",
-        "kernel-decay-z-on-segment"])
+        "kernel-decay-z-on-segment", "grid-half-width-inf", "kernel-decay-delta-inf",
+        "map-delta-inf", "bochner-delta-inf", "resolvent-z-nan-imag", "resolvent-z-inf-imag",
+        "scale-nan", "map-im-nan", "plan-z-nan", "resolvent-z-nan", "map-re-nan",
+        "probe-rho-inf", "grid-half-width-overflow", "grid-half-width-underflow",
+        "grid-half-width-2d-overflow", "grid-half-width-2d-underflow", "probe-rho-overflow"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -517,6 +547,90 @@ def test_resolvent_verify_run_and_csv_schema(tmp_path):
     assert isinstance(plan["q"], float) and 0 < plan["tail_series_bound"] < 1
 
 
+# resolvent-verify's header is pinned above and spectrum-map's in test_spectrum_map_run
+@pytest.mark.parametrize("args, header", [
+    (("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+      "--set", "grid_half_width=8"), "quantity,l1,l2,sup"),
+    (("kernel-decay", "--set", "n_min=20", "--set", "n_max=22"), "n,seminorm,ratio,ratio_bound"),
+    (("probe", "--set", "lambdas=[0.5]", "--set", "ps=[2]", "--set", "ns=[8,16,32,64]"),
+     "lambda,lambda_achieved,xi0,p,delta,n,ratio,slope"),
+    (("norms", "--set", "norms=[lp(p=2)]"), "kind,spec,value"),
+    (("mikhlin", "--set", "symbol=bochner(delta=1)", "--set", "kmax=1"),
+     "k,level,points,sup,growth,flagged"),
+], ids=["apply", "kernel-decay", "probe", "norms", "mikhlin"])
+def test_csv_header_is_the_rows_keys(tmp_path, args, header):
+    if args[0] == "norms":
+        dump = tmp_path / "dump"
+        assert main(["apply", "--set", "symbol=bochner(delta=1)", "--dump-field",
+                     "--out", str(dump)]) == 0
+        args = (*args, "--set", f"field={dump / 'fields' / 'output'}")
+    code, out = run_cli(tmp_path, *args)
+    assert code == 0
+    assert (out / f"{args[0]}.csv").read_text().splitlines()[0] == header
+
+
+def _finite_number_keys():
+    """(command, key) of every declared config key whose parser reads a real or complex number."""
+    return [(command, key) for command, (_, table) in COMMANDS.items()
+            for key, (parse, _) in table.items() if parse in (cli._real, cli._complex)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", _finite_number_keys())
+def test_non_finite_number_is_rejected_before_any_compute(tmp_path, capsys, command, key, value):
+    settings = {"apply": ["symbol=bochner(delta=1)"], "mikhlin": ["symbol=bochner(delta=1)"]}
+    settings = settings.get(command, []) + (["grid_size=64"] if key == "grid_half_width" else [])
+    args = [arg for setting in settings for arg in ("--set", setting)]
+    code, out = run_cli(tmp_path, command, *args, "--set", f"{key}={value}")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"riesz: {command} config key {key!r}: must be finite, got {value!r}\n")
+    assert not out.exists()  # rejected as the config resolves, before the output directory
+
+
+@pytest.mark.parametrize("key, text, item", [("re", "[nan,1,3]", "nan"),
+                                             ("im", "[0.5,nan,2]", "nan"),
+                                             ("re", "[0,inf,3]", "inf")])
+def test_non_finite_linspace_end_is_rejected_before_any_compute(tmp_path, capsys, key, text,
+                                                                item):
+    code, out = run_cli(tmp_path, "spectrum-map", "--set", f"{key}={text}")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"riesz: spectrum-map config key {key!r}: must be finite, got {item!r}\n")
+    assert not out.exists()
+
+
+_SPEC_TABLES = {"symbol": cli.SYMBOL_ARGS, "field": cli.FIELD_ARGS, "norms": cli.NORM_ARGS}
+# a valid value of every spec argument, so that only the one set to nan or inf is rejected
+_VALID_ARGS = {"delta": "1", "z": "2", "r0": "0.1", "rho": "1", "width": "1", "radius": "1",
+               "band": "2", "p": "2", "a": "0.5", "alpha": "0", "q": "2", "levels": "3",
+               "level": "0"}
+
+
+def _finite_spec_arguments():
+    """(where, kind, argument) of every spec argument whose parser reads a real or complex number."""
+    return [(where, kind, arg) for where, kinds in _SPEC_TABLES.items()
+            for kind, table in kinds.items()
+            for arg, (parse, _) in table.items() if parse in (cli._real, cli._complex)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("where, kind, arg", _finite_spec_arguments())
+def test_non_finite_spec_argument_is_one_line_usage_error(tmp_path, capsys, where, kind, arg,
+                                                          value):
+    spec = f"{kind}(" + ",".join(f"{name}={value if name == arg else _VALID_ARGS[name]}"
+                                 for name in _SPEC_TABLES[where][kind]) + ")"
+    # norms resolves its specs before it reads the dump, so no dump is made
+    command, settings = {"symbol": ("apply", [f"symbol={spec}"]),
+                         "field": ("apply", ["symbol=bochner(delta=1)", f"field={spec}"]),
+                         "norms": ("norms", ["field=unread", f"norms=[{spec}]"])}[where]
+    code, out = run_cli(tmp_path, command, *[a for s in settings for a in ("--set", s)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"riesz: {where}: {kind} argument {arg!r}: must be finite, got {value!r}\n")
+    assert not (out / f"{command}.csv").exists()
+
+
 RESOLVENT_2D = ("resolvent-verify", "--set", "direction=both", "--set", "grid_dim=2",
                 "--set", "grid_size=256", "--set", "grid_half_width=40.0")
 
@@ -589,10 +703,20 @@ def test_nan_seminorm_fails_kernel_decay(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "seminorm_table", with_nan)
     code, out = run_cli(tmp_path, "kernel-decay", "--set", "n_min=20", "--set", "n_max=24")
-    assert code == 2
-    check = manifest_checks(out)["seminorm_ratios"]
-    assert check["value"] == "nan" and not check["passed"]
-    assert capsys.readouterr().err == "riesz: assertion failed: seminorm_ratios (nan > 0)\n"
+    # a NaN seminorm has no log and no slope: a bad table, not a failed check
+    assert code == 1
+    assert capsys.readouterr().err == "riesz: seminorm at n=22 is nan, not positive and finite\n"
+    assert not (out / "kernel-decay.csv").exists()
+
+
+@pytest.mark.parametrize("assert_ratio_bound", ["true", "false"])
+def test_underflowed_seminorms_fail_kernel_decay(tmp_path, capsys, assert_ratio_bound):
+    # at delta = 40 every seminorm underflows to 0.0, which passed the ratio check at 0 <= 0
+    code, out = run_cli(tmp_path, "kernel-decay", "--set", "delta=40",
+                        "--set", f"assert_ratio_bound={assert_ratio_bound}")
+    assert code == 1
+    assert capsys.readouterr().err == "riesz: seminorm at n=20 is 0.0, not positive and finite\n"
+    assert not (out / "kernel-decay.csv").exists()
 
 
 def test_nan_halving_factor_fails_halving(tmp_path, capsys, monkeypatch):

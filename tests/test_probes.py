@@ -222,10 +222,9 @@ def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
     # bump's normalisation are traced too.
     g = GridSpec(2, 512, 128.0)
     spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
-    achieved = probes._achieved_level(spec, g)
     grid_bytes = 16 * g.size**2
-    norms, peak = traced_peak(probes._probe_norms, spec, 4, g, achieved)
-    assert norms == probes._probe_norms(spec, 4, g, achieved)
+    norms, peak = traced_peak(probes._probe_norms, spec, 4, g)
+    assert norms == probes._probe_norms(spec, 4, g)
     assert peak <= 1.6 * grid_bytes
 
 
@@ -428,6 +427,13 @@ def test_probe_lower_bound_never_exceeds_p2_oracle(grid):
         probes.append((f, lp_norm(f, 2)))
     lower = probe_lower_bound(z, 1.0, 2.0, grid, probes)
     assert lower <= resolvent_norm_oracle(z, 1.0) * (1 + 1e-9)
+
+
+def test_probe_lower_bound_rejects_a_frequency_side_probe(grid):
+    # a probe is a spatial field or a baseband pair; a spectrum is neither
+    f = probe_field(snap_to_lattice(grid, lambda_to_xi0(0.5, 1.0)), 16, grid)
+    with pytest.raises(ValueError, match="spatial"):
+        probe_lower_bound(0.5 + 0.1j, 1.0, 2.0, grid, [(forward_transform(f), lp_norm(f, 2))])
 
 
 # -- two dimensions ----------------------------------------------------------
