@@ -265,7 +265,10 @@ def _linspace(text):
         raise ValueError("must be [min, max, steps]")
     if _int(items[2]) < 1:
         raise ValueError(f"needs at least one step, got {items[2]}")
-    return tuple(float(v) for v in np.linspace(_real(items[0]), _real(items[1]), _int(items[2])))
+    start, stop = _real(items[0]), _real(items[1])
+    if not np.isfinite(stop - start):
+        raise ValueError(f"the span from {start!r} to {stop!r} overflows")
+    return tuple(float(v) for v in np.linspace(start, stop, _int(items[2])))
 
 
 def _grid_keys(dim, size, half_width):

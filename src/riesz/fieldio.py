@@ -10,8 +10,8 @@ so a dump round-trips exactly.
 so the text of a dump is never held whole; each value is its `repr`, the
 shortest text that reads back to the same float.  `load_field` checks that
 the CSV has three columns and that its index column holds every flattened
-position exactly once, so a truncated or relabelled dump is an error rather
-than a wrong field.
+position exactly once, and that every sample is finite, so a truncated,
+relabelled or corrupted dump is an error rather than a wrong field.
 """
 
 import contextlib
@@ -119,4 +119,9 @@ def load_field(basepath):
     # Each (re, im) pair read as one complex: re + 1j * im would make an
     # infinite im a nan re, and a -0.0 re +0.0 when im >= 0.
     samples = data[order, 1:].view(np.complex128).reshape(grid.shape)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"{csv_path}: the sample at index {j} is {samples.flat[j]}, "
+                         f"not finite")
     return Field(grid, domain, samples)

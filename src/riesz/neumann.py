@@ -13,10 +13,12 @@ Two executable directions:
   modulus on supp psi2 is at most q/(1 - q) < 1; the tail certificate uses
   the measured grid sup of that contraction.
 
-A Decomposition is its sampled spectra: every component is a frequency-side
-Field on the plan's grid, built from fresh samples (`Symbol.fresh_sample`)
-of the ball b, psi1 and psi2.  The build checks psi2's support 1 + r0, the
-widest finite support of any component, against the grid's frequency window.
+A Decomposition keeps only the spectra its composites read, each a
+frequency-side Field on the plan's grid: fresh samples (`Symbol.fresh_sample`)
+of the ball b, psi1 (forward only) and psi2, the tail kernel and the target.
+The build sums the rest of the split into its reconstruction and drops it.
+It checks psi2's support 1 + r0, the widest finite support of any
+component, against the grid's frequency window.
 One private generator makes every series-term spectrum s_n: b^n psi2
 forward, with b^n a fresh sample of the ball of exponent n delta, and
 w^n psi2 reverse.  The tail kernel is kept as its spectrum sum c_n s_n;
@@ -138,22 +140,19 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
 
 @dataclass(eq=False)
 class Decomposition:
-    """Built components of one direction plus its error certificates.
+    """The spectra one direction's composite reads, plus its error certificates.
 
-    Every component is a frequency-side Field on plan.grid; the reverse
-    direction has no psi1, no smooth part and no far field (None).
-    tail_kernel is the spectrum of the truncated terms.  reconstruction_error
-    is the grid sup of |built - target| and is bounded by certified_tail plus
-    rounding whenever the construction is sound.
+    Every part is a frequency-side Field on plan.grid; the reverse direction
+    has no psi1 (None).  tail_kernel is the spectrum of the truncated terms
+    and target the symbol the split rebuilds: (z - b)^(-1) forward, b psi2
+    reverse.  reconstruction_error is the grid sup of |built - target| and is
+    bounded by certified_tail plus rounding whenever the construction is sound.
     """
 
     plan: NeumannPlan
     ball: Field
     psi1: Field
     psi2: Field
-    smooth_part: Field
-    series_part: Field
-    far_part: Field
     tail_kernel: Field
     target: Field
     certified_tail: float
@@ -243,17 +242,16 @@ def forward_decomposition(plan):
     b, psi2 = _samples(plan)
     psi1 = cutoff_pair(plan.r0)[0].fresh_sample(plan.grid)
     target = 1.0 / (z - b)
-    smooth_part = target * psi1
-    series_part = _power_sum(b / z, 0, plan.n0) / z * psi2
-    far_part = (1.0 - psi1 - psi2) / z
     tail_kernel = _tail_kernel(plan, lambda n: z ** (-(n + 1)), psi2)
 
     certified = _forward_tail_certificate(z, plan.q, plan.truncation)
-    built = smooth_part + series_part + tail_kernel.samples + far_part
+    built = target * psi1 + _power_sum(b / z, 0, plan.n0) / z * psi2
+    built += tail_kernel.samples
+    built += (1.0 - psi1 - psi2) / z
     err = float(np.max(np.abs(built - target)))
     freq = functools.partial(Field.frequency, plan.grid)
-    return Decomposition(plan, *map(freq, (b, psi1, psi2, smooth_part, series_part, far_part)),
-                         tail_kernel, freq(target), certified, err)
+    return Decomposition(plan, *map(freq, (b, psi1, psi2)), tail_kernel, freq(target),
+                         certified, err)
 
 
 def _compose(dec, f, spectrum_of):
@@ -281,7 +279,7 @@ def apply_forward(dec, f):
     """
     z, n0 = dec.plan.z, dec.plan.n0
     ball, psi1, psi2 = dec.ball.samples, dec.psi1.samples, dec.psi2.samples
-    smooth, tail = dec.smooth_part.samples, dec.tail_kernel.samples
+    target, tail = dec.target.samples, dec.tail_kernel.samples
 
     def spectrum_of(spec):
         g = psi2 * spec
@@ -291,7 +289,7 @@ def apply_forward(dec, f):
             current = ball * current
             acc = acc + z ** (-(n + 1)) * current
         far = (1.0 / z) * (spec - psi1 * spec - g)
-        return smooth * spec + acc + tail * spec + far
+        return target * psi1 * spec + acc + tail * spec + far
 
     return _compose(dec, f, spectrum_of)
 
@@ -311,15 +309,15 @@ def reverse_decomposition(plan):
 
     on_support = np.abs(psi2) > 0
     contraction_sup = float(np.max(np.abs(w[on_support]))) if on_support.any() else 0.0
-    series_part = -z0 * _power_sum(w, 1, plan.n0) * psi2
     tail_kernel = _tail_kernel(plan, lambda n: -z0, psi2, w)
 
     target = b * psi2
     certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
-    err = float(np.max(np.abs(series_part + tail_kernel.samples - target)))
+    built = -z0 * _power_sum(w, 1, plan.n0) * psi2 + tail_kernel.samples
+    err = float(np.max(np.abs(built - target)))
     freq = functools.partial(Field.frequency, plan.grid)
-    return Decomposition(plan, freq(b), None, freq(psi2), None, freq(series_part), None,
-                         tail_kernel, freq(target), certified, err, contraction_sup)
+    return Decomposition(plan, freq(b), None, freq(psi2), tail_kernel, freq(target),
+                         certified, err, contraction_sup)
 
 
 def apply_reverse(dec, f):

@@ -18,11 +18,32 @@ from .multiplier import apply
 from .symbols import _STRIP_POINTS, BumpProfile, Symbol, radial_symbol
 
 
-def _abs_power_sum(samples, p):
-    """sum |samples|^p, raising the one real array of moduli to p in place."""
+def _abs_power_sum(samples, p, weight=None):
+    """sum |samples|^p (times weight), raising one real array of moduli to p in place.
+
+    Only the sum is checked, by _checked_sum: an entry may overflow or
+    underflow, and the grid is read again only when the sum is 0.
+    """
     a = np.abs(samples)
-    a **= p
-    return np.sum(a)
+    with np.errstate(over="ignore"):
+        a **= p
+        if weight is not None:
+            a *= weight
+        total = np.sum(a)
+    return _checked_sum(total, p, lambda: np.any(samples))
+
+
+def _checked_sum(total, p, nonzero):
+    """total, a sum of |f|^p terms, when its p-th root is the norm it stands for.
+
+    An overflowed sum, or one that underflowed to 0 where nonzero() says f is
+    not 0, has none: a ValueError naming p.
+    """
+    if not np.isfinite(total):
+        raise ValueError(f"the sum of |f|^p overflows at p={p}")
+    if total == 0 and nonzero():
+        raise ValueError(f"the sum of |f|^p underflows to 0 at p={p} on a nonzero field")
+    return total
 
 
 def lp_norm(f, p):
@@ -107,7 +128,7 @@ def weighted_lp_norm(f, w):
     if w.a == 0:
         return lp_norm(f, w.p)
     g = f.grid
-    total = np.sum(np.abs(f.samples) ** w.p * weight_samples(g, w.a)) * g.h**g.dim
+    total = _abs_power_sum(f.samples, w.p, weight_samples(g, w.a)) * g.h**g.dim
     return float(total ** (1.0 / w.p))
 
 
@@ -210,12 +231,16 @@ def herz_norm(f, params):
     params.validate_for_dim(g.dim)
     r = g.x_radius()
     ell_max = int(np.floor(np.log2(g.half_width)))
-    pieces = np.abs(f.samples) ** params.p * g.h**g.dim
-    ball = float(np.sum(pieces[r <= 1.0]) ** (1.0 / params.p))
+    with np.errstate(over="ignore"):  # only the sum over the regions is checked
+        pieces = np.abs(f.samples) ** params.p * g.h**g.dim
+        sums = [np.sum(pieces[r <= 1.0])]
+        for ell in range(1, ell_max + 1):
+            sums.append(np.sum(pieces[(r > 2.0 ** (ell - 1)) & (r <= 2.0**ell)]))
+        _checked_sum(sum(sums), params.p, lambda: np.any(f.samples[r <= 2.0**ell_max]))
+    ball = float(sums[0] ** (1.0 / params.p))
     blocks = 0.0
-    for ell in range(1, ell_max + 1):
-        mask = (r > 2.0 ** (ell - 1)) & (r <= 2.0**ell)
-        block_norm = float(np.sum(pieces[mask]) ** (1.0 / params.p))
+    for ell, block_sum in enumerate(sums[1:], 1):
+        block_norm = float(block_sum ** (1.0 / params.p))
         blocks += 2.0 ** (ell * params.alpha * params.q) * block_norm**params.q
     return ball + blocks ** (1.0 / params.q)
 

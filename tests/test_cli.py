@@ -362,6 +362,16 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("apply", "--set", "symbol=resolvent(z=2,delta=1)", "--set", "field=random(band=2)",
      "--set", "grid_dim=2", "--set", "grid_size=64", "--set", "grid_half_width=1e-200"),
     ("probe", "--set", "rho=1e308"),
+    # |f|^p at a huge finite exponent underflows on every cell: a division by
+    # the zero norm, or a norm of 0 with exit 0
+    ("probe", "--set", "ps=[1e300]", "--set", "lambdas=[0.5]", "--set", "ns=[4,5,6,8]",
+     "--workers", "1"),
+    ("probe", "--set", "ps=[1e300]", "--set", "lambdas=[0.5]", "--set", "ns=[4,5,6,8]",
+     "--workers", "2"),
+    ("spectrum-map", "--set", "p=1e300"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[lp(p=1e300)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=1e300,q=1)]"),
+    ("norms", "--set", "field=DUMP", "--set", "norms=[weighted(p=1e300,a=0.5)]"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -392,7 +402,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "map-delta-inf", "bochner-delta-inf", "resolvent-z-nan-imag", "resolvent-z-inf-imag",
         "scale-nan", "map-im-nan", "plan-z-nan", "resolvent-z-nan", "map-re-nan",
         "probe-rho-inf", "grid-half-width-overflow", "grid-half-width-underflow",
-        "grid-half-width-2d-overflow", "grid-half-width-2d-underflow", "probe-rho-overflow"])
+        "grid-half-width-2d-overflow", "grid-half-width-2d-underflow", "probe-rho-overflow",
+        "probe-p-underflow-serial", "probe-p-underflow-pool", "map-p-underflow",
+        "lp-p-underflow", "herz-p-underflow", "weighted-p-underflow"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -598,6 +610,31 @@ def test_non_finite_linspace_end_is_rejected_before_any_compute(tmp_path, capsys
     assert capsys.readouterr().err == (
         f"riesz: spectrum-map config key {key!r}: must be finite, got {item!r}\n")
     assert not out.exists()
+
+
+def test_linspace_whose_span_overflows_is_rejected_before_any_compute(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "spectrum-map", "--set", "re=[-1e308,1e308,3]")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "riesz: spectrum-map config key 're': the span from -1e+308 to 1e+308 overflows\n")
+    assert not out.exists()
+
+
+def test_non_finite_dump_sample_is_named(tmp_path, capsys):
+    dump = tmp_path / "dump"
+    assert main(["apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+                 "--set", "grid_half_width=8", "--dump-field", "--out", str(dump)]) == 0
+    csv_path = dump / "fields" / "output.csv"
+    lines = csv_path.read_text().splitlines(True)
+    lines[6] = "5,nan," + lines[6].split(",")[2]  # line 0 is the header
+    csv_path.write_text("".join(lines))
+    capsys.readouterr()
+    code, out = run_cli(tmp_path, "norms", "--set", f"field={dump / 'fields' / 'output'}")
+    assert code == 1
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1
+    assert stderr[0].startswith(f"riesz: {csv_path}: the sample at index 5 is (nan")
+    assert not (out / "norms.csv").exists() and not (out / "norms.json").exists()
 
 
 _SPEC_TABLES = {"symbol": cli.SYMBOL_ARGS, "field": cli.FIELD_ARGS, "norms": cli.NORM_ARGS}

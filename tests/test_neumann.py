@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,24 +101,23 @@ def test_forward_reconstruction_certificate(grid):
     assert dec.reconstruction_error <= dec.certified_tail + 1e-10
 
 
+def _one(grid):
+    """The constant spectrum 1 on grid: a composite of it is its own symbol."""
+    return Field.frequency(grid, np.ones(grid.shape, dtype=complex))
+
+
 def test_forward_region_bookkeeping(grid):
     plan = make_plan(2.0, 1.0, grid=grid)
     dec = forward_decomposition(plan)
     xi = np.abs(grid.xi_axis())
-    target = dec.target.samples
+    composite = apply_forward(dec, _one(grid)).samples
+    # inside psi1's plateau m1 matches alone: the section, the tail and the
+    # far field vanish there
     inner = xi <= 1.0 - plan.r0
-    # the Neumann section and the tail vanish inside; m1 matches alone
-    assert np.max(np.abs(dec.series_part.samples[inner])) == 0.0
-    assert np.max(np.abs(dec.tail_kernel.samples[inner])) < 1e-13
-    assert np.max(np.abs(dec.smooth_part.samples[inner] - target[inner])) < 1e-13
+    assert np.array_equal(composite[inner], dec.target.samples[inner])
+    # beyond psi2's support only the far field z^(-1) is left
     outer = xi > 1.0 + plan.r0
-    composite = (
-        dec.smooth_part.samples
-        + dec.series_part.samples
-        + dec.tail_kernel.samples
-        + dec.far_part.samples
-    )
-    assert np.max(np.abs(composite[outer] - 1.0 / plan.z)) < 1e-13
+    assert np.all(composite[outer] == 1.0 / plan.z)
 
 
 @pytest.mark.parametrize("z", [2.0, -1.0, 1.0 + 1.0j])
@@ -232,14 +233,34 @@ def sampled_symbols(monkeypatch):
 def test_components_are_frequency_fields(grid):
     for direction, decompose in DECOMPOSITIONS:
         dec = decompose(make_plan(2.0, 1.0, direction=direction, grid=grid))
-        parts = [dec.ball, dec.psi2, dec.series_part, dec.tail_kernel, dec.target]
+        parts = [dec.ball, dec.psi2, dec.tail_kernel, dec.target]
         if direction == "forward":
-            parts += [dec.psi1, dec.smooth_part, dec.far_part]
+            parts.append(dec.psi1)
         else:
-            assert dec.psi1 is None and dec.smooth_part is None and dec.far_part is None
+            assert dec.psi1 is None
         for part in parts:
             assert isinstance(part, Field), direction
             assert part.domain == "frequency" and part.grid == grid, direction
+        # the rest of the split is summed into the reconstruction error only
+        for name in ("smooth_part", "series_part", "far_part"):
+            assert not hasattr(dec, name), (direction, name)
+
+
+def test_decompositions_hold_only_what_their_composites_read():
+    # on the 2D 256^2 grid one complex array is 1 MiB: forward keeps the ball,
+    # psi1, psi2, the tail kernel and the target; reverse all but psi1
+    grid = GridSpec(2, 256, 40.0)
+    array = np.dtype(complex).itemsize * 256**2
+    for (direction, decompose), bound in zip(DECOMPOSITIONS, (5.05, 4.05)):
+        plan = make_plan(2.0, 1.0, direction=direction, grid=grid)
+        tracemalloc.start()
+        try:
+            dec = decompose(plan)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / array <= bound, direction
+        del dec
 
 
 @pytest.mark.parametrize("grid_2d", [False, True], ids=["1d", "2d"])
@@ -317,9 +338,8 @@ def test_reverse_contraction_bound(grid):
 def test_reverse_vanishes_at_origin(grid):
     plan = make_plan(2.0, 1.0, direction="reverse", grid=grid)
     dec = reverse_decomposition(plan)
-    center = grid.size // 2
-    built = dec.series_part.samples[center] + dec.tail_kernel.samples[center]
-    assert abs(built) < 1e-12
+    # psi2 vanishes at the origin, so the composite's symbol b psi2 does too
+    assert apply_reverse(dec, _one(grid)).samples[grid.size // 2] == 0.0
 
 
 def test_reverse_operator_equivalence(grid, rng):

@@ -75,6 +75,38 @@ def test_lp_norm_holds_one_real_array(rng, traced_peak):
                               * f.grid.h ** (f.grid.dim / p))
 
 
+@pytest.mark.parametrize("peak, constant, problem", [
+    (1e-2, False, "underflows to 0"), (10.0, False, "overflows"),
+    (10 ** (306 / 400), True, "overflows"),
+], ids=["underflow", "overflow", "sum-overflow"])
+def test_a_power_sum_out_of_range_names_p(rng, peak, constant, problem):
+    # at p = 400, 1e-2^p underflows on every cell, 10^p overflows on one, and
+    # 1e306 is finite on each cell but not summed over them: the norm would be
+    # a silent 0 or inf
+    g = GridSpec(2, 64, 8.0)
+    f = np.ones(g.shape, dtype=complex) if constant else random_band_limited(g, 2.0, rng).samples
+    f = Field.spatial(g, peak / np.max(np.abs(f)) * f)
+    norms = {"lp": lambda: lp_norm(f, 400.0),
+             "weighted": lambda: weighted_lp_norm(f, WeightSpec(0.5, 400.0)),
+             "herz": lambda: herz_norm(f, HerzParams(0.5, 400.0, 1.0))}
+    for name, norm in norms.items():
+        with pytest.raises(ValueError, match=f"{problem} at p=400.0"):
+            norm()
+    spec = Field.frequency(g, np.full(g.shape, 1e-170 if peak < 1 else 1e160, dtype=complex))
+    with pytest.raises(ValueError, match=f"{problem} at p=2"):
+        spectrum_lp_norm(spec, 2)
+
+
+def test_a_zero_power_sum_of_a_zero_field_is_no_error():
+    g = GridSpec(2, 64, 8.0)
+    zero = Field.spatial(g, np.zeros(g.shape, dtype=complex))
+    assert lp_norm(zero, 1e300) == 0.0
+    assert weighted_lp_norm(zero, WeightSpec(0.5, 1e300)) == 0.0
+    # Herz blocks reach |x| <= 8: a field on the corners beyond has norm 0
+    corners = Field.spatial(g, np.where(g.x_radius() > 8.0, 1.0, 0.0).astype(complex))
+    assert herz_norm(corners, HerzParams(0.5, 2.0, 1.0)) == 0.0
+
+
 def test_spectrum_lp_norm_matches_the_spatial_norm(grid, rng):
     f = random_band_limited(grid, 3.0, rng)
     spec = forward_transform(f)
