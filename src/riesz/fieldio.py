@@ -11,7 +11,11 @@ so the text of a dump is never held whole; each value is its `repr`, the
 shortest text that reads back to the same float.  `load_field` checks that
 the CSV has three columns and that its index column holds every flattened
 position exactly once, and that every sample is finite, so a truncated,
-relabelled or corrupted dump is an error rather than a wrong field.
+relabelled or corrupted dump is an error rather than a wrong field.  Rows in
+`dump_field`'s order are taken as they are, with no sort; rows in any other
+order are sorted by index.  Either way the samples are copied once out of
+the parsed columns, so a load holds the columns and the samples: two and a
+half arrays of the field.
 """
 
 import contextlib
@@ -28,8 +32,8 @@ LAYOUT_NOTE = (
     "(unravel(index)[i] - size/2) * spacing"
 )
 
-# Rows formatted per write; bounds the text held in memory to a few MiB.
-_DUMP_ROWS = 2**15
+# Rows formatted per write; bounds the text held in memory to under 1 MiB.
+_DUMP_ROWS = 2**12
 
 
 @contextlib.contextmanager
@@ -103,22 +107,27 @@ def load_field(basepath):
                          f"grid has {count} (truncated dump?)")
     if data.shape[1] != 3:
         raise ValueError(f"{csv_path}: expected 3 columns index,re,im, got {data.shape[1]}")
-    order = np.argsort(data[:, 0])
-    index = data[order, 0]
-    wrong = np.flatnonzero(index != np.arange(count))
-    if wrong.size:
-        j = int(wrong[0])
-        if j > 0 and index[j] == index[j - 1]:
-            problem = f"index {index[j]:g} appears twice"
-        elif index[j] > j:
-            problem = f"index {j} is missing"
-        else:
-            problem = f"index {index[j]:g} is not a position"
-        raise ValueError(f"{csv_path}: {problem}; the index column must hold each of "
-                         f"0 ... {count - 1} exactly once")
-    # Each (re, im) pair read as one complex: re + 1j * im would make an
-    # infinite im a nan re, and a -0.0 re +0.0 when im >= 0.
-    samples = data[order, 1:].view(np.complex128).reshape(grid.shape)
+    index = data[:, 0]
+    order = slice(None)
+    if not np.array_equal(index, np.arange(count)):  # dump_field's order needs no sort
+        order = np.argsort(index)
+        index = index[order]
+        wrong = np.flatnonzero(index != np.arange(count))
+        if wrong.size:
+            j = int(wrong[0])
+            if j > 0 and index[j] == index[j - 1]:
+                problem = f"index {index[j]:g} appears twice"
+            elif index[j] > j:
+                problem = f"index {j} is missing"
+            else:
+                problem = f"index {index[j]:g} is not a position"
+            raise ValueError(f"{csv_path}: {problem}; the index column must hold each of "
+                             f"0 ... {count - 1} exactly once")
+    # Each (re, im) pair read as one complex, copied once into a contiguous
+    # array: re + 1j * im would make an infinite im a nan re, and a -0.0 re
+    # +0.0 when im >= 0.
+    samples = np.ascontiguousarray(data[order, 1:]).view(np.complex128).reshape(grid.shape)
+    del data, index, order
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         j = int(bad[0])

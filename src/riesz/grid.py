@@ -13,8 +13,9 @@ the round trip is exact to rounding.
 
 Every grid size is even, so centering is a swap of halves on every axis.
 Each transform copies its input into one scratch array with the halves
-swapped, transforms it in place and swaps it back through a temporary of
-half (1D) or a quarter (2D) of the grid; it makes no other grid-sized array.
+swapped, transforms it in place and swaps it back a strip of rows at a time
+through a spare of one strip (_SAMPLE_STRIP_POINTS points), so it holds one
+grid array plus strips and makes no other grid-sized array.
 With overwrite=True (scipy.fft's overwrite_x) it skips the scratch array:
 the halves of the input's own samples are swapped in place, transformed and
 swapped back, and that array, bit for bit the same result, is returned.  The
@@ -25,6 +26,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+
+# Points in one row strip: symbols evaluate a support box, and the transforms
+# swap their halves, this many points at a time (whole rows, at least one).
+_SAMPLE_STRIP_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,23 @@ def _half_blocks(shape):
     return list(product((slice(None, half), slice(half, None)), repeat=len(shape)))
 
 
-def _swap_halves(work, blocks, spare):
-    """Swap block i with block -1 - i of work in place, through spare."""
+def _swap_halves(work, blocks):
+    """Swap block i with block -1 - i of work in place.
+
+    Each pair trades a strip of rows at a time, about _SAMPLE_STRIP_POINTS
+    points, through one spare strip.  Only copies are made, so every bit is
+    the same as a swap of whole blocks.
+    """
+    half = work.shape[0] // 2
+    rows = min(half, max(1, _SAMPLE_STRIP_POINTS // half ** (work.ndim - 1)))
+    spare = np.empty((rows,) + (half,) * (work.ndim - 1), work.dtype)
     for a, b in zip(blocks[: len(blocks) // 2], reversed(blocks)):
-        spare[...] = work[a]
-        work[a] = work[b]
-        work[b] = spare
+        block_a, block_b = work[a], work[b]
+        for start in range(0, half, rows):
+            strip = spare[: min(rows, half - start)]
+            strip[...] = block_a[start:start + rows]
+            block_a[start:start + rows] = block_b[start:start + rows]
+            block_b[start:start + rows] = strip
 
 
 def _centered(transform, samples, overwrite):
@@ -171,21 +187,19 @@ def _centered(transform, samples, overwrite):
     every axis.  Without overwrite the input is copied into a scratch array
     already swapped; with it, samples itself is swapped in place and becomes
     the result.  Either way the array is transformed in place and swapped
-    back through a temporary of one block, so a call holds that array plus
-    half of one (1D) or a quarter of one (2D).
+    back a strip at a time, so a call holds that array plus one strip.
     """
     blocks = _half_blocks(samples.shape)
-    spare = np.empty_like(samples[blocks[0]])
     if overwrite:
         work = samples
         work.setflags(write=True)
-        _swap_halves(work, blocks, spare)
+        _swap_halves(work, blocks)
     else:
         work = np.empty_like(samples)
         for dst, src in zip(blocks, reversed(blocks)):
             work[dst] = samples[src]
     transform(work, out=work)
-    _swap_halves(work, blocks, spare)
+    _swap_halves(work, blocks)
     return work
 
 
@@ -195,7 +209,7 @@ def forward_transform(f, overwrite=False):
     Equals h^d times the centered DFT of the samples, which approximates
     integral f(x) exp(-i x.xi) dx at every lattice frequency.  The result is
     fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
-    scratch array, with a temporary of half (1D) or a quarter (2D) of it, and
+    scratch array, with its halves swapped one strip of rows at a time, and
     scaled in place; f is left unchanged.
 
     overwrite=True, as scipy.fft's overwrite_x, computes the same bits in f's
@@ -215,9 +229,9 @@ def inverse_transform(big_f, overwrite=False):
     """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
 
     Bit for bit fftshift(ifftn(ifftshift(samples))) / h^d, computed like
-    forward_transform in one scratch array and a half or quarter temporary,
-    or, with overwrite=True, in big_f's own sample array, on the same terms
-    as forward_transform's.
+    forward_transform in one scratch array and a strip of rows, or, with
+    overwrite=True, in big_f's own sample array, on the same terms as
+    forward_transform's.
     """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")

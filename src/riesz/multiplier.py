@@ -14,7 +14,8 @@ box only, one row strip at a time (`Symbol._strips`), so a symbol's rule
 never makes a grid-sized temporary, whatever its support.  `apply`,
 `kernel_of` and `convolve` invert an array they made in place
 (`inverse_transform(..., overwrite=True)`), so `apply` and `kernel_of` hold
-one grid array, plus a quarter of one in 2D while it is transformed.
+one grid array plus strips: the symbol's row strip, and the transform's
+spare strip while it is transformed.
 """
 
 from itertools import product

@@ -1,9 +1,13 @@
 """Norms: L^p, power-weighted L^p with an A_p screen, Herz, Besov, Triebel.
 
 All spatial quadrature is the plain Riemann sum h^d * sum over the grid.
-Weights are restricted to |x|^a, the family whose Muckenhoupt ranges are
-known in closed form; the value at the origin cell is replaced by the cell
-average so negative exponents stay integrable.
+Every sum of |f|^p (L^p, weighted L^p, spectrum_lp_norm at p = 2 and the
+Triebel stack) takes the moduli one strip of _STRIP_POINTS points at a time
+and adds the partials along numpy's pairwise tree, so it equals np.sum of
+the whole array bit for bit and holds one strip beside the field, not a
+real array of the grid.  Weights are restricted to |x|^a, the family whose
+Muckenhoupt ranges are known in closed form; the value at the origin cell
+is replaced by the cell average so negative exponents stay integrable.
 """
 
 import functools
@@ -19,18 +23,37 @@ from .symbols import _STRIP_POINTS, BumpProfile, Symbol, radial_symbol
 
 
 def _abs_power_sum(samples, p, weight=None):
-    """sum |samples|^p (times weight), raising one real array of moduli to p in place.
+    """sum |samples|^p (times weight), one strip of real moduli at a time.
 
-    Only the sum is checked, by _checked_sum: an entry may overflow or
-    underflow, and the grid is read again only when the sum is 0.
+    The sum is _pairwise_sum's, so it is np.sum of the whole array of terms
+    bit for bit, and at most _STRIP_POINTS moduli are held.  Only the sum is
+    checked, by _checked_sum: an entry may overflow or underflow, and the
+    grid is read again only when the sum is 0.
     """
-    a = np.abs(samples)
+    flat_weight = None if weight is None else weight.reshape(-1)
     with np.errstate(over="ignore"):
-        a **= p
-        if weight is not None:
-            a *= weight
-        total = np.sum(a)
+        total = _pairwise_sum(samples.reshape(-1), p, flat_weight, 0, samples.size)
     return _checked_sum(total, p, lambda: np.any(samples))
+
+
+def _pairwise_sum(flat, p, weight, lo, hi):
+    """sum of |flat|^p (times weight) over lo:hi, split as numpy's pairwise sum.
+
+    numpy halves a sum, rounded down to a multiple of 8 points, until a piece
+    is short; this splits the same way until a piece has at most
+    _STRIP_POINTS points, sums each piece's moduli (raised to p in place and
+    weighted by the matching slice) with np.sum, and adds the partials back
+    up the same tree.  A range of at most one strip is one np.sum call.
+    """
+    if hi - lo > _STRIP_POINTS:
+        mid = (hi - lo) // 2
+        mid = lo + mid - mid % 8
+        return _pairwise_sum(flat, p, weight, lo, mid) + _pairwise_sum(flat, p, weight, mid, hi)
+    a = np.abs(flat[lo:hi])
+    a **= p
+    if weight is not None:
+        a *= weight[lo:hi]
+    return np.sum(a)
 
 
 def _checked_sum(total, p, nonzero):
@@ -220,6 +243,39 @@ class HerzParams:
             raise ValueError(f"alpha must exceed -d/p = {-dim / self.p}")
 
 
+def _lq_range_error(alpha, q):
+    return ValueError(f"the weighted l^q sum over levels leaves the float range "
+                      f"at alpha={alpha}, q={q}")
+
+
+def _level_weight(ell, alpha, q):
+    """2^(ell alpha q), level ell's weight; a ValueError naming alpha and q
+    where it overflows."""
+    try:
+        weight = 2.0 ** (ell * alpha * q)
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise _lq_range_error(alpha, q)
+    return weight
+
+
+def _weighted_lq(level_norms, alpha, q):
+    """(sum of 2^(ell alpha q) n_ell^q over ell = 1, 2, ...)^(1/q) for the
+    level norms n_1, n_2, ..., summed in level order; a weight, term, sum or
+    root that overflows is a ValueError naming alpha and q."""
+    try:
+        total = 0.0
+        for ell, norm in enumerate(level_norms, 1):
+            total += _level_weight(ell, alpha, q) * norm**q
+        value = total ** (1.0 / q)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _lq_range_error(alpha, q)
+    return value
+
+
 def herz_norm(f, params):
     """Ball term plus dyadic-annulus blocks weighted by 2^(l alpha q).
 
@@ -238,11 +294,8 @@ def herz_norm(f, params):
             sums.append(np.sum(pieces[(r > 2.0 ** (ell - 1)) & (r <= 2.0**ell)]))
         _checked_sum(sum(sums), params.p, lambda: np.any(f.samples[r <= 2.0**ell_max]))
     ball = float(sums[0] ** (1.0 / params.p))
-    blocks = 0.0
-    for ell, block_sum in enumerate(sums[1:], 1):
-        block_norm = float(block_sum ** (1.0 / params.p))
-        blocks += 2.0 ** (ell * params.alpha * params.q) * block_norm**params.q
-    return ball + blocks ** (1.0 / params.q)
+    level_norms = [float(block_sum ** (1.0 / params.p)) for block_sum in sums[1:]]
+    return ball + _weighted_lq(level_norms, params.alpha, params.q)
 
 
 @dataclass(eq=False)
@@ -292,8 +345,8 @@ def _block_fields(f, alpha, p, q, family):
     Non-finite exponents and q <= 0 are rejected before the one transform.
     Its spectrum is checked against the band at once, on one real array of
     moduli, and the base block is reduced to its norm before any level block
-    2^(ell alpha q), apply(level_symbol(ell), spec) is made, each only when
-    the caller asks; a caller that folds them in one pass holds one at a time.
+    ell, apply(level_symbol(ell), spec) is made, each only when the caller
+    asks; a caller that folds them in one pass holds one at a time.
     """
     if not (all(map(math.isfinite, (alpha, p, q))) and q > 0):
         raise ValueError(f"need finite alpha, p, q and q > 0, got {alpha}, {p}, {q}")
@@ -308,36 +361,46 @@ def _block_fields(f, alpha, p, q, family):
             f"field has frequency content beyond the family band "
             f"{family.valid_band} (leak {leak:.2e})"
         )
-    blocks = (
-        (2.0 ** (ell * alpha * q), apply(family.level_symbol(ell), spec))
-        for ell in range(1, family.ell_max + 1)
-    )
+    blocks = ((ell, apply(family.level_symbol(ell), spec))
+              for ell in range(1, family.ell_max + 1))
     return lp_norm(apply(family.base, spec), p), blocks
 
 
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
     base_norm, blocks = _block_fields(f, alpha, p, q, family)
-    tail = 0.0
-    for wt, blk in blocks:
-        tail += wt * lp_norm(blk, p) ** q
+    level_norms = []
+    for _, blk in blocks:
+        level_norms.append(lp_norm(blk, p))
         del blk  # dropped before the next block is made
-    return base_norm + tail ** (1.0 / q)
+    return base_norm + _weighted_lq(level_norms, alpha, q)
 
 
 def triebel_norm(f, alpha, p, q, family):
     """Base L^p term plus the L^p norm of the pointwise weighted l^q sum.
 
-    The stack of wt |block|^q is one real array, accumulated in place.
+    The stack of wt |block|^q is one real array, into which each block is
+    folded one strip of _STRIP_POINTS points at a time; its L^p norm is the
+    checked strip sum of stack^(p/q).  A stack out of the float range is a
+    ValueError naming alpha and q.
     """
     base_norm, blocks = _block_fields(f, alpha, p, q, family)
-    stack = 0.0
-    for wt, blk in blocks:
-        term = np.abs(blk.samples)
-        term **= q
-        term *= wt
-        stack += term
-        del blk, term  # neither is held while the next block is made
     g = f.grid
-    inner = float(np.sum(stack ** (p / q)) ** (1.0 / p) * g.h ** (g.dim / p))
-    return base_norm + inner
+    stack = np.zeros(g.shape)
+    flat_stack = stack.reshape(-1)
+    for ell, blk in blocks:
+        wt = _level_weight(ell, alpha, q)
+        flat = blk.samples.reshape(-1)
+        with np.errstate(over="ignore"):  # the sum of stack^(p/q) is checked
+            for lo in range(0, flat.size, _STRIP_POINTS):
+                term = np.abs(flat[lo:lo + _STRIP_POINTS])
+                term **= q
+                term *= wt
+                flat_stack[lo:lo + _STRIP_POINTS] += term
+                del term  # not held while the next strip is made
+        del blk, flat  # not held while the next block is made
+    try:
+        total = _abs_power_sum(stack, p / q)
+    except ValueError:
+        raise _lq_range_error(alpha, q) from None
+    return base_norm + float(total ** (1.0 / p) * g.h ** (g.dim / p))

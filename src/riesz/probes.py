@@ -11,7 +11,8 @@ lower bounds on resolvent norms over the complex plane.
 
 lambda - b is a multiplier, so the defect is built on the probe's spectrum
 F as (lambda - b) F, with the ball b evaluated only on its support box; a
-full-grid probe lives in one array of its own and peaks at one and a half.
+full-grid probe lives in one array of its own, and its norms are strip sums,
+so it holds one grid array plus strips.
 """
 
 import functools
@@ -204,8 +205,10 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     inside the localizer plateau.  ||f|| is taken first; then f's array is
     transformed in place into F, scaled by level outside the support box of
     the ball b and set to (level - b) F on it, one row strip of b at a time,
-    and inverted in place.  So a probe holds one grid array, plus lp_norm's
-    real moduli while a norm is taken: one and a half grid arrays.
+    and inverted in place.  Each norm takes f's moduli one strip at a time
+    (norms._abs_power_sum), and each transform swaps its halves through one
+    strip.  So a probe holds one grid array plus strips: 1.07 grid arrays
+    traced on 2D 1024^2.
     """
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:

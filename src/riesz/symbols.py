@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_STRIP_POINTS = 2**17  # mikhlin_check's strip size; the 1D default's levels are one strip
-_SAMPLE_STRIP_POINTS = 2**14  # a support box is evaluated in row strips of about this many points
+from .grid import _SAMPLE_STRIP_POINTS
+
+_STRIP_POINTS = 2**17  # mikhlin_check's and the |f|^p sums' strip; a 1D default grid is one
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 
 

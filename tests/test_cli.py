@@ -883,6 +883,34 @@ def test_apply_dump_and_norms_pipeline(tmp_path):
     assert [row["spec"] for row in rows] == ["lp(p=2)", "herz(alpha=0.5,p=2,q=1)"]
 
 
+@pytest.fixture(scope="module")
+def band_dump(tmp_path_factory):
+    """Base path of the 1024-point random(band=2) output dump of apply at seed 41."""
+    out = tmp_path_factory.mktemp("band-dump")
+    assert main(["apply", "--set", "symbol=bochner(delta=1)", "--set", "field=random(band=2)",
+                 "--seed", "41", "--dump-field", "--out", str(out)]) == 0
+    return out / "fields" / "output"
+
+
+@pytest.mark.parametrize("spec, alpha, q", [
+    ("herz(alpha=1e300,p=2,q=1)", "1e+300", "1.0"),
+    ("besov(alpha=1e300,p=2,q=2,levels=3)", "1e+300", "2.0"),
+    ("besov(alpha=1,p=2,q=700)", "1.0", "700.0"),
+    ("triebel(alpha=0.1,p=2,q=0.001)", "0.1", "0.001"),
+], ids=["herz-alpha-huge", "besov-alpha-huge", "besov-q-large", "triebel-q-small"])
+def test_a_level_sum_out_of_the_float_range_is_one_line(tmp_path, capsys, band_dump,
+                                                        spec, alpha, q):
+    # 2.0 ** (ell alpha q) and norm ** q raised an OverflowError (a traceback),
+    # and triebel's stack ** (p / q) overflowed into Infinity in norms.json
+    capsys.readouterr()
+    code, out = run_cli(tmp_path, "norms", "--set", f"field={band_dump}",
+                        "--set", f"norms=[{spec}]")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"riesz: the weighted l^q sum over levels leaves the float range at alpha={alpha}, q={q}"]
+    assert not (out / "norms.json").exists()
+
+
 def test_no_subcommand_reads_the_sample_cache(tmp_path, monkeypatch):
     # every symbol sample is a fresh array: the cached Symbol.sample has no caller
     def cached_sample(self, grid):

@@ -191,11 +191,13 @@ def test_window_helpers():
 
 
 @pytest.mark.parametrize("dim,size,half_width", [
-    (1, 2, 1.0), (1, 6, 3.0), (1, 10, 4.0), (1, 1024, 12.0),
-    (2, 2, 1.0), (2, 6, 3.0), (2, 10, 4.0), (2, 64, 8.0),
+    (1, 2, 1.0), (1, 6, 3.0), (1, 10, 4.0), (1, 1024, 12.0), (1, 40000, 64.0),
+    (2, 2, 1.0), (2, 6, 3.0), (2, 10, 4.0), (2, 64, 8.0), (2, 768, 24.0),
 ])
 def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width):
-    # sizes 2, 6 and 10 put one or an odd number of points in each half
+    # sizes 2, 6 and 10 put one or an odd number of points in each half;
+    # 1D 40000 and 2D 768 swap their halves in strips of 16384 points and
+    # 42 rows, which divide neither a half (20000) nor a quadrant (384 rows)
     g = GridSpec(dim, size, half_width)
     rng = np.random.default_rng(21)
     x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
@@ -216,12 +218,15 @@ def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width
         assert out.samples.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("dim,size,bound", [(2, 256, 1.3), (1, 16384, 1.55)])
+@pytest.mark.parametrize("dim,size,bound", [
+    (2, 256, 1.3), (1, 16384, 1.55), (2, 512, 1.07), (1, 2**17, 1.13),
+])
 def test_a_transform_holds_one_array_of_the_grid(dim, size, bound, traced_peak):
     # the input is copied into one scratch array with its halves swapped,
-    # transformed in place and swapped back through a temporary of one half
-    # (1D) or one quadrant (2D); overwrite makes no scratch array, so it
-    # holds that temporary alone
+    # transformed in place and swapped back through a spare strip of 2^14
+    # points: a whole quadrant of 256^2 and a whole half of 16384 points, but
+    # 1/16 of 512^2 and 1/8 of 2^17 points; overwrite makes no scratch array,
+    # so it holds the spare alone
     g = GridSpec(dim, size, 20.0)
     x = np.random.default_rng(22).standard_normal(g.shape) + 0j
     for overwrite, limit in ((False, bound), (True, bound - 1.0)):

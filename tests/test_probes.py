@@ -218,14 +218,15 @@ def test_probe_rejects_a_grid_narrower_than_the_ball():
 def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
     # the probe is built, transformed and inverted in one array of its own,
     # so a 2D probe peaks while a norm is taken: that array and lp_norm's
-    # real moduli.  No untraced call comes first, so the ball's box and the
-    # bump's normalisation are traced too.
-    g = GridSpec(2, 512, 128.0)
+    # strip of 2^17 real moduli, a quarter of a 512^2 array and 1/16 of a
+    # 1024^2 one (the benchmark's probe grid).  No untraced call comes first,
+    # so the ball's box and the bump's normalisation are traced too.
     spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
-    grid_bytes = 16 * g.size**2
-    norms, peak = traced_peak(probes._probe_norms, spec, 4, g)
-    assert norms == probes._probe_norms(spec, 4, g)
-    assert peak <= 1.6 * grid_bytes
+    for size, bound in ((512, 1.3), (1024, 1.15)):
+        g = GridSpec(2, size, 128.0)
+        norms, peak = traced_peak(probes._probe_norms, spec, 4, g)
+        assert norms == probes._probe_norms(spec, 4, g)
+        assert peak <= bound * 16 * g.size**2, size
 
 
 def test_modulation_covariance(grid):
