@@ -77,6 +77,7 @@ from .norms import (
     herz_norm,
     lp_norm,
     spectrum_lp_norm,
+    sup_norm,
     triebel_norm,
     weighted_lp_norm,
 )
@@ -499,7 +500,7 @@ def run_apply(cfg, out_dir, seed, workers):
     f = parse_field_spec(cfg["field"], grid, rng)
     out = apply_op(symbol, f)
     rows = [{"quantity": quantity, "l1": lp_norm(g, 1), "l2": lp_norm(g, 2),
-             "sup": float(np.max(np.abs(g.samples)))}
+             "sup": sup_norm(g)}
             for quantity, g in (("input", f), ("output", out))]
     bound = cfg["assert_output_l2_max"]
     checks = [] if bound is None else [("output_l2_max", rows[1]["l2"], bound)]
@@ -598,6 +599,11 @@ def run_kernel_decay(cfg, out_dir, seed, workers):
     return rows, checks, {"slope": slope, "grid": grid}
 
 
+def _baseband_sizes(grid, ns, rho):
+    """Points per axis of each scale's baseband grid, for the manifest."""
+    return {n: baseband_grid(grid, n, rho).size for n in ns}
+
+
 # probe sizes its own grid from ns and rho, so grid_size and grid_half_width are unknown keys
 @_command("probe", {
     "lambdas": (_tuple_of(_real), (0.25, 0.5, 1.0)), "ps": (_tuple_of(_real), (1.0, 2.0, 4.0)),
@@ -625,7 +631,7 @@ def run_probe(cfg, out_dir, seed, workers):
                                                   and r["p"] == spec.p])]
         checks.append(("halving", float(np.max(factors, initial=0.0)),
                        cfg["assert_max_halving"]))
-    return rows, checks, {"grid": grid}
+    return rows, checks, {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho)}
 
 
 # spectrum-map sizes its own grid from ns and rho, so it has no grid key
@@ -644,7 +650,7 @@ def run_spectrum_map(cfg, out_dir, seed, workers):
         if not np.isfinite(row["lower_bound"]):
             row["lower_bound"] = -1.0
             row["oracle_p2"] = -1.0
-    extras = {"grid": grid, "baseband_sizes": {n: baseband_grid(grid, n, rho).size for n in ns}}
+    extras = {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho)}
     return rows, [], extras
 
 

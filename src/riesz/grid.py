@@ -32,6 +32,13 @@ import numpy as np
 _SAMPLE_STRIP_POINTS = 2**14
 
 
+def _box_radius(axes):
+    """|x| on the box of points whose coordinates run over the given per-axis
+    arrays, summing the squares in axis order, so a sub-box of a grid gets
+    that grid's radii there bit for bit."""
+    return np.sqrt(sum(c * c for c in np.meshgrid(*axes, indexing="ij", sparse=True)))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform centered grid on [-L, L)^d with its dual frequency lattice.
@@ -87,10 +94,10 @@ class GridSpec:
         return tuple(np.meshgrid(*([self.xi_axis()] * self.dim), indexing="ij", sparse=True))
 
     def x_radius(self):
-        return np.sqrt(sum(np.broadcast_to(c * c, self.shape) for c in self.x_mesh()))
+        return _box_radius([self.x_axis()] * self.dim)
 
     def xi_radius(self):
-        return np.sqrt(sum(np.broadcast_to(c * c, self.shape) for c in self.xi_mesh()))
+        return _box_radius([self.xi_axis()] * self.dim)
 
     def covers_support(self, radius):
         """Whether a symbol supported in |xi| <= radius fits in the window."""
@@ -247,14 +254,19 @@ def band_spectrum(grid, band, rng):
 
     The coefficients fill the band's lattice cells in lattice order, all real
     parts drawn before all imaginary parts, so a seeded generator gives the
-    same spectrum on every run.
+    same spectrum on every run.  The band is masked on its box only: the
+    cells whose every coordinate is within band, where the radii are
+    xi_radius()'s and their lattice order is the grid's.
     """
     if not band > 0:
         raise ValueError(f"band must be positive, got {band}")
-    inside = grid.xi_radius() <= band
+    axis = grid.xi_axis()
+    kept = np.flatnonzero(_box_radius([axis]) <= band)  # 0 is on the axis
+    box = (slice(int(kept[0]), int(kept[-1]) + 1),) * grid.dim
+    inside = _box_radius([axis[box[0]]] * grid.dim) <= band
     count = int(np.count_nonzero(inside))
     spec = np.zeros(grid.shape, dtype=complex)
-    spec[inside] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    spec[box][inside] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return Field.frequency(grid, spec)
 
 

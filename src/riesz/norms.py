@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import forward_transform, inverse_transform
+from .grid import _box_radius, forward_transform, inverse_transform
 from .multiplier import apply
 from .symbols import _STRIP_POINTS, BumpProfile, Symbol, radial_symbol
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _abs_power_sum(samples, p, weight=None):
@@ -77,6 +79,13 @@ def lp_norm(f, p):
         raise ValueError(f"p must lie in [1, inf), got {p}")
     g = f.grid
     return float(_abs_power_sum(f.samples, p) ** (1.0 / p) * g.h ** (g.dim / p))
+
+
+def sup_norm(f):
+    """max |f| over the grid, taken one strip of _STRIP_POINTS moduli at a time."""
+    flat = f.samples.reshape(-1)
+    return max(float(np.max(np.abs(flat[lo:lo + _STRIP_POINTS])))
+               for lo in range(0, flat.size, _STRIP_POINTS))
 
 
 def spectrum_lp_norm(spectrum, p):
@@ -248,22 +257,22 @@ def _lq_range_error(alpha, q):
                       f"at alpha={alpha}, q={q}")
 
 
-def _level_weight(ell, alpha, q):
-    """2^(ell alpha q), level ell's weight; a ValueError naming alpha and q
-    where it overflows."""
+def _level_weight(ell, alpha, q=1.0):
+    """2^(ell alpha q), level ell's weight, or inf where it overflows."""
     try:
-        weight = 2.0 ** (ell * alpha * q)
+        return 2.0 ** (ell * alpha * q)
     except OverflowError:
-        weight = math.inf
-    if not math.isfinite(weight):
-        raise _lq_range_error(alpha, q)
-    return weight
+        return math.inf
 
 
 def _weighted_lq(level_norms, alpha, q):
     """(sum of 2^(ell alpha q) n_ell^q over ell = 1, 2, ...)^(1/q) for the
-    level norms n_1, n_2, ..., summed in level order; a weight, term, sum or
-    root that overflows is a ValueError naming alpha and q."""
+    level norms n_1, n_2, ....
+
+    The plain sum in level order is the common path.  Where a weight, a term
+    or the sum overflows, or the sum of nonzero norms underflows below the
+    smallest normal float, the value is `_scaled_lq`'s instead.
+    """
     try:
         total = 0.0
         for ell, norm in enumerate(level_norms, 1):
@@ -271,9 +280,29 @@ def _weighted_lq(level_norms, alpha, q):
         value = total ** (1.0 / q)
     except OverflowError:
         value = math.inf
+    if math.isfinite(value) and (total >= _TINY or not any(level_norms)):
+        return value
+    value = float(_scaled_lq(lambda: (_level_weight(ell, alpha) * norm
+                                      for ell, norm in enumerate(level_norms, 1)), q))
     if not math.isfinite(value):
         raise _lq_range_error(alpha, q)
     return value
+
+
+def _scaled_lq(terms, q):
+    """(sum t^q)^(1/q) over the nonnegative terms t, elementwise, computed
+    as M (sum (t/M)^q)^(1/q) with M their largest, so no power leaves the
+    float range (LAPACK's dnrm2 scales the same way).
+
+    terms() makes the terms, numbers or arrays, anew for each of the two
+    passes.  The value is not finite where a term is or where the value
+    itself overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = functools.reduce(np.maximum, terms())
+        scaled = sum(np.divide(t, peak, out=np.zeros_like(t), where=peak > 0) ** q
+                     for t in terms())
+        return peak * scaled ** (1.0 / q)
 
 
 def herz_norm(f, params):
@@ -340,58 +369,69 @@ def build_lp_family(ell_max):
 
 
 def _block_fields(f, alpha, p, q, family):
-    """L^p norm of f's base block and a generator of its weighted level blocks.
+    """L^p norm of f's base block, and a function that makes its level blocks.
 
     Non-finite exponents and q <= 0 are rejected before the one transform.
-    Its spectrum is checked against the band at once, on one real array of
-    moduli, and the base block is reduced to its norm before any level block
-    ell, apply(level_symbol(ell), spec) is made, each only when the caller
-    asks; a caller that folds them in one pass holds one at a time.
+    Its spectrum is checked against the band at once, one row strip of
+    moduli at a time, and the base block is reduced to its norm before any
+    level block ell, apply(level_symbol(ell), spec), is made.  Each call of
+    the returned function gives a new generator of (ell, block) pairs that
+    makes each block only when the caller asks; a caller that folds them in
+    one pass holds one at a time.
     """
     if not (all(map(math.isfinite, (alpha, p, q))) and q > 0):
         raise ValueError(f"need finite alpha, p, q and q > 0, got {alpha}, {p}, {q}")
     spec = forward_transform(f)
-    moduli = np.abs(spec.samples)
-    peak = float(np.max(moduli))
-    moduli[f.grid.xi_radius() <= family.valid_band] = 0.0
-    leak = float(np.max(moduli))
-    del moduli
+    g = f.grid
+    axis = g.xi_axis()
+    rows = max(1, _STRIP_POINTS // g.size ** (g.dim - 1))
+    peak = leak = 0.0
+    for start in range(0, g.size, rows):
+        moduli = np.abs(spec.samples[start:start + rows])
+        peak = max(peak, float(np.max(moduli)))
+        radius = _box_radius([axis[start:start + rows]] + [axis] * (g.dim - 1))
+        moduli[radius <= family.valid_band] = 0.0
+        leak = max(leak, float(np.max(moduli)))
+    del moduli, radius  # not held while the blocks are made
     if leak > 1e-9 * max(peak, 1e-300):
         raise ValueError(
             f"field has frequency content beyond the family band "
             f"{family.valid_band} (leak {leak:.2e})"
         )
-    blocks = ((ell, apply(family.level_symbol(ell), spec))
-              for ell in range(1, family.ell_max + 1))
-    return lp_norm(apply(family.base, spec), p), blocks
+
+    def levels():
+        return ((ell, apply(family.level_symbol(ell), spec))
+                for ell in range(1, family.ell_max + 1))
+
+    return lp_norm(apply(family.base, spec), p), levels
 
 
 def besov_norm(f, alpha, p, q, family):
     """Base L^p term plus the weighted l^q sum of block L^p norms."""
-    base_norm, blocks = _block_fields(f, alpha, p, q, family)
+    base_norm, levels = _block_fields(f, alpha, p, q, family)
     level_norms = []
-    for _, blk in blocks:
+    for _, blk in levels():
         level_norms.append(lp_norm(blk, p))
         del blk  # dropped before the next block is made
     return base_norm + _weighted_lq(level_norms, alpha, q)
 
 
-def triebel_norm(f, alpha, p, q, family):
-    """Base L^p term plus the L^p norm of the pointwise weighted l^q sum.
+def _plain_stack_sum(levels, alpha, p, q, shape):
+    """sum of stack^(p/q) over the grid, stack the pointwise sum over ell of
+    2^(ell alpha q) |block_ell|^q, or None where a weight overflows, a stack
+    entry leaves the normal float range or the sum fails its check.
 
-    The stack of wt |block|^q is one real array, into which each block is
-    folded one strip of _STRIP_POINTS points at a time; its L^p norm is the
-    checked strip sum of stack^(p/q).  A stack out of the float range is a
-    ValueError naming alpha and q.
+    The stack is one real array, into which each block is folded one strip
+    of _STRIP_POINTS points at a time.
     """
-    base_norm, blocks = _block_fields(f, alpha, p, q, family)
-    g = f.grid
-    stack = np.zeros(g.shape)
+    stack = np.zeros(shape)
     flat_stack = stack.reshape(-1)
-    for ell, blk in blocks:
+    for ell, blk in levels():
         wt = _level_weight(ell, alpha, q)
+        if not math.isfinite(wt):
+            return None
         flat = blk.samples.reshape(-1)
-        with np.errstate(over="ignore"):  # the sum of stack^(p/q) is checked
+        with np.errstate(over="ignore"):  # the stack's range is checked below
             for lo in range(0, flat.size, _STRIP_POINTS):
                 term = np.abs(flat[lo:lo + _STRIP_POINTS])
                 term **= q
@@ -399,8 +439,32 @@ def triebel_norm(f, alpha, p, q, family):
                 flat_stack[lo:lo + _STRIP_POINTS] += term
                 del term  # not held while the next strip is made
         del blk, flat  # not held while the next block is made
+    if not (_TINY <= np.min(stack) and np.max(stack) < np.inf):
+        return None
     try:
-        total = _abs_power_sum(stack, p / q)
+        return _abs_power_sum(stack, p / q)
     except ValueError:
-        raise _lq_range_error(alpha, q) from None
+        return None
+
+
+def triebel_norm(f, alpha, p, q, family):
+    """Base L^p term plus the L^p norm of the pointwise weighted l^q sum.
+
+    The common path folds the stack of 2^(ell alpha q) |block|^q and takes
+    the checked strip sum of stack^(p/q) (`_plain_stack_sum`).  Where that
+    leaves the float range, the blocks are made again, twice, and the l^q
+    sum of 2^(ell alpha) |block| is scaled per point (`_scaled_lq`).  A
+    value out of the float range there too is a ValueError naming alpha
+    and q.
+    """
+    base_norm, levels = _block_fields(f, alpha, p, q, family)
+    g = f.grid
+    total = _plain_stack_sum(levels, alpha, p, q, g.shape)
+    if total is None:
+        def terms():
+            return (_level_weight(ell, alpha) * np.abs(blk.samples) for ell, blk in levels())
+        try:
+            total = _abs_power_sum(_scaled_lq(terms, q), p)
+        except ValueError:
+            raise _lq_range_error(alpha, q) from None
     return base_norm + float(total ** (1.0 / p) * g.h ** (g.dim / p))

@@ -9,10 +9,13 @@ measured across an N sweep exhibits lambda in [0, 1] as approximate point
 spectrum; the same probes pushed through resolvent symbols give certified
 lower bounds on resolvent norms over the complex plane.
 
-lambda - b is a multiplier, so the defect is built on the probe's spectrum
-F as (lambda - b) F, with the ball b evaluated only on its support box; a
-full-grid probe lives in one array of its own, and its norms are strip sums,
-so it holds one grid array plus strips.
+Each probe runs on its baseband grid (`baseband_grid`): the sweep grid's
+half-width and frequency lattice around xi0, with only as many points as its
+radius rho/N needs.  lambda - b is a multiplier, so the defect is built on
+the probe's spectrum F as (lambda - b) F, with the ball b evaluated only on
+its support box of that shifted lattice; a probe lives in one array of its
+own, and its norms are strip sums, so it holds one array of its baseband
+grid plus strips.  `probe_field` is the full-grid probe.
 """
 
 import functools
@@ -29,7 +32,7 @@ from .grid import (
     snap_to_lattice,
 )
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
-from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
+from .symbols import _span, bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
 
 def lambda_to_xi0(lam, delta):
@@ -124,22 +127,32 @@ def baseband_grid(grid, n_scale, rho):
     return small if small.xi_max >= need else grid
 
 
-def _baseband_probe(grid, xi0, n_scale, rho):
+def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None):
     """Probe of scale n_scale at the lattice frequency xi0, on its baseband grid.
 
-    Returns the absolute lattice frequencies of the baseband grid, xi0 + k dxi
-    per axis with -M/2 <= k < M/2, as a sparse mesh, and the probe spectrum
-    sampled there as a frequency Field on the baseband grid.  Those samples
-    equal the sweep grid's on the probe's support, and the field's spatial
-    samples are the sweep grid's field, demodulated by xi0, at every
-    (size / M)-th point.
+    The bump is `_probe_spectrum`'s, and its radius (rho, or the profile's
+    support radius) sizes the baseband grid.  Returns the absolute lattice
+    frequencies of the baseband grid, xi0 + k dxi per axis with
+    -M/2 <= k < M/2, as a sparse mesh, and the probe spectrum sampled there
+    as a frequency Field on the baseband grid, in a new array the caller
+    owns.  Only the bump's support box is evaluated; the rest are exact
+    zeros.  Those samples equal the sweep grid's on the probe's support, and
+    the field's spatial samples are the sweep grid's field, demodulated by
+    xi0, at every (size / M)-th point.
     """
-    spec = _probe_spectrum(xi0, n_scale, grid, rho)
-    small = baseband_grid(grid, n_scale, rho)
+    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
+    radius = rho if profile is None else profile.support_radius
+    small = baseband_grid(grid, n_scale, radius)
     k = np.arange(small.size) - small.size // 2
     axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
+    # the cells that pass the bump's own radius check on every axis
+    box = tuple(_span(axis - center, radius / n_scale)
+                for axis, center in zip(axes, snap_to_lattice(grid, xi0)))
+    samples = np.zeros(small.shape, complex)
+    samples[box] = spec.evaluate(
+        tuple(np.meshgrid(*(axis[b] for axis, b in zip(axes, box)), indexing="ij", sparse=True)))
     xi = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-    return xi, Field.frequency(small, np.broadcast_to(spec.evaluate(xi), small.shape))
+    return xi, Field.frequency(small, samples)
 
 
 @dataclass(frozen=True)
@@ -198,17 +211,21 @@ def _achieved_level(spec, grid):
 
 
 def _probe_norms(spec, n_scale, grid, profile=None):
-    """spec's norms of the full-grid probe f at the achieved (xi0, level) of
-    `_achieved_level` and of its defect (level - B) f.
+    """spec's norms of the probe f at the achieved (xi0, level) of
+    `_achieved_level` and of its defect (level - B) f, on the probe's
+    baseband grid.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
-    inside the localizer plateau.  ||f|| is taken first; then f's array is
-    transformed in place into F, scaled by level outside the support box of
-    the ball b and set to (level - b) F on it, one row strip of b at a time,
-    and inverted in place.  Each norm takes f's moduli one strip at a time
-    (norms._abs_power_sum), and each transform swaps its halves through one
-    strip.  So a probe holds one grid array plus strips: 1.07 grid arrays
-    traced on 2D 1024^2.
+    inside the localizer plateau.  The probe is `_baseband_probe`'s: the
+    sweep grid's half-width and lattice with M_N points per axis
+    (BASEBAND_OVERSAMPLING), its spectrum sampled at xi0 + k dxi.  Its array
+    is inverted in place into f and ||f|| is taken; then it is transformed
+    in place into F, scaled by level outside the support box of the ball b
+    on that shifted lattice and set to (level - b) F on it, one row strip of
+    b at a time, and inverted in place.  Each norm takes f's moduli one strip
+    at a time (norms._abs_power_sum), and each transform swaps its halves
+    through one strip.  So a probe holds one array of its baseband grid plus
+    strips: 1.07 arrays traced on 2D 1024^2.
     """
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
@@ -220,18 +237,19 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     if not grid.covers_support(ball.support_radius):
         raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
     xi0, level = _achieved_level(spec, grid)
-    f = probe_field(xi0, n_scale, grid, rho=spec.rho, profile=profile)
+    _, spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile)
+    f = inverse_transform(spectrum, overwrite=True)
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
     defect.setflags(write=True)  # f's own array; f is not read again
-    off, strips = ball._strips(grid)
+    off, strips = ball._strips(f.grid, lattice_offset(grid, xi0))
     for index in off:
         defect[index] *= level
     for index, b in strips:
         np.subtract(level, b, out=b)
         b *= defect[index]
         defect[index] = b
-    defect = inverse_transform(Field.frequency(grid, defect), overwrite=True)
+    defect = inverse_transform(Field.frequency(f.grid, defect), overwrite=True)
     return f_norm, spec._norm(defect)
 
 

@@ -26,6 +26,12 @@ _STRIP_POINTS = 2**17  # mikhlin_check's and the |f|^p sums' strip; a 1D default
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 
 
+def _span(axis, radius):
+    """The slice of an ascending axis where axis**2 <= radius**2; empty if none."""
+    kept = np.flatnonzero(axis**2 <= radius**2)
+    return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
+
+
 def _radius2(coords):
     return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
 
@@ -124,29 +130,34 @@ class Symbol:
             out[index] = values
         return out
 
-    def _strips(self, grid):
+    def _strips(self, grid, offset=None):
         """The grid's blocks off the support box, and the box's values in row strips.
 
-        The box holds the cells whose every coordinate passes
-        xi_axis**2 <= support_radius**2, so no cell `evaluate` keeps lies
-        outside it; it is never empty, because 0 is on every axis.  Returns
+        The lattice is the grid's, shifted by `offset` whole cells per axis
+        (none by default): xi = (k - M/2 + offset) dxi on each axis.  The box
+        holds the cells whose every coordinate passes
+        xi**2 <= support_radius**2, so no cell `evaluate` keeps lies outside
+        it; unshifted, it is never empty, because 0 is on every axis.  Returns
         a list of index tuples that together cover the grid off the box, and
         a generator of (index, values): consecutive rows of the box along the
         first axis, about _SAMPLE_STRIP_POINTS points at a time, each
         evaluated into a new array only when the caller asks for it.
         """
-        axis = grid.xi_axis()
-        kept = np.flatnonzero(axis**2 <= self.support_radius**2)
-        lo, hi = int(kept[0]), int(kept[-1]) + 1
-        span = slice(lo, hi)
-        off = [(span,) * a + (side,) + (slice(None),) * (grid.dim - a - 1)
-               for a in range(grid.dim) for side in (slice(None, lo), slice(hi, None))]
-        rows = max(1, _SAMPLE_STRIP_POINTS // (hi - lo) ** (grid.dim - 1))
+        k = np.arange(grid.size) - grid.size // 2
+        axes = [(k + o) * grid.dxi for o in (offset or (0,) * grid.dim)]
+        spans = [_span(axis, self.support_radius) for axis in axes]
+        off = [tuple(spans[:a]) + (side,) + (slice(None),) * (grid.dim - a - 1)
+               for a, span in enumerate(spans)
+               for side in (slice(None, span.start), slice(span.stop, None))]
+        row_points = math.prod(span.stop - span.start for span in spans[1:])
+        rows = max(1, _SAMPLE_STRIP_POINTS // max(row_points, 1))
+        lo, hi = (spans[0].start, spans[0].stop) if row_points else (0, 0)
 
         def strips():
             for start in range(lo, hi, rows):
-                index = (slice(start, min(start + rows, hi)),) + (span,) * (grid.dim - 1)
-                coords = np.meshgrid(*(axis[i] for i in index), indexing="ij", sparse=True)
+                index = (slice(start, min(start + rows, hi)),) + tuple(spans[1:])
+                coords = np.meshgrid(*(axis[i] for axis, i in zip(axes, index)),
+                                     indexing="ij", sparse=True)
                 yield index, self.evaluate(tuple(coords))
 
         return off, strips()

@@ -9,12 +9,14 @@ import pytest
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Running count of numpy FFT calls made during a test."""
+    """The shape of each numpy FFT call made during a test, in call order;
+    its len() is the running count."""
     calls = []
     for name in ("fftn", "ifftn"):
         original = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name,
-                            lambda *a, _fn=original, **k: calls.append(1) or _fn(*a, **k))
+                            lambda a, *r, _fn=original, **k: calls.append(np.shape(a))
+                            or _fn(a, *r, **k))
     return calls
 
 

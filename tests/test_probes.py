@@ -3,6 +3,7 @@ import pytest
 
 from riesz import probes
 from riesz.grid import (
+    Field,
     GridSpec,
     forward_transform,
     inverse_transform,
@@ -188,10 +189,17 @@ def test_custom_profile_radius_drives_the_plateau_check(grid):
 
 
 def spatial_defect_ratio(spec, n_scale, grid):
-    """The defect ratio with the defect formed in space, level f - B f."""
+    """The defect ratio with the defect formed in space, level f - B f, from
+    the cell's own baseband probe on its baseband grid.
+
+    B f is the inverse transform of b F, with b evaluated on the whole
+    shifted lattice of the baseband grid, not on the ball's box in strips.
+    """
     xi0, level = probes._achieved_level(spec, grid)
-    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
-    defect = level * f - apply(bochner_symbol(spec.delta), f)
+    xi, spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho)
+    f = inverse_transform(spectrum)
+    image = bochner_symbol(spec.delta).evaluate(xi) * forward_transform(f).samples
+    defect = level * f - inverse_transform(Field.frequency(f.grid, image))
     return spec._norm(defect) / spec._norm(f)
 
 
@@ -209,6 +217,30 @@ def test_spectral_defect_matches_the_spatial_defect(grid, dim, lam):
             assert abs(new - old) <= 1e-14 + 1e-12 * old, (p, n, new, old)
 
 
+def sweep_grid_fields(spec, n_scale, grid):
+    """The probe f and its defect level f - B f as fields of the whole sweep grid."""
+    xi0, level = probes._achieved_level(spec, grid)
+    f = probe_field(xi0, n_scale, grid, rho=spec.rho)
+    return f, level * f - apply(bochner_symbol(spec.delta), f)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_baseband_cell_matches_the_sweep_grid_cell(grid, dim):
+    # p = 2 is Parseval on the same spectrum samples; any other p is a
+    # Riemann sum with a coarser spatial step, converged to 1e-4 relative by
+    # the BASEBAND_OVERSAMPLING rule
+    sweep = grid if dim == 1 else GridSpec(2, 1024, 128.0)
+    ns = (8, 16, 32, 64) if dim == 1 else (4, 5)
+    assert all(probes.baseband_grid(sweep, n, 0.5).size < sweep.size for n in ns)
+    for lam in ((0.0, 0.5, 1.0, 1.5) if dim == 1 else (0.5, 1.0)):
+        for n in ns:
+            f, defect = sweep_grid_fields(ProbeSpec(lam, 2.0, 1.0, n_values=ns), n, sweep)
+            for p, tol in ((1.0, 1e-4), (2.0, 1e-12), (4.0, 1e-4)):
+                old = lp_norm(defect, p) / lp_norm(f, p)
+                new = probe_ratio(ProbeSpec(lam, p, 1.0, n_values=ns), n, sweep)
+                assert abs(new - old) <= 1e-14 + tol * old, (lam, n, p, new, old)
+
+
 def test_probe_rejects_a_grid_narrower_than_the_ball():
     narrow = GridSpec(1, 64, 128.0)  # xi_max = pi / 4
     with pytest.raises(ValueError, match="exceeds the grid frequency window"):
@@ -216,17 +248,22 @@ def test_probe_rejects_a_grid_narrower_than_the_ball():
 
 
 def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
-    # the probe is built, transformed and inverted in one array of its own,
-    # so a 2D probe peaks while a norm is taken: that array and lp_norm's
-    # strip of 2^17 real moduli, a quarter of a 512^2 array and 1/16 of a
-    # 1024^2 one (the benchmark's probe grid).  No untraced call comes first,
-    # so the ball's box and the bump's normalisation are traced too.
+    # the probe is built, transformed and inverted in one array of its
+    # baseband grid, so a 2D probe peaks while a norm is taken: that array
+    # and lp_norm's strip of 2^17 real moduli, a quarter of a 512^2 array and
+    # 1/16 of a 1024^2 one.  On 1024^2 at L = 128 the baseband is 512^2; at
+    # L = 387.36 it is the whole grid, the benchmark's N = 4 cell.  No
+    # untraced call comes first, so the ball's box and the bump's
+    # normalisation are traced too.
     spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
-    for size, bound in ((512, 1.3), (1024, 1.15)):
-        g = GridSpec(2, size, 128.0)
+    for size, half_width, baseband, bound in ((512, 128.0, 512, 1.3),
+                                              (1024, 128.0, 512, 1.3),
+                                              (1024, 387.36, 1024, 1.15)):
+        g = GridSpec(2, size, half_width)
+        assert probes.baseband_grid(g, 4, spec.rho).size == baseband
         norms, peak = traced_peak(probes._probe_norms, spec, 4, g)
         assert norms == probes._probe_norms(spec, 4, g)
-        assert peak <= bound * 16 * g.size**2, size
+        assert peak <= bound * 16 * baseband**2, (size, half_width)
 
 
 def test_modulation_covariance(grid):
