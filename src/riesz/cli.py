@@ -496,6 +496,8 @@ def _command(name, keys):
 def run_apply(cfg, out_dir, seed, workers):
     grid = _grid(cfg)
     symbol = parse_symbol_spec(cfg["symbol"])
+    if cfg["dump_fields"]:
+        _make_dir(f"{out_dir}/fields")
     rng = np.random.default_rng(seed)
     f = parse_field_spec(cfg["field"], grid, rng)
     out = apply_op(symbol, f)
@@ -507,7 +509,6 @@ def run_apply(cfg, out_dir, seed, workers):
     extras = {"grid": grid}
     if cfg["dump_fields"]:
         bases = [f"{out_dir}/fields/input", f"{out_dir}/fields/output"]
-        os.makedirs(f"{out_dir}/fields", exist_ok=True)
         _fork_map(lambda job: dump_field(*job), list(zip((f, out), bases)), workers)
         extras["field_dumps"] = bases
     return rows, checks, extras
@@ -742,6 +743,15 @@ def resolve_config(args):
     return cfg
 
 
+def _make_dir(path):
+    """Make directory path and its parents; a path that cannot be one, such as
+    an existing file, is a UsageError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"output directory {path!r}: {exc.strerror}") from exc
+
+
 def main(argv=None):
     try:
         args = _arg_parser().parse_args(argv)
@@ -753,7 +763,7 @@ def main(argv=None):
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         cfg = resolve_config(args)
-        os.makedirs(args.out, exist_ok=True)
+        _make_dir(args.out)
         rows, checks, extras = COMMANDS[args.command][0](cfg, args.out, args.seed, args.workers)
     except ValueError as exc:  # UsageError and every module precondition
         print(f"riesz: {exc}", file=sys.stderr)

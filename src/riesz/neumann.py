@@ -16,9 +16,9 @@ Two executable directions:
 A Decomposition keeps only the spectra its composites read, each a
 frequency-side Field on the plan's grid: fresh samples (`Symbol.fresh_sample`)
 of the ball b, psi1 (forward only) and psi2, the tail kernel and the target.
-The build sums the rest of the split into its reconstruction and drops it.
-It checks psi2's support 1 + r0, the widest finite support of any
-component, against the grid's frequency window.
+The build checks psi2's support 1 + r0, the widest finite support of any
+component, against the grid's frequency window, and rejects a truncation
+past MAX_TERMS before it samples anything.
 One private generator makes every series-term spectrum s_n: b^n psi2
 forward, with b^n a fresh sample of the ball of exponent n delta, and
 w^n psi2 reverse.  The tail kernel is kept as its spectrum sum c_n s_n;
@@ -30,11 +30,13 @@ a frequency Field they return the composite's spectrum and make no
 transform; given a spatial Field they make one forward and one inverse
 transform.
 
-Both Decompositions store the certified tail bound next to the measured
-sup-norm reconstruction error so callers can assert one against the other.
+Each direction's series is written once, in its composite.  The build
+applies that composite to the constant spectrum 1, the symbol the operator
+multiplies by, and stores the grid sup of its distance to the target as
+reconstruction_error next to the certified tail, so callers assert one
+against the other on the code that runs.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,8 @@ import numpy as np
 from .grid import Field, GridSpec, forward_transform, inverse_transform
 from .multiplier import _check_window, schwartz_seminorm
 from .symbols import bochner_symbol, cutoff_pair, dist_to_unit_interval
+
+MAX_TERMS = 100000  # the longest series a plan's search, a build or a tail bound sums
 
 
 def choose_r0(z, delta):
@@ -100,6 +104,8 @@ def _forward_tail_certificate(z, q, truncation):
 
 def _reverse_tail_certificate(z, ratio, truncation):
     # |z| sum_{n > T} ratio^n with the (measured) contraction value.
+    if not ratio < 1:
+        raise ValueError(f"reverse contraction ratio {ratio} is not below 1")
     return abs(complex(z)) * ratio ** (truncation + 1) / (1.0 - ratio)
 
 
@@ -132,8 +138,8 @@ def make_plan(z, delta, direction="forward", grid=None, alpha0=None, beta0=0,
         truncation = n0 + 1
         while certificate(z, ratio, truncation) > tail_tol:
             truncation += 1
-            if truncation > 100000:
-                raise ValueError(f"tail_tol={tail_tol} is unreachable within 100000 terms")
+            if truncation > MAX_TERMS:
+                raise ValueError(f"tail_tol={tail_tol} is unreachable within {MAX_TERMS} terms")
     return NeumannPlan(complex(z), float(delta), float(r0), int(n0), int(truncation),
                        int(alpha0), int(beta0), direction, grid)
 
@@ -145,7 +151,8 @@ class Decomposition:
     Every part is a frequency-side Field on plan.grid; the reverse direction
     has no psi1 (None).  tail_kernel is the spectrum of the truncated terms
     and target the symbol the split rebuilds: (z - b)^(-1) forward, b psi2
-    reverse.  reconstruction_error is the grid sup of |built - target| and is
+    reverse.  reconstruction_error is the grid sup of |composite(1) - target|,
+    composite(1) being the symbol the direction's apply multiplies by, and is
     bounded by certified_tail plus rounding whenever the construction is sound.
     """
 
@@ -160,13 +167,15 @@ class Decomposition:
     contraction_sup: float = None
 
 
-def _power_sum(x, first, last):
-    """sum_{k=first}^{last} x^k, summed term by term."""
-    term = acc = x**first
-    for _ in range(first, last):
-        term = term * x
-        acc = acc + term
-    return acc
+def _built(spectrum_of, plan, samples, tail_kernel, certified, contraction_sup=None):
+    """The Decomposition of the ball, psi1, psi2 and target samples (psi1 None in
+    reverse), with reconstruction_error max |spectrum_of(dec, 1.0) - target|: the
+    scalar 1.0 broadcasts through the composite, so no array of ones is made."""
+    ball, psi1, psi2, target = (s if s is None else Field.frequency(plan.grid, s) for s in samples)
+    dec = Decomposition(plan, ball, psi1, psi2, tail_kernel, target, certified, None,
+                        contraction_sup)
+    dec.reconstruction_error = float(np.max(np.abs(spectrum_of(dec, 1.0) - target.samples)))
+    return dec
 
 
 def _series_terms(plan, ns, psi2, w=None):
@@ -210,18 +219,23 @@ def _seminorm_rows(plan, ns, psi2, w=None):
     psi2 and w are sample arrays on the plan's grid, as in _series_terms.
     Each s_n is a fresh array, so its kernel is inverted in place.
     """
-    grid = plan.grid
-    kernels = ((n, inverse_transform(Field.frequency(grid, s_n), overwrite=True))
+    kernels = ((n, inverse_transform(Field.frequency(plan.grid, s_n), overwrite=True))
                for n, s_n in _series_terms(plan, ns, psi2, w))
     return [(int(n), schwartz_seminorm(k, plan.alpha0, plan.beta0)) for n, k in kernels]
 
 
-def _samples(plan):
-    """The ball b and psi2 sampled on the plan's grid.
+def _samples(plan, direction):
+    """The ball b and psi2 sampled on the grid of a plan for direction.
 
-    psi2's support 1 + r0 is the widest finite support of any component, so
-    it alone is checked against the grid's frequency window.
+    A plan for another direction or a truncation past MAX_TERMS is a
+    ValueError.  psi2's support 1 + r0 is the widest finite support of any
+    component, so it alone is checked against the grid's frequency window.
     """
+    if plan.direction != direction:
+        raise ValueError(f"plan direction must be {direction}")
+    if plan.truncation > MAX_TERMS:
+        raise ValueError(f"truncation={plan.truncation} passes the {MAX_TERMS}-term bound "
+                         "on a Neumann series")
     psi2 = cutoff_pair(plan.r0)[1]
     _check_window(psi2, plan.grid)
     return bochner_symbol(plan.delta).fresh_sample(plan.grid), psi2.fresh_sample(plan.grid)
@@ -236,26 +250,16 @@ def forward_decomposition(plan):
     z^(-1)(1 - psi1 - psi2).
     The sum reproduces the resolvent symbol up to the certified tail.
     """
-    if plan.direction != "forward":
-        raise ValueError("plan direction must be forward")
     z = plan.z
-    b, psi2 = _samples(plan)
+    b, psi2 = _samples(plan, "forward")
     psi1 = cutoff_pair(plan.r0)[0].fresh_sample(plan.grid)
-    target = 1.0 / (z - b)
     tail_kernel = _tail_kernel(plan, lambda n: z ** (-(n + 1)), psi2)
-
-    certified = _forward_tail_certificate(z, plan.q, plan.truncation)
-    built = target * psi1 + _power_sum(b / z, 0, plan.n0) / z * psi2
-    built += tail_kernel.samples
-    built += (1.0 - psi1 - psi2) / z
-    err = float(np.max(np.abs(built - target)))
-    freq = functools.partial(Field.frequency, plan.grid)
-    return Decomposition(plan, *map(freq, (b, psi1, psi2)), tail_kernel, freq(target),
-                         certified, err)
+    return _built(_forward_spectrum, plan, (b, psi1, psi2, 1.0 / (z - b)), tail_kernel,
+                  _forward_tail_certificate(z, plan.q, plan.truncation))
 
 
 def _compose(dec, f, spectrum_of):
-    """Composite of f: spectrum_of(F) on f's spectrum F.
+    """Composite of f: spectrum_of(dec, F) on f's spectrum F.
 
     A frequency-side f gets the composite's spectrum back with no transform;
     a spatial f is transformed once each way, the inverse in place in the new
@@ -266,8 +270,23 @@ def _compose(dec, f, spectrum_of):
         raise ValueError("field and decomposition live on different grids")
     spatial = f.domain == "spatial"
     spec = (forward_transform(f) if spatial else f).samples
-    out = Field.frequency(grid, spectrum_of(spec))
+    out = Field.frequency(grid, spectrum_of(dec, spec))
     return inverse_transform(out, overwrite=True) if spatial else out
+
+
+def _forward_spectrum(dec, spec):
+    """The forward composite's spectrum on spec: m1 spec, the Neumann section
+    as ball powers on psi2 spec, the tail kernel and the far field."""
+    z, n0 = dec.plan.z, dec.plan.n0
+    ball, psi1, psi2 = dec.ball.samples, dec.psi1.samples, dec.psi2.samples
+    g = psi2 * spec
+    acc = (1.0 / z) * g
+    current = g
+    for n in range(1, n0 + 1):
+        current = ball * current
+        acc = acc + z ** (-(n + 1)) * current
+    far = (1.0 / z) * (spec - psi1 * spec - g)
+    return dec.target.samples * psi1 * spec + acc + dec.tail_kernel.samples * spec + far
 
 
 def apply_forward(dec, f):
@@ -277,21 +296,7 @@ def apply_forward(dec, f):
     section, the tail kernel as a convolution, and the identity for the far
     field, mirroring how the decomposition is proved bounded.
     """
-    z, n0 = dec.plan.z, dec.plan.n0
-    ball, psi1, psi2 = dec.ball.samples, dec.psi1.samples, dec.psi2.samples
-    target, tail = dec.target.samples, dec.tail_kernel.samples
-
-    def spectrum_of(spec):
-        g = psi2 * spec
-        acc = (1.0 / z) * g
-        current = g
-        for n in range(1, n0 + 1):
-            current = ball * current
-            acc = acc + z ** (-(n + 1)) * current
-        far = (1.0 / z) * (spec - psi1 * spec - g)
-        return target * psi1 * spec + acc + tail * spec + far
-
-    return _compose(dec, f, spectrum_of)
+    return _compose(dec, f, _forward_spectrum)
 
 
 def reverse_decomposition(plan):
@@ -301,41 +306,33 @@ def reverse_decomposition(plan):
     |w| <= q/(1-q) on supp psi2; the certificate uses the measured grid sup
     of |w| there.
     """
-    if plan.direction != "reverse":
-        raise ValueError("plan direction must be reverse")
     z0 = plan.z
-    b, psi2 = _samples(plan)
+    b, psi2 = _samples(plan, "reverse")
     w = _contraction(z0, b)
-
-    on_support = np.abs(psi2) > 0
-    contraction_sup = float(np.max(np.abs(w[on_support]))) if on_support.any() else 0.0
+    contraction_sup = float(np.max(np.abs(w[psi2 != 0]), initial=0.0))  # on supp psi2
     tail_kernel = _tail_kernel(plan, lambda n: -z0, psi2, w)
+    return _built(_reverse_spectrum, plan, (b, None, psi2, b * psi2), tail_kernel,
+                  _reverse_tail_certificate(z0, contraction_sup, plan.truncation),
+                  contraction_sup)
 
-    target = b * psi2
-    certified = _reverse_tail_certificate(z0, contraction_sup, plan.truncation)
-    built = -z0 * _power_sum(w, 1, plan.n0) * psi2 + tail_kernel.samples
-    err = float(np.max(np.abs(built - target)))
-    freq = functools.partial(Field.frequency, plan.grid)
-    return Decomposition(plan, freq(b), None, freq(psi2), tail_kernel, freq(target),
-                         certified, err, contraction_sup)
+
+def _reverse_spectrum(dec, spec):
+    """The reverse composite's spectrum on spec: -z0 times the resolvent
+    powers sum_{n=1}^{n0} w^n on psi2 spec, plus the tail kernel."""
+    z0 = dec.plan.z
+    res = 1.0 / (z0 - dec.ball.samples)
+    acc = None
+    current = dec.psi2.samples * spec
+    for _ in range(dec.plan.n0):
+        current = current - z0 * (res * current)
+        acc = current if acc is None else acc + current
+    return (-z0) * acc + dec.tail_kernel.samples * spec
 
 
 def apply_reverse(dec, f):
     """Reverse composite acting on f, a spatial field or a spectrum:
     resolvent powers plus the tail kernel."""
-    z0, n0 = dec.plan.z, dec.plan.n0
-    psi2, tail = dec.psi2.samples, dec.tail_kernel.samples
-    res = 1.0 / (z0 - dec.ball.samples)
-
-    def spectrum_of(spec):
-        acc = None
-        current = psi2 * spec
-        for _ in range(n0):
-            current = current - z0 * (res * current)
-            acc = current if acc is None else acc + current
-        return (-z0) * acc + tail * spec
-
-    return _compose(dec, f, spectrum_of)
+    return _compose(dec, f, _reverse_spectrum)
 
 
 def seminorm_table(plan, n_values):
@@ -383,5 +380,5 @@ def tail_kernel_bound(plan):
         if ratio < 1.0 and term * ratio / (1.0 - ratio) < 1e-15:
             return total
         n += 1
-        if n > plan.truncation + 100000:
+        if n > plan.truncation + MAX_TERMS:
             raise RuntimeError("tail bound summation failed to converge")

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,27 @@ def test_symbol_dsl():
         parse_symbol_spec("warp(q=1)")
     with pytest.raises(UsageError):
         parse_symbol_spec("bochner(delta=)")
+
+
+def _readme_key_tables():
+    """Each subcommand's key column under README's "Config keys", in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Config keys\n", 1)[1].split("\n### ", 1)[0]
+    tables, command = {}, None
+    for line in section.splitlines():
+        heading = re.fullmatch(r"`([a-z-]+)`( \(.*\))?", line)
+        if heading:
+            command = tables.setdefault(heading.group(1), [])
+        elif command is not None and line.startswith("| `"):
+            command.append(line.split("`")[1])
+    return tables
+
+
+def test_readme_lists_each_subcommands_keys_in_order():
+    tables = _readme_key_tables()
+    assert list(tables) == list(COMMANDS)
+    for command, (_, keys) in COMMANDS.items():
+        assert tables[command] == list(keys), command
 
 
 # -- exit codes --------------------------------------------------------------
@@ -375,6 +398,11 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("norms", "--set", "field=DUMP", "--set", "norms=[lp(p=1e300)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[herz(alpha=0.5,p=1e300,q=1)]"),
     ("norms", "--set", "field=DUMP", "--set", "norms=[weighted(p=1e300,a=0.5)]"),
+    # a series that cannot be summed: 10^8 ball samples, a loop of n0 ~ 2e20
+    # terms, or a ZeroDivisionError where q/(1 - q) rounds to 1
+    ("resolvent-verify", "--set", "truncation=100000000"),
+    ("resolvent-verify", "--set", "delta=1e-20"),
+    ("resolvent-verify", "--set", "delta=1e-20", "--set", "direction=reverse"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -407,7 +435,8 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "probe-rho-inf", "grid-half-width-overflow", "grid-half-width-underflow",
         "grid-half-width-2d-overflow", "grid-half-width-2d-underflow", "probe-rho-overflow",
         "probe-p-underflow-serial", "probe-p-underflow-pool", "map-p-underflow",
-        "lp-p-underflow", "herz-p-underflow", "weighted-p-underflow"])
+        "lp-p-underflow", "herz-p-underflow", "weighted-p-underflow",
+        "truncation-past-term-bound", "delta-tiny-forward", "delta-tiny-reverse"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"
@@ -431,6 +460,29 @@ def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     assert len(stderr) == 1 and stderr[0].startswith("riesz: ")
     assert not (out / f"{args[0]}.csv").exists()
     assert not (out / "fields").exists()
+
+
+def test_a_tiny_delta_sums_no_series_in_kernel_decay(tmp_path):
+    # n0 ~ 2e300 there, but kernel-decay sums only its n_min..n_max rows
+    code, out = run_cli(tmp_path, "kernel-decay", "--set", "delta=1e-300")
+    assert code == 0
+    assert len((out / "kernel-decay.csv").read_text().splitlines()) == 1 + 41
+
+
+@pytest.mark.parametrize("args, path", [
+    (("resolvent-verify",), "out"),
+    (("apply", "--set", "symbol=bochner(delta=1)", "--dump-field"), "out/fields"),
+], ids=["out", "dump-fields"])
+def test_an_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys, transforms, args, path):
+    (tmp_path / path).parent.mkdir(exist_ok=True)
+    (tmp_path / path).write_text("kept\n")
+    code, out = run_cli(tmp_path, *args)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"riesz: output directory {str(tmp_path / path)!r}: File exists\n")
+    assert (tmp_path / path).read_text() == "kept\n"
+    assert len(transforms) == 0  # before any compute
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, setting", [

@@ -6,6 +6,7 @@ import pytest
 from riesz.grid import Field, GridSpec, forward_transform, inverse_transform, random_band_limited
 from riesz.multiplier import apply, kernel_of, schwartz_seminorm
 from riesz.neumann import (
+    MAX_TERMS,
     NeumannPlan,
     apply_forward,
     apply_reverse,
@@ -350,6 +351,60 @@ def test_reverse_operator_equivalence(grid, rng):
         reference = apply(bochner_symbol(1.0) * cutoff_pair(plan.r0)[1], f)
         rel = lp_norm(apply_reverse(dec, f) - reference, 2) / lp_norm(f, 2)
         assert rel <= dec.certified_tail + 1e-9
+
+
+# -- reconstruction through the composite ------------------------------------
+
+@pytest.mark.parametrize("grid_2d, z", [(False, 2.0), (False, -1.0 + 0.5j), (True, 2.0)],
+                         ids=["1d-2", "1d-off-axis", "2d-2"])
+def test_reconstruction_error_is_measured_through_the_composite(grid, grid_2d, z):
+    # the composite of the constant spectrum 1 is the symbol the operator
+    # multiplies by, so the certificate is checked against the code that runs
+    on = GridSpec(2, 64, 20.0) if grid_2d else grid
+    for direction, decompose in DECOMPOSITIONS:
+        dec = decompose(make_plan(z, 1.0, direction=direction, grid=on))
+        compose = apply_forward if direction == "forward" else apply_reverse
+        symbol = compose(dec, _one(on)).samples
+        measured = float(np.max(np.abs(symbol - dec.target.samples)))
+        assert dec.reconstruction_error == measured, direction
+        assert dec.reconstruction_error <= dec.certified_tail + 1e-10, direction
+
+
+# -- series that cannot be summed --------------------------------------------
+
+def _peak_of_rejection(fn, *args, match):
+    """Peak bytes traced while fn(*args) raises a ValueError matching match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# on the 2D 256^2 grid one complex array is 1 MiB and one real sample 0.5 MiB
+_WIDE = GridSpec(2, 256, 40.0)
+
+
+@pytest.mark.parametrize("direction, decompose", DECOMPOSITIONS)
+def test_a_truncation_past_the_term_bound_stops_before_sampling(sampled_symbols, direction,
+                                                                decompose):
+    plan = make_plan(2.0, 1.0, direction=direction, grid=_WIDE, truncation=10**8)
+    peak = _peak_of_rejection(decompose, plan, match=f"truncation=100000000 .*{MAX_TERMS}")
+    assert peak < 64 * 1024
+    assert sampled_symbols == []
+
+
+def test_a_tiny_delta_stops_before_sampling(sampled_symbols):
+    # n0 ~ alpha0/delta = 3e20 forward: the plan's truncation passes the bound
+    plan = make_plan(2.0, 1e-20, grid=_WIDE)
+    assert plan.truncation > MAX_TERMS
+    assert _peak_of_rejection(forward_decomposition, plan, match="truncation=") < 64 * 1024
+    # reverse: q rounds to 1/2, so the ratio q/(1 - q) is 1 and sums nothing
+    assert _peak_of_rejection(make_plan, 2.0, 1e-20, "reverse", _WIDE,
+                              match="reverse contraction ratio 1.0 is not below 1") < 64 * 1024
+    assert sampled_symbols == []
 
 
 # -- kernel sequence ---------------------------------------------------------
