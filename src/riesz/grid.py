@@ -13,9 +13,17 @@ the round trip is exact to rounding.
 
 Every grid size is even, so centering is a swap of halves on every axis.
 Each transform copies its input into one scratch array with the halves
-swapped, transforms it in place and swaps it back a strip of rows at a time
-through a spare of one strip (_SAMPLE_STRIP_POINTS points), so it holds one
-grid array plus strips and makes no other grid-sized array.
+swapped and transforms it in place.  In 1D it swaps it back a strip of rows
+at a time through a spare of one strip (_SAMPLE_STRIP_POINTS points).  In 2D
+it runs fftn's two 1D passes on rows: fft along the last axis, skipping the
+rows at both ends of the centered input that are zero in every bit; an
+in-place transpose through a spare tile (_TRANSPOSE_TILE^2 points); the pass
+along the first axis as one contiguous fftn call along the last axis; and
+one tiled pass that transposes back and swaps the halves together.  Each
+line goes through the FFT it goes through in fftn, so the bits are fftn's,
+and a transform holds one grid array plus a strip or a tile and makes no
+other grid-sized array.  The inverse scales by multiplying by 1 / h^d, which gives the bits
+of a division by h^d except the sign of an exact zero component.
 With overwrite=True (scipy.fft's overwrite_x) it skips the scratch array:
 the halves of the input's own samples are swapped in place, transformed and
 swapped back, and that array, bit for bit the same result, is returned.  The
@@ -30,6 +38,9 @@ import numpy as np
 # Points in one row strip: symbols evaluate a support box, and the transforms
 # swap their halves, this many points at a time (whole rows, at least one).
 _SAMPLE_STRIP_POINTS = 2**14
+
+# Side of the square tiles through which a 2D transform transposes its array.
+_TRANSPOSE_TILE = 64
 
 
 def _box_radius(axes):
@@ -168,12 +179,14 @@ def _half_blocks(shape):
     return list(product((slice(None, half), slice(half, None)), repeat=len(shape)))
 
 
-def _swap_halves(work, blocks):
+def _swap_halves(work, blocks, live=None):
     """Swap block i with block -1 - i of work in place.
 
     Each pair trades a strip of rows at a time, about _SAMPLE_STRIP_POINTS
     points, through one spare strip.  Only copies are made, so every bit is
-    the same as a swap of whole blocks.
+    the same as a swap of whole blocks.  In 2D a strip of rows r trades with
+    the rows r + m/2, and given live, a flag per row that is False only on
+    rows of zeros, it skips the strips whose rows on both sides are zeros.
     """
     half = work.shape[0] // 2
     rows = min(half, max(1, _SAMPLE_STRIP_POINTS // half ** (work.ndim - 1)))
@@ -181,32 +194,128 @@ def _swap_halves(work, blocks):
     for a, b in zip(blocks[: len(blocks) // 2], reversed(blocks)):
         block_a, block_b = work[a], work[b]
         for start in range(0, half, rows):
+            if live is not None and not (live[start:start + rows].any()
+                                         or live[half + start:half + start + rows].any()):
+                continue
             strip = spare[: min(rows, half - start)]
             strip[...] = block_a[start:start + rows]
             block_a[start:start + rows] = block_b[start:start + rows]
             block_b[start:start + rows] = strip
 
 
-def _centered(transform, samples, overwrite):
-    """fftshift(transform(ifftshift(samples))) in one grid-sized array.
+def _zero_rows(rows):
+    """How many leading rows of rows are zero in every bit (-0.0 is not).
+
+    The first row is checked alone and the rest a strip of rows at a time,
+    so the scan reads at most one strip past the rows it counts, and a row
+    that is not zero ends it at once.
+    """
+    bits = rows.view(np.uint64)  # two words per complex point; rows may run backwards
+    strip = max(1, _SAMPLE_STRIP_POINTS // bits.shape[1])
+    count, step = 0, 1
+    while count < len(bits):
+        nonzero = bits[count:count + step].any(axis=1)
+        if nonzero.any():
+            return count + int(nonzero.argmax())
+        count, step = count + step, strip
+    return count
+
+
+def _tiles(half):
+    """Slices that cut each half of an axis at multiples of _TRANSPOSE_TILE."""
+    return [slice(start + cut, start + min(cut + _TRANSPOSE_TILE, half))
+            for start in (0, half) for cut in range(0, half, _TRANSPOSE_TILE)]
+
+
+def _transpose(work, swap, live=None):
+    """work[i, j] <- work[j, i] in place, or with swap, and h = m/2,
+    work[i, j] <- work[(j + h) % m, (i + h) % m]: the transpose of work with
+    its halves swapped.
+
+    The map is its own inverse, so each tile trades places with one partner
+    tile (itself on the diagonal it fixes), through one spare tile.  The
+    tiles cut both halves alike, so a shift by h maps tiles onto tiles.
+    Given live, a flag per row that is False only on rows of zeros, a tile
+    and its partner that both lie in such rows are left as they are.
+    """
+    tiles = _tiles(work.shape[0] // 2)
+    n = len(tiles)
+    turn = n // 2 if swap else 0
+    busy = [True] * n if live is None else [live[rows].any() for rows in tiles]
+    spare = np.empty((_TRANSPOSE_TILE, _TRANSPOSE_TILE), work.dtype)
+    for a, rows in enumerate(tiles):
+        for b, cols in enumerate(tiles):
+            partner = ((b + turn) % n, (a + turn) % n)
+            if partner < (a, b) or not (busy[a] or busy[partner[0]]):
+                continue  # traded from the partner's side, or zeros on both
+            tile = spare[: rows.stop - rows.start, : cols.stop - cols.start]
+            tile[...] = work[rows, cols]
+            other = (tiles[partner[0]], tiles[partner[1]])
+            if partner != (a, b):
+                work[rows, cols] = work[other].T
+            work[other] = tile.T
+
+
+def _swapped(samples, blocks, overwrite, live=None):
+    """samples with its _half_blocks swapped: a new array, or with overwrite,
+    samples itself, swapped in place through a spare strip (as
+    _swap_halves, given live)."""
+    if overwrite:
+        samples.setflags(write=True)
+        _swap_halves(samples, blocks, live)
+        return samples
+    work = np.empty_like(samples)
+    for dst, src in zip(blocks, reversed(blocks)):
+        work[dst] = samples[src]
+    return work
+
+
+def _centered(samples, overwrite, inverse):
+    """fftshift(fftn(ifftshift(samples))), or with ifftn, in one grid-sized array.
 
     Every grid size is even, so both shifts are the same swap of halves on
     every axis.  Without overwrite the input is copied into a scratch array
     already swapped; with it, samples itself is swapped in place and becomes
-    the result.  Either way the array is transformed in place and swapped
-    back a strip at a time, so a call holds that array plus one strip.
+    the result.  In 1D the array is transformed in place and swapped back a
+    strip at a time.
+
+    In 2D fftn is a 1D pass along the last axis and then one along the first.
+    Here the first pass runs fft (or ifft) in place on the rows, skipping
+    the rows at both ends of the centered input that are zero in every bit
+    (they transform to zeros); the swap before it and the transpose after it
+    leave rows of zeros where they are.  The array is transposed in place a
+    tile at a time, so the second pass is one contiguous fftn call along the
+    last axis, and one more tiled pass transposes back and swaps the halves.
+    Every line goes through the FFT that fftn gives it and the rest only
+    moves values, so the bits are fftn's.  A call holds the array plus one
+    strip or one tile.
     """
+    transform = np.fft.ifftn if inverse else np.fft.fftn
     blocks = _half_blocks(samples.shape)
-    if overwrite:
-        work = samples
-        work.setflags(write=True)
+    if samples.ndim == 1:
+        work = _swapped(samples, blocks, overwrite)
+        transform(work, out=work)
         _swap_halves(work, blocks)
-    else:
-        work = np.empty_like(samples)
-        for dst, src in zip(blocks, reversed(blocks)):
-            work[dst] = samples[src]
-    transform(work, out=work)
-    _swap_halves(work, blocks)
+        return work
+    # the centered input's rows that are not zero in every bit: [first, stop)
+    size, half = len(samples), len(samples) // 2
+    first = _zero_rows(samples)
+    stop = size - _zero_rows(samples[::-1]) if first < size else size
+    # the same rows once the halves are swapped; a swap trades rows r and
+    # r + half, so the swap may read the flags in either order
+    live = np.zeros(size, bool)
+    live[(np.arange(first, stop) + half) % size] = True
+    work = _swapped(samples, blocks, overwrite, live)
+    line = np.fft.ifft if inverse else np.fft.fft
+    # centered rows [lo, hi) within one half are the work rows [lo, hi) moved by half
+    for lo, hi in ((first, min(stop, half)), (max(first, half), stop)):
+        if lo < hi:
+            move = half if lo < half else -half
+            rows = work[lo + move:hi + move]
+            line(rows, out=rows)
+    _transpose(work, False, live)
+    transform(work, axes=(1,), out=work)
+    _transpose(work, True)
     return work
 
 
@@ -216,8 +325,9 @@ def forward_transform(f, overwrite=False):
     Equals h^d times the centered DFT of the samples, which approximates
     integral f(x) exp(-i x.xi) dx at every lattice frequency.  The result is
     fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
-    scratch array, with its halves swapped one strip of rows at a time, and
-    scaled in place; f is left unchanged.
+    scratch array plus a strip or, in 2D, a tile (see _centered: the 2D
+    passes run on rows and skip the rows of zeros at both ends), and scaled
+    in place; f is left unchanged.
 
     overwrite=True, as scipy.fft's overwrite_x, computes the same bits in f's
     own sample array and returns it as the result, so no scratch array is
@@ -227,7 +337,7 @@ def forward_transform(f, overwrite=False):
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")
     g = f.grid
-    spec = _centered(np.fft.fftn, f.samples, overwrite)
+    spec = _centered(f.samples, overwrite, inverse=False)
     spec *= g.h**g.dim
     return Field.frequency(g, spec)
 
@@ -235,17 +345,20 @@ def forward_transform(f, overwrite=False):
 def inverse_transform(big_f, overwrite=False):
     """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
 
-    Bit for bit fftshift(ifftn(ifftshift(samples))) / h^d, computed like
-    forward_transform in one scratch array and a strip of rows, or, with
-    overwrite=True, in big_f's own sample array, on the same terms as
-    forward_transform's.
+    Bit for bit fftshift(ifftn(ifftshift(samples))) * (1 / h^d), computed
+    like forward_transform in one scratch array and a strip or a tile, or,
+    with overwrite=True, in big_f's own sample array, on the same terms as
+    forward_transform's.  numpy divides a complex array by a real scalar by
+    multiplying by its reciprocal, so this is the division's result too,
+    except the sign of an exact zero component: (-0 + 1j) / c has real part
+    +0, (-0 + 1j) * (1 / c) has -0.
     """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")
     g = big_f.grid
     # (2 pi)^(-d) dxi^d M^d collapses to h^(-d) because M h dxi = 2 pi.
-    samp = _centered(np.fft.ifftn, big_f.samples, overwrite)
-    samp /= g.h**g.dim
+    samp = _centered(big_f.samples, overwrite, inverse=True)
+    samp *= 1.0 / g.h**g.dim
     return Field.spatial(g, samp)
 
 

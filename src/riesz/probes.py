@@ -32,7 +32,15 @@ from .grid import (
     snap_to_lattice,
 )
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
-from .symbols import _span, bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
+from .symbols import (
+    _radius2,
+    _span,
+    ball_power_profile,
+    bochner_symbol,
+    bump_phi0,
+    dist_to_unit_interval,
+    resolvent_symbol,
+)
 
 
 def lambda_to_xi0(lam, delta):
@@ -357,6 +365,18 @@ def resolvent_norm_grid_sup(z, delta, grid):
     return float(np.max(np.abs(resolvent_symbol(z, delta).fresh_sample(grid))))
 
 
+def _resolvent_bound(z, delta, p, probes):
+    """Best ||R F||_p / ||f||_p over (b, F, ||f||_p) triples, where F is a
+    probe spectrum, b the ball at its frequencies and R F = 1 / (z - b) * F,
+    the resolvent symbol's samples times F bit for bit."""
+    resolvent_symbol(z, delta)  # z must stay off [0, 1]
+    best = 0.0
+    for b, spectrum, f_norm in probes:
+        image = Field.frequency(spectrum.grid, 1.0 / (z - b) * spectrum.samples)
+        best = max(best, spectrum_lp_norm(image, p) / f_norm)
+    return best
+
+
 def probe_lower_bound(z, delta, p, grid, probes):
     """Best resolvent-norm lower bound ||R f||_p / ||f||_p from (probe, ||f||_p) pairs.
 
@@ -368,17 +388,18 @@ def probe_lower_bound(z, delta, p, grid, probes):
     transform, and any other p takes one inverse transform per probe on the
     probe's grid.
     """
-    res = resolvent_symbol(z, delta)
-    best = 0.0
-    for probe, f_norm in probes:
-        if isinstance(probe, Field):
-            spectrum = forward_transform(probe)
-            xi = probe.grid.xi_mesh()
-        else:
-            xi, spectrum = probe
-        image = Field.frequency(spectrum.grid, res.evaluate(xi) * spectrum.samples)
-        best = max(best, spectrum_lp_norm(image, p) / f_norm)
-    return best
+    ball = ball_power_profile(delta)
+
+    def triples():
+        for probe, f_norm in probes:
+            if isinstance(probe, Field):
+                spectrum = forward_transform(probe)
+                xi = probe.grid.xi_mesh()
+            else:
+                xi, spectrum = probe
+            yield ball(np.sqrt(_radius2(xi))), spectrum, f_norm
+
+    return _resolvent_bound(complex(z), delta, p, triples())
 
 
 MAP_EXTRA_LEVELS = (0.25, 0.75)
@@ -397,9 +418,10 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     Each distinct probe lives on its own baseband grid (`baseband_grid`): the
     sweep grid's half-width, so its frequency lattice, snapped xi0 and 4-cell
     rule, with only as many points as BASEBAND_OVERSAMPLING asks for the
-    probe's radius rho/N.  Its spectrum and the resolvent are sampled at the
-    absolute lattice frequencies around xi0, where they equal the sweep
-    grid's samples.  At p = 2 the bound is the Parseval ratio
+    probe's radius rho/N.  Its spectrum and the ball b are sampled once, when
+    the probe is built, at the absolute lattice frequencies around xi0, where
+    they equal the sweep grid's samples; each non-pole z forms
+    R F = 1 / (z - b) * F from them.  At p = 2 the bound is the Parseval ratio
     sqrt(sum |R F|^2 / sum |F|^2) and the map makes no transform; otherwise it
     makes one inverse transform per distinct probe, for ||f||_p, and one per
     (non-pole z, probe), all on baseband grids.
@@ -415,6 +437,7 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         raise ValueError(f"pole margin must be positive, got {pole_margin}")
     if grid is None:
         grid = probe_grid(max(n_values), rho)
+    ball = ball_power_profile(delta)
     probe_cache = {}
 
     def probes_for(lam):
@@ -422,7 +445,8 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         key = lattice_offset(grid, xi0)
         if key not in probe_cache:
             bands = (_baseband_probe(grid, xi0, n, rho) for n in n_values)
-            probe_cache[key] = [((xi, spec), spectrum_lp_norm(spec, p)) for xi, spec in bands]
+            probe_cache[key] = [(ball(np.sqrt(_radius2(xi))), spec, spectrum_lp_norm(spec, p))
+                                for xi, spec in bands]
         return probe_cache[key]
 
     rows = []
@@ -433,10 +457,10 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
             row.update(pole=True, lower_bound=np.inf, oracle_p2=np.inf)
         else:
             lams = {min(max(z.real, 0.0), 1.0), *MAP_EXTRA_LEVELS}
-            probes = [pair for lam in sorted(lams) for pair in probes_for(lam)]
+            probes = [probe for lam in sorted(lams) for probe in probes_for(lam)]
             row.update(
                 pole=False,
-                lower_bound=probe_lower_bound(z, delta, p, grid, probes),
+                lower_bound=_resolvent_bound(z, delta, p, probes),
                 oracle_p2=resolvent_norm_oracle(z, delta),
             )
         rows.append(row)

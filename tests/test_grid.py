@@ -14,6 +14,7 @@ from riesz.grid import (
     random_band_limited,
     snap_to_lattice,
 )
+from riesz.symbols import bump_phi0
 
 
 def gaussian_field(grid, width=1.0):
@@ -190,43 +191,105 @@ def test_window_helpers():
     assert not g.covers_support(100.0)
 
 
+def _row_patterns(x):
+    """Samples x, all zeros, all -0.0 (not zero in every bit, so no row of it
+    may be skipped), and in 2D the row patterns the first pass skips or
+    keeps: zero rows at both ends, a block touching the first or the last
+    row, and end rows of -0.0."""
+    yield "dense", x
+    yield "zero", np.zeros_like(x)
+    yield "all -0.0", np.full_like(x, complex(-0.0, -0.0))
+    if x.ndim == 1:
+        return
+    m = len(x)
+    for name, rows in (("box", slice(m // 4, m - m // 4)), ("first", slice(None, m // 2 + 1)),
+                       ("last", slice(m // 2 - 1, None))):
+        y = np.zeros_like(x)
+        y[rows, m // 4:m - m // 4] = x[rows, m // 4:m - m // 4]
+        yield name, y
+    y = np.zeros_like(x)
+    y[0] = y[-1] = complex(-0.0, -0.0)
+    yield "signed zero rows", y
+    y = np.zeros_like(x)
+    y[m // 4:m - m // 4] = x[m // 4:m - m // 4]
+    y[0].real = -0.0
+    yield "box under a signed zero row", y
+
+
 @pytest.mark.parametrize("dim,size,half_width", [
     (1, 2, 1.0), (1, 6, 3.0), (1, 10, 4.0), (1, 1024, 12.0), (1, 40000, 64.0),
-    (2, 2, 1.0), (2, 6, 3.0), (2, 10, 4.0), (2, 64, 8.0), (2, 768, 24.0),
+    (2, 2, 1.0), (2, 6, 3.0), (2, 10, 4.0), (2, 64, 8.0), (2, 200, 10.0), (2, 768, 24.0),
+    (2, 1024, 32.0),
 ])
 def test_transforms_match_the_shift_expression_bit_for_bit(dim, size, half_width):
     # sizes 2, 6 and 10 put one or an odd number of points in each half;
     # 1D 40000 and 2D 768 swap their halves in strips of 16384 points and
-    # 42 rows, which divide neither a half (20000) nor a quadrant (384 rows)
+    # 42 rows, which divide neither a half (20000) nor a quadrant (384 rows);
+    # 2D halves of 1, 3, 5 and 32 rows are below a transpose tile of 64,
+    # 100 is not a multiple of one, and 384 and 512 are
     g = GridSpec(dim, size, half_width)
     rng = np.random.default_rng(21)
-    x = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    f = Field.spatial(g, x)
-    spec = Field.frequency(g, x)
-    forward = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(x))) * g.h**g.dim
-    inverse = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(x))) / g.h**g.dim
-    assert forward_transform(f).samples.tobytes() == forward.tobytes()
-    assert inverse_transform(spec).samples.tobytes() == inverse.tobytes()
-    # the inputs are left as they were
-    assert f.samples.tobytes() == x.tobytes() and spec.samples.tobytes() == x.tobytes()
-    # overwrite gives the same bits in the input's own array
-    for transform, make, expected in ((forward_transform, Field.spatial, forward),
-                                      (inverse_transform, Field.frequency, inverse)):
-        given = make(g, x.copy())
-        out = transform(given, overwrite=True)
-        assert out.samples is given.samples and not out.samples.flags.writeable
-        assert out.samples.tobytes() == expected.tobytes()
+    for name, x in _row_patterns(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)):
+        f = Field.spatial(g, x)
+        spec = Field.frequency(g, x)
+        forward = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(x))) * g.h**g.dim
+        # the inverse scales by multiplying by 1 / h^d: the bits of a division
+        # by h^d except the sign of a zero component ("all -0.0" has some)
+        inverse = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(x))) * (1.0 / g.h**g.dim)
+        assert forward_transform(f).samples.tobytes() == forward.tobytes(), name
+        assert inverse_transform(spec).samples.tobytes() == inverse.tobytes(), name
+        # the inputs are left as they were
+        assert f.samples.tobytes() == x.tobytes() and spec.samples.tobytes() == x.tobytes()
+        # overwrite gives the same bits in the input's own array
+        for transform, make, expected in ((forward_transform, Field.spatial, forward),
+                                          (inverse_transform, Field.frequency, inverse)):
+            given = make(g, x.copy())
+            out = transform(given, overwrite=True)
+            assert out.samples is given.samples and not out.samples.flags.writeable
+            assert out.samples.tobytes() == expected.tobytes(), (name, transform.__name__)
+
+
+def test_a_2d_transform_passes_over_the_nonzero_rows_then_once_over_the_grid(
+        monkeypatch, transforms):
+    # a probe spectrum on 1024^2: the 1D pass along the last axis transforms
+    # only the rows of its support box, in two blocks where the box crosses
+    # the middle row, and the pass along the first axis is one call on the grid
+    g = GridSpec(2, 1024, 128.0)
+    half = g.size // 2
+    lines = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda a, *r, _fn=original, **k: lines.append(np.shape(a))
+                            or _fn(a, *r, **k))
+    for xi0, blocks in (((0.0, 0.25), lambda rows: [half - rows[0], rows[-1] + 1 - half]),
+                        ((0.5, 0.25), lambda rows: [rows.size])):
+        del lines[:], transforms[:]
+        spectrum = bump_phi0(0.5).dilated(4).shifted(xi0).fresh_sample(g)
+        rows = np.flatnonzero(np.any(spectrum != 0, axis=1))
+        assert 0 < rows.size == rows[-1] + 1 - rows[0] < g.size // 16
+        f = inverse_transform(Field.frequency(g, spectrum), overwrite=True)
+        assert lines == [(count, g.size) for count in blocks(rows)], xi0
+        assert transforms == [g.shape]
+        # a dense array has all its rows transformed
+        del lines[:]
+        forward_transform(f, overwrite=True)
+        assert lines == [(half, g.size), (half, g.size)]
+        assert transforms == [g.shape, g.shape]
 
 
 @pytest.mark.parametrize("dim,size,bound", [
-    (2, 256, 1.3), (1, 16384, 1.55), (2, 512, 1.07), (1, 2**17, 1.13),
+    (2, 256, 1.3), (1, 16384, 1.55), (2, 512, 1.07), (2, 1024, 1.07), (1, 2**17, 1.13),
 ])
 def test_a_transform_holds_one_array_of_the_grid(dim, size, bound, traced_peak):
-    # the input is copied into one scratch array with its halves swapped,
-    # transformed in place and swapped back through a spare strip of 2^14
-    # points: a whole quadrant of 256^2 and a whole half of 16384 points, but
-    # 1/16 of 512^2 and 1/8 of 2^17 points; overwrite makes no scratch array,
-    # so it holds the spare alone
+    # the input is copied into one scratch array with its halves swapped
+    # and transformed in place.  In 1D it is swapped back through a spare
+    # strip of 2^14 points: a whole half of 16384 points, but 1/8 of 2^17.
+    # In 2D the passes along rows run in place and the transposes go
+    # through a spare tile of 64^2 points; overwrite swaps the halves in
+    # place through a spare strip, a whole quadrant of 256^2 but 1/16 of
+    # 512^2 and 1/64 of 1024^2.  Overwrite makes no scratch array, so it
+    # holds the spare alone
     g = GridSpec(dim, size, 20.0)
     x = np.random.default_rng(22).standard_normal(g.shape) + 0j
     for overwrite, limit in ((False, bound), (True, bound - 1.0)):

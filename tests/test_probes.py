@@ -12,7 +12,7 @@ from riesz.grid import (
     snap_to_lattice,
 )
 from riesz.multiplier import apply
-from riesz.norms import lp_norm
+from riesz.norms import lp_norm, spectrum_lp_norm
 from riesz.probes import (
     ProbeSpec,
     decay_curve,
@@ -34,6 +34,7 @@ from riesz.symbols import (
     bump_phi0,
     dist_to_unit_interval,
     radial_symbol,
+    resolvent_symbol,
     scalar_symbol,
 )
 
@@ -415,6 +416,25 @@ def test_baseband_map_matches_full_grid_probes_at_p2_2d():
     (row,) = spectrum_map([z], 2.0, 1.0, grid=grid2, n_values=ns, rho=1.0)
     expected = probe_lower_bound(z, 1.0, 2.0, grid2, _full_grid_probes(z, grid2, ns, rho=1.0))
     assert row["lower_bound"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_the_map_samples_the_ball_once_per_probe_and_keeps_every_bit(grid, p):
+    # each non-pole z forms 1 / (z - b) * F from the probe's ball samples b:
+    # the bits of the resolvent symbol sampled afresh for every (z, probe)
+    zs = [2.0, 0.5 + 0.1j, -1.0 + 0.5j, 1.2 - 0.3j]
+    ns = (16, 32, 64)
+    rows = spectrum_map(zs, p, 1.0, grid=grid, n_values=ns)
+    for z, row in zip(zs, rows):
+        res, expected = resolvent_symbol(z, 1.0), 0.0
+        for lam in sorted({min(max(complex(z).real, 0.0), 1.0), *probes.MAP_EXTRA_LEVELS}):
+            xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
+            for n in ns:
+                xi, spec = probes._baseband_probe(grid, xi0, n)
+                image = Field.frequency(spec.grid, res.evaluate(xi) * spec.samples)
+                ratio = spectrum_lp_norm(image, p) / spectrum_lp_norm(spec, p)
+                expected = max(expected, ratio)
+        assert row["lower_bound"] == expected, z
 
 
 def test_p1_map_is_converged_in_the_oversampling(grid, monkeypatch):
