@@ -600,9 +600,9 @@ def run_kernel_decay(cfg, out_dir, seed, workers):
     return rows, checks, {"slope": slope, "grid": grid}
 
 
-def _baseband_sizes(grid, ns, rho):
-    """Points per axis of each scale's baseband grid, for the manifest."""
-    return {n: baseband_grid(grid, n, rho).size for n in ns}
+def _baseband_sizes(grid, ns, rho, ps, weight_a=None):
+    """Points per axis of each cell's baseband grid, by p and then N, for the manifest."""
+    return {p: {n: baseband_grid(grid, n, rho, p, weight_a).size for n in ns} for p in ps}
 
 
 # probe sizes its own grid from ns and rho, so grid_size and grid_half_width are unknown keys
@@ -632,7 +632,8 @@ def run_probe(cfg, out_dir, seed, workers):
                                                   and r["p"] == spec.p])]
         checks.append(("halving", float(np.max(factors, initial=0.0)),
                        cfg["assert_max_halving"]))
-    return rows, checks, {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho)}
+    return rows, checks, {"grid": grid, "baseband_sizes": _baseband_sizes(
+        grid, ns, rho, cfg["ps"], cfg["weight_a"])}
 
 
 # spectrum-map sizes its own grid from ns and rho, so it has no grid key
@@ -651,7 +652,7 @@ def run_spectrum_map(cfg, out_dir, seed, workers):
         if not np.isfinite(row["lower_bound"]):
             row["lower_bound"] = -1.0
             row["oracle_p2"] = -1.0
-    extras = {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho)}
+    extras = {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho, (cfg["p"],))}
     return rows, [], extras
 
 

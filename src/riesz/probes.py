@@ -16,6 +16,16 @@ the probe's spectrum F as (lambda - b) F, with the ball b evaluated only on
 its support box of that shifted lattice; a probe lives in one array of its
 own, and its norms are strip sums, so it holds one array of its baseband
 grid plus strips.  `probe_field` is the full-grid probe.
+
+How many points a baseband grid needs depends on the norm
+(`baseband_oversampling`).  A norm of even order p with no weight (or the
+weight |x|^0) is exact on a small grid: if the spectrum lives on the lattice
+cells |k| <= K of each axis, |f|^p = (f conj(f))^(p/2) is a trigonometric
+polynomial of degree pK per axis, and its M-point Riemann sum over the
+period is its integral once M > pK.  Such a cell runs at c = min(p, 32); c = p
+is twice the margin exactness needs and gives the value of any larger grid
+to rounding.  Every other norm is a converging Riemann sum and runs at
+c = 32.
 """
 
 import functools
@@ -73,13 +83,23 @@ def probe_grid(n_max, rho, dim=1, spread_factor=16.0, cells_per_bump=8.0):
     return GridSpec(dim, size, half_width)
 
 
+def _check_scale(n_scale):
+    if not n_scale >= 1:
+        raise ValueError(f"scale must be >= 1, got {n_scale}")
+
+
+def _check_scales(n_values):
+    """A sweep's scales: a non-empty list of integers >= 1."""
+    if not (len(n_values) and all(n >= 1 and float(n).is_integer() for n in n_values)):
+        raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
+
+
 def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
     """Spectrum symbol of `probe_field`, after its lattice and 4-cell checks.
 
     The bump radius is rho, or the support radius of a given profile.
     """
-    if n_scale < 1:
-        raise ValueError(f"scale must be >= 1, got {n_scale}")
+    _check_scale(n_scale)
     snapped = snap_to_lattice(grid, xi0)
     request = np.atleast_1d(np.asarray(xi0, dtype=float))
     if np.max(np.abs(snapped[: request.size] - request)) > 1e-9 * grid.dxi:
@@ -113,21 +133,36 @@ BASEBAND_OVERSAMPLING = 32
 
 A probe of scale N and radius rho/N runs on `baseband_grid`: the sweep grid's
 half-width L with M_N points per axis, where M_N is the smallest power of two
-dividing the sweep grid's size with eta_max = pi M_N / (2L) >= c rho / N
-(c is this constant), or the sweep grid's size if none is.  p = 2 bounds do
-not depend on c (Parseval).  A p != 2 norm is a Riemann sum of |f|^p with the
-spatial step pi / eta_max, so it converges as c grows.  The rule: c is the
-smallest power of two at which doubling it moves no p = 1 bound by 1e-4
-relative or more.  On the 15 x 15 map over [-0.5, 1.5] x [-1, 1] with
+dividing the sweep grid's size with eta_max = pi M_N / (2L) >= c rho / N, or
+the sweep grid's size if none is.  c is `baseband_oversampling(p, weight_a)`:
+this constant, except for an even p on an unweighted (or a = 0) norm, which
+takes c = min(p, this constant).  Such a norm is exact at c > p / 2: the
+spectrum lives on the lattice cells |k| <= K = (rho/N) / dxi of each axis,
+|f|^p = (f conj(f))^(p/2) is a trigonometric polynomial of degree pK per
+axis, and a Riemann sum of M > pK points over its period is its integral.
+c = p doubles that margin.  Any other norm is a Riemann sum of |f|^p with the
+spatial step pi / eta_max, so it converges as c grows.  The rule for this
+constant: the smallest power of two at which doubling it moves no p = 1 bound
+by 1e-4 relative or more.  On the 15 x 15 map over [-0.5, 1.5] x [-1, 1] with
 ns = (32, 64, 128) and rho = 0.5, doubling 16 moves them by up to 1.8e-4 and
 doubling 32 by up to 3.4e-5.
 """
 
 
-def baseband_grid(grid, n_scale, rho):
-    """Grid of a probe of scale n_scale: grid's half-width, so grid's frequency
-    lattice, with the fewest points BASEBAND_OVERSAMPLING allows."""
-    need = BASEBAND_OVERSAMPLING * rho / n_scale
+def baseband_oversampling(p=None, weight_a=None):
+    """c of `baseband_grid` for the norm of order p with the weight |x|^weight_a
+    (None: no weight); p = None asks for the rule of every other norm."""
+    if p is not None and p % 2 == 0 and weight_a in (None, 0):
+        return min(p, BASEBAND_OVERSAMPLING)
+    return BASEBAND_OVERSAMPLING
+
+
+def baseband_grid(grid, n_scale, rho, p=None, weight_a=None):
+    """Grid of a probe of scale n_scale measured in the norm of order p
+    (weighted by |x|^weight_a): grid's half-width, so grid's frequency
+    lattice, with the fewest points `baseband_oversampling` allows."""
+    _check_scale(n_scale)
+    need = baseband_oversampling(p, weight_a) * rho / n_scale
     size = 2
     while np.pi * size / (2.0 * grid.half_width) < need and grid.size % (2 * size) == 0:
         size *= 2
@@ -135,11 +170,12 @@ def baseband_grid(grid, n_scale, rho):
     return small if small.xi_max >= need else grid
 
 
-def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None):
+def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None, p=None, weight_a=None):
     """Probe of scale n_scale at the lattice frequency xi0, on its baseband grid.
 
     The bump is `_probe_spectrum`'s, and its radius (rho, or the profile's
-    support radius) sizes the baseband grid.  Returns the absolute lattice
+    support radius) and the norm it is measured in (order p, weight
+    |x|^weight_a) size the baseband grid.  Returns the absolute lattice
     frequencies of the baseband grid, xi0 + k dxi per axis with
     -M/2 <= k < M/2, as a sparse mesh, and the probe spectrum sampled there
     as a frequency Field on the baseband grid, in a new array the caller
@@ -150,7 +186,7 @@ def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None):
     """
     spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
     radius = rho if profile is None else profile.support_radius
-    small = baseband_grid(grid, n_scale, radius)
+    small = baseband_grid(grid, n_scale, radius, p, weight_a)
     k = np.arange(small.size) - small.size // 2
     axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
     # the cells that pass the bump's own radius check on every axis
@@ -187,6 +223,7 @@ class ProbeSpec:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         bump_phi0(self.rho)  # rho must be positive with a finite nonzero square
+        _check_scales(self.n_values)
 
     def localizer_radius(self):
         xi0 = lambda_to_xi0(self.lam, self.delta)
@@ -235,6 +272,7 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     through one strip.  So a probe holds one array of its baseband grid plus
     strips: 1.07 arrays traced on 2D 1024^2.
     """
+    _check_scale(n_scale)
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
         raise ValueError(
@@ -245,7 +283,7 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     if not grid.covers_support(ball.support_radius):
         raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
     xi0, level = _achieved_level(spec, grid)
-    _, spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile)
+    _, spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile, spec.p, spec.weight_a)
     f = inverse_transform(spectrum, overwrite=True)
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
@@ -417,17 +455,17 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
 
     Each distinct probe lives on its own baseband grid (`baseband_grid`): the
     sweep grid's half-width, so its frequency lattice, snapped xi0 and 4-cell
-    rule, with only as many points as BASEBAND_OVERSAMPLING asks for the
-    probe's radius rho/N.  Its spectrum and the ball b are sampled once, when
-    the probe is built, at the absolute lattice frequencies around xi0, where
-    they equal the sweep grid's samples; each non-pole z forms
-    R F = 1 / (z - b) * F from them.  At p = 2 the bound is the Parseval ratio
-    sqrt(sum |R F|^2 / sum |F|^2) and the map makes no transform; otherwise it
-    makes one inverse transform per distinct probe, for ||f||_p, and one per
-    (non-pole z, probe), all on baseband grids.
+    rule, with only as many points as `baseband_oversampling(p)` asks for the
+    probe's radius rho/N (c = 32 at p = 1, c = min(p, 32) at an even p).  Its
+    spectrum and the ball b are sampled once, when the probe is built, at the
+    absolute lattice frequencies around xi0, where they equal the sweep
+    grid's samples; each non-pole z forms R F = 1 / (z - b) * F from them.
+    At p = 2 the bound is the Parseval ratio sqrt(sum |R F|^2 / sum |F|^2)
+    and the map makes no transform; otherwise it makes one inverse transform
+    per distinct probe, for ||f||_p, and one per (non-pole z, probe), all on
+    baseband grids.
     """
-    if not (n_values and min(n_values) >= 1):
-        raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
+    _check_scales(n_values)
     # checked here, not only where a probe is built, so an all-pole map rejects them too
     if not 1 <= p < np.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -444,7 +482,7 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, delta))
         key = lattice_offset(grid, xi0)
         if key not in probe_cache:
-            bands = (_baseband_probe(grid, xi0, n, rho) for n in n_values)
+            bands = (_baseband_probe(grid, xi0, n, rho, p=p) for n in n_values)
             probe_cache[key] = [(ball(np.sqrt(_radius2(xi))), spec, spectrum_lp_norm(spec, p))
                                 for xi, spec in bands]
         return probe_cache[key]

@@ -586,27 +586,47 @@ def test_probe_zero_level_run(tmp_path):
 
 
 def test_the_default_probe_sweep_runs_each_cell_on_its_baseband(tmp_path, transforms):
-    # 3 lambdas x 3 p at each N make 9 cells of 3 transforms, all on the
-    # N-th baseband: 8192 points at N = 8 down to 512 at N = 128, never the
-    # sweep grid's 16384
+    # 3 lambdas at each (p, N) make 3 cells of 3 transforms, all on the
+    # (p, N)-th baseband, never the sweep grid's 16384 points: p = 1 from
+    # 8192 points at N = 8 down to 512 at N = 128; the exact even-p grids
+    # are 16 times smaller at p = 2 and 8 times at p = 4
     code, out = run_cli(tmp_path, "probe", "--workers", "1")
     assert code == 0
-    assert Counter(transforms) == {(8192,): 27, (4096,): 27, (2048,): 27, (1024,): 27,
-                                   (512,): 27}
+    assert Counter(transforms) == {(8192,): 9, (4096,): 9, (2048,): 9, (1024,): 18,
+                                   (512,): 27, (256,): 18, (128,): 18, (64,): 18, (32,): 9}
+    assert len(transforms) == 135  # perfbench's SELFTEST_TRANSFORMS
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extras"]["grid"]["size"] == 16384
     assert manifest["extras"]["baseband_sizes"] == {
-        "8": 8192, "16": 4096, "32": 2048, "64": 1024, "128": 512}
+        "1.0": {"8": 8192, "16": 4096, "32": 2048, "64": 1024, "128": 512},
+        "2.0": {"8": 512, "16": 256, "32": 128, "64": 64, "128": 32},
+        "4.0": {"8": 1024, "16": 512, "32": 256, "64": 128, "128": 64}}
 
 
 def test_the_benchmark_probe_shrinks_its_n8_cells(tmp_path, transforms):
-    # the benchmark's 2D sweep grid is 1024^2 at this rho; N = 4, 5, 6 keep
-    # it, N = 8 runs on 512^2
-    code, _ = run_cli(tmp_path, "probe", "--workers", "1", "--set", "grid_dim=2",
-                      "--set", "lambdas=[0.5]", "--set", "ps=[1.0]", "--set", "ns=[4,5,6,8]",
-                      "--set", "rho=0.5190510344997886")
+    # the benchmark's 2D sweep grid is 1024^2 at this rho; its p = 1 cells
+    # keep it at N = 4, 5, 6 and run on 512^2 at N = 8, while the exact
+    # even-p grids are 64^2 and 32^2 at p = 2, 128^2 and 64^2 at p = 4
+    code, out = run_cli(tmp_path, "probe", "--workers", "1", "--set", "grid_dim=2",
+                        "--set", "lambdas=[0.5,1.0]", "--set", "ps=[1.0,2.0,4.0]",
+                        "--set", "ns=[4,5,6,8]", "--set", "rho=0.5190510344997886")
     assert code == 0
-    assert Counter(transforms) == {(1024, 1024): 9, (512, 512): 3}
+    assert Counter(transforms) == {(1024, 1024): 18, (512, 512): 6, (128, 128): 18,
+                                   (64, 64): 24, (32, 32): 6}
+    assert json.loads((out / "manifest.json").read_text())["extras"]["baseband_sizes"] == {
+        "1.0": {"4": 1024, "5": 1024, "6": 1024, "8": 512},
+        "2.0": {"4": 64, "5": 64, "6": 64, "8": 32},
+        "4.0": {"4": 128, "5": 128, "6": 128, "8": 64}}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_zero_probe_scale_is_a_usage_error(tmp_path, capsys, transforms, workers):
+    # N = 0 used to divide rho in the plateau check: a ZeroDivisionError traceback
+    code, out = run_cli(tmp_path, "probe", "--set", "ns=[0,8,16,32]", "--workers", workers)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "riesz: probe scales must be integers >= 1, got [0, 8, 16, 32]\n")
+    assert transforms == [] and not (out / "probe.csv").exists()
 
 
 def test_resolvent_verify_run_and_csv_schema(tmp_path):
@@ -1094,9 +1114,10 @@ def test_spectrum_map_run(tmp_path):
     extras = manifest["extras"]
     grid = probe_grid(32, 0.5)
     assert extras["grid"] == {"dim": 1, "size": grid.size, "half_width": grid.half_width}
+    # keyed by the map's one p, then N; p = 2 sizes its grids by the exact even-p rule
     assert extras["baseband_sizes"] == {
-        str(n): baseband_grid(grid, n, 0.5).size for n in (8, 16, 32)
-    }
+        "2.0": {str(n): baseband_grid(grid, n, 0.5, 2.0).size for n in (8, 16, 32)}}
+    assert extras["baseband_sizes"]["2.0"] == {"8": 128, "16": 64, "32": 32}
 
 
 def test_spectrum_map_is_reproducible_across_runs_and_workers(tmp_path):

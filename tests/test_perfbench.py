@@ -1,6 +1,7 @@
 """The benchmark's tracer self-test, run by the test suite as well as by
-`perfbench/run.py --trace 1`, and a check that the benchmark's command
-configs use only keys the CLI declares.
+`perfbench/run.py --trace 1`, a check that the benchmark's command configs
+use only keys the CLI declares, and a check that every seed's probe config
+runs its cells on the same grids.
 
 The self-test fails when a change removes a function the tracer wraps, binds
 one where the tracer cannot rebind it, or changes the default probe sweep's
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from riesz import cli
+from riesz import cli, probes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,3 +94,20 @@ def test_workload_configs_resolve_against_the_key_tables(tmp_path, seed):
                 [command.subcommand, "--config", str(path), *command.flags])
             config = cli.resolve_config(args)
             assert list(config) == list(cli.COMMANDS[command.subcommand][1])
+
+
+def test_the_benchmark_probe_runs_the_same_grids_for_every_seed(tmp_path):
+    # the seeded rho in [0.5, 0.55) moves no cell's grid, so every seed does
+    # equal work; the sizes come from the config alone, with no sweep run
+    sizes = []
+    for seed in range(10):
+        (command,) = _load_workloads().make_probe(seed)
+        path = tmp_path / "probe.toml"
+        path.write_text(command.config)
+        cfg = cli.resolve_config(cli._arg_parser().parse_args(["probe", "--config", str(path)]))
+        grid = probes.probe_grid(max(cfg["ns"]), cfg["rho"], dim=cfg["grid_dim"])
+        sizes.append((grid.size, cli._baseband_sizes(grid, cfg["ns"], cfg["rho"], cfg["ps"],
+                                                     cfg["weight_a"])))
+    assert sizes == [(1024, {1.0: {4: 1024, 5: 1024, 6: 1024, 8: 512},
+                             2.0: {4: 64, 5: 64, 6: 64, 8: 32},
+                             4.0: {4: 128, 5: 128, 6: 128, 8: 64}})] * 10

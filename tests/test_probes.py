@@ -197,7 +197,8 @@ def spatial_defect_ratio(spec, n_scale, grid):
     shifted lattice of the baseband grid, not on the ball's box in strips.
     """
     xi0, level = probes._achieved_level(spec, grid)
-    xi, spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho)
+    xi, spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho, p=spec.p,
+                                          weight_a=spec.weight_a)
     f = inverse_transform(spectrum)
     image = bochner_symbol(spec.delta).evaluate(xi) * forward_transform(f).samples
     defect = level * f - inverse_transform(Field.frequency(f.grid, image))
@@ -253,10 +254,11 @@ def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
     # baseband grid, so a 2D probe peaks while a norm is taken: that array
     # and lp_norm's strip of 2^17 real moduli, a quarter of a 512^2 array and
     # 1/16 of a 1024^2 one.  On 1024^2 at L = 128 the baseband is 512^2; at
-    # L = 387.36 it is the whole grid, the benchmark's N = 4 cell.  No
-    # untraced call comes first, so the ball's box and the bump's
-    # normalisation are traced too.
-    spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(4,))
+    # L = 387.36 it is the whole grid, the benchmark's N = 4 cell.  p = 1
+    # cells are the large ones (an even p runs on a grid 8 or 16 times
+    # smaller per axis), and no untraced call comes first, so the ball's
+    # box and the bump's normalisation are traced too.
+    spec = ProbeSpec(0.5, 1.0, 1.0, n_values=(4,))
     for size, half_width, baseband, bound in ((512, 128.0, 512, 1.3),
                                               (1024, 128.0, 512, 1.3),
                                               (1024, 387.36, 1024, 1.15)):
@@ -430,7 +432,7 @@ def test_the_map_samples_the_ball_once_per_probe_and_keeps_every_bit(grid, p):
         for lam in sorted({min(max(complex(z).real, 0.0), 1.0), *probes.MAP_EXTRA_LEVELS}):
             xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
             for n in ns:
-                xi, spec = probes._baseband_probe(grid, xi0, n)
+                xi, spec = probes._baseband_probe(grid, xi0, n, p=p)
                 image = Field.frequency(spec.grid, res.evaluate(xi) * spec.samples)
                 ratio = spectrum_lp_norm(image, p) / spectrum_lp_norm(spec, p)
                 expected = max(expected, ratio)
@@ -449,14 +451,101 @@ def test_p1_map_is_converged_in_the_oversampling(grid, monkeypatch):
 def test_baseband_grid_divides_the_sweep_grid():
     ns, rho = (32, 64, 128), 0.5
     sweep = probe_grid(max(ns), rho)
-    for n in range(1, max(ns) + 1):
-        small = probes.baseband_grid(sweep, n, rho)
-        assert small.size <= sweep.size and sweep.size % small.size == 0
-        assert small.half_width == sweep.half_width and small.dim == sweep.dim
-        need = probes.BASEBAND_OVERSAMPLING * rho / n
-        assert small.xi_max >= need or small == sweep
-        # the fewest points: half as many would miss the window
-        assert small.size == 2 or np.pi * small.size / 4.0 / sweep.half_width < need
+    for p in (None, 1.0, 2.0, 4.0):
+        for n in range(1, max(ns) + 1):
+            small = probes.baseband_grid(sweep, n, rho, p)
+            assert small.size <= sweep.size and sweep.size % small.size == 0
+            assert small.half_width == sweep.half_width and small.dim == sweep.dim
+            need = probes.baseband_oversampling(p) * rho / n
+            assert small.xi_max >= need or small == sweep
+            # the fewest points: half as many would miss the window
+            assert small.size == 2 or np.pi * small.size / 4.0 / sweep.half_width < need
+
+
+def test_only_an_even_p_on_an_unweighted_norm_leaves_the_p1_oversampling():
+    c = probes.BASEBAND_OVERSAMPLING
+    assert [probes.baseband_oversampling(p) for p in (2.0, 4.0, 6, 30.0)] == [2.0, 4.0, 6, 30.0]
+    assert probes.baseband_oversampling(2.0, 0.0) == probes.baseband_oversampling(4, 0) / 2 == 2
+    # a converging Riemann sum: odd or fractional p, a weight |x|^a with
+    # a != 0, or no p at all; an even p of 32 or more needs no fewer points
+    for p, weight_a in ((None, None), (1.0, None), (2.5, None), (3.0, None), (2.0, 0.5),
+                        (4.0, -0.5), (1.0, 0.0), (32.0, None), (64.0, None), (128.0, 0.0)):
+        assert probes.baseband_oversampling(p, weight_a) == c, (p, weight_a)
+    sweep = probe_grid(128, 0.5)
+    for n in (8, 32, 128):
+        assert probes.baseband_grid(sweep, n, 0.5, 64.0) == probes.baseband_grid(sweep, n, 0.5)
+        assert probes.baseband_grid(sweep, n, 0.5, 2.0, 0.5) == probes.baseband_grid(sweep, n, 0.5)
+        assert probes.baseband_grid(sweep, n, 0.5, 2.0).size * 16 == \
+            probes.baseband_grid(sweep, n, 0.5).size
+
+
+def _oversampled(monkeypatch, c, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every baseband grid sized at c = c(p)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(probes, "baseband_oversampling", lambda p=None, weight_a=None: c(p))
+        return fn(*args, **kwargs)
+
+
+def _rule_cases(dim):
+    """A sweep grid, its scales and the cells that test the even-p rule:
+    (lam, weight_a, profile) each."""
+    if dim == 1:
+        sweep, ns = probe_grid(64, 0.5), (8, 32)
+    else:
+        sweep, ns = GridSpec(2, 512, 128.0), (4,)
+    custom = radial_symbol(BumpProfile(0.1, 0.45), 0.45)
+    return sweep, ns, ((0.5, None, None), (1.0, None, None), (0.5, 0.0, None),
+                       (1.0, None, custom))
+
+
+def _cell_and_map_ratios(sweep, ns, p, cases):
+    cells = [probe_ratio(ProbeSpec(lam, p, 1.0, n_values=ns, weight_a=a), n, sweep,
+                         profile=profile)
+             for lam, a, profile in cases for n in ns]
+    zs = [2.0, 0.5 + 0.1j, -1.0 + 0.5j]
+    bounds = [row["lower_bound"] for row in spectrum_map(zs, p, 1.0, grid=sweep, n_values=ns)]
+    return np.array(cells + bounds)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_even_p_cells_and_maps_are_exact_at_c_p_and_at_c_half_p(monkeypatch, dim, p):
+    # |f|^p is a trigonometric polynomial of degree pK per axis, so an
+    # M-point Riemann sum over the period is exact once M > pK, c > p / 2:
+    # c = p (the rule) and c = p / 2 give the c = 32 value to rounding
+    sweep, ns, cases = _rule_cases(dim)
+    reference = _oversampled(monkeypatch, lambda _: probes.BASEBAND_OVERSAMPLING,
+                             _cell_and_map_ratios, sweep, ns, p, cases)
+    assert probes.baseband_grid(sweep, ns[0], 0.5, p).size < \
+        probes.baseband_grid(sweep, ns[0], 0.5).size
+    for c in (lambda q: q, lambda q: q / 2):
+        ratios = _oversampled(monkeypatch, c, _cell_and_map_ratios, sweep, ns, p, cases)
+        np.testing.assert_allclose(ratios, reference, rtol=1e-14, atol=0)
+    # and the rule itself is c = p
+    np.testing.assert_array_equal(_cell_and_map_ratios(sweep, ns, p, cases),
+                                  _oversampled(monkeypatch, lambda q: q,
+                                               _cell_and_map_ratios, sweep, ns, p, cases))
+
+
+def test_below_half_p_the_riemann_sum_aliases(monkeypatch, grid):
+    # the margin exists: at c = 1 < p / 2 a p = 4 cell is off by more than 1e-3
+    spec = ProbeSpec(0.5, 4.0, 1.0, n_values=(16,))
+    exact = probe_ratio(spec, 16, grid)
+    coarse = _oversampled(monkeypatch, lambda _: 1.0, probe_ratio, spec, 16, grid)
+    assert abs(coarse - exact) > 1e-3 * exact
+
+
+def test_probe_scales_are_integers_at_least_one(grid):
+    for ns in ((0, 8, 16, 32), (), (8, 2.5), (-1,), (8, np.inf)):
+        with pytest.raises(ValueError, match=r"probe scales must be integers >= 1, got \["):
+            ProbeSpec(0.5, 2.0, 1.0, n_values=ns)
+    # a cell checks its scale before it divides rho by it
+    spec = ProbeSpec(0.5, 2.0, 1.0)
+    for n in (0, -1, np.nan):
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            probe_ratio(spec, n, grid)
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            probes.baseband_grid(grid, n, 0.5)
 
 
 def test_baseband_probe_is_the_demodulated_full_grid_probe(grid):
