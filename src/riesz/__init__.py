@@ -2,7 +2,7 @@
 
 Submodules:
 
-* grid        - centered grids, transform pair, modulation
+* grid        - centered grids, transform pair
 * symbols     - frequency symbols, cutoffs, bumps, the Mikhlin screen
 * multiplier  - operator application, kernels, seminorms, dense oracle
 * neumann     - cutoff/Neumann resolvent decompositions with certified tails
@@ -12,7 +12,13 @@ Submodules:
 * cli         - batch experiment driver
 """
 
-from .grid import Field, GridSpec, forward_transform, inverse_transform, modulate
+import os
+
+# Set before the imports below load numpy: OpenBLAS reads it once, at load. A
+# program that imported numpy before riesz keeps the BLAS threads it started.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .grid import Field, GridSpec, forward_transform, inverse_transform
 from .multiplier import apply, convolve, dense_oracle, kernel_of, schwartz_seminorm
 from .neumann import (
     NeumannPlan,

@@ -31,7 +31,8 @@ at most one per item: probe's (lambda, p) sweeps and apply --dump-field's two
 dumps.  The other subcommands accept it and run serially.  Output is
 byte-identical for any N, and the work runs serially where the platform cannot
 fork.  manifest.json counts the workers' CPU time and peak RSS with the
-process's own.
+process's own, and gives as startup_cpu_s the CPU spent before main began.
+--seed S (at least 0) seeds every random draw.
 
 Configs are flat key = value text (a TOML-compatible subset): numbers,
 true/false, strings, and [comma, separated, lists]; a # outside quotes and
@@ -754,15 +755,19 @@ def _make_dir(path):
 
 
 def main(argv=None):
+    # The CPU spent before main: interpreter start-up and imports.
+    before = resource.getrusage(resource.RUSAGE_SELF)
     try:
         args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         cfg = resolve_config(args)
         _make_dir(args.out)
         rows, checks, extras = COMMANDS[args.command][0](cfg, args.out, args.seed, args.workers)
@@ -787,7 +792,8 @@ def main(argv=None):
         "numpy_version": np.__version__,
         "checks": _json_value(verdicts),
         "extras": _json_value(extras),
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
+        "startup_cpu_s": before.ru_utime + before.ru_stime,
         "cpu_s": own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime,
         "peak_rss_mib": max(own.ru_maxrss, reaped.ru_maxrss) / 1024,
         "outputs": [csv_path],

@@ -397,20 +397,6 @@ def _as_vector(xi0, dim):
     return vec
 
 
-def modulate(f, xi0):
-    """Multiply a spatial field by the plane wave exp(i x.xi0).
-
-    When xi0 lies on the frequency lattice the spectrum shifts by a whole
-    number of cells and the shift identity is exact; off-lattice xi0 is
-    allowed but the shifted spectrum then straddles lattice cells.
-    """
-    if f.domain != "spatial":
-        raise ValueError("modulate expects a spatial field")
-    vec = _as_vector(xi0, f.grid.dim)
-    phase = sum(c * v for c, v in zip(f.grid.x_mesh(), vec))
-    return Field.spatial(f.grid, f.samples * np.exp(1j * phase))
-
-
 def lattice_offset(grid, xi0):
     """Integer lattice cells corresponding to xi0, or None if off-lattice."""
     vec = _as_vector(xi0, grid.dim)

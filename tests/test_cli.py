@@ -959,6 +959,47 @@ def test_import_loads_no_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def import_riesz_in_a_fresh_interpreter(openblas_threads):
+    """OPENBLAS_NUM_THREADS after `import riesz.cli` in a new interpreter, and
+    that process's OS thread count (None without /proc/self/task). This
+    process may have loaded numpy before riesz, so the child gets its own env."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    probe = ("import os, riesz.cli; tasks = '/proc/self/task'; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir(tasks)) if os.path.isdir(tasks) else None)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=env)
+    value, threads = result.stdout.split()
+    return value, None if threads == "None" else int(threads)
+
+
+def test_importing_riesz_starts_no_blas_threads():
+    # an idle OpenBLAS pool busy-waits for about 0.13 s of CPU per process
+    value, threads = import_riesz_in_a_fresh_interpreter(None)
+    assert value == "1"
+    if threads is not None:
+        assert threads == 1
+
+
+def test_a_blas_thread_count_the_user_set_is_kept():
+    assert import_riesz_in_a_fresh_interpreter("3")[0] == "3"
+
+
+@pytest.mark.parametrize("args", [
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "grid_size=64",
+     "--set", "grid_half_width=8"),  # draws its field from the rng
+    ("kernel-decay",),  # draws nothing, and recorded the seed
+], ids=["apply", "kernel-decay"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, args):
+    code, out = run_cli(tmp_path, *args, "--seed", "-3")
+    assert code == 1
+    assert capsys.readouterr().err == "riesz: --seed must be at least 0, got -3\n"
+    assert not out.exists()
+
+
 def test_apply_dump_and_norms_pipeline(tmp_path):
     code, out = run_cli(
         tmp_path, "apply", "--set", "symbol=bochner(delta=1)", "--set", "dump_fields=true"
@@ -1061,6 +1102,9 @@ def test_manifest_counts_worker_cost(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     # cpu_s is this process's time plus that of its reaped workers
     assert isinstance(manifest["cpu_s"], float) and before <= manifest["cpu_s"] <= after
+    # the CPU spent before main is part of cpu_s
+    assert isinstance(manifest["startup_cpu_s"], float)
+    assert 0 < manifest["startup_cpu_s"] <= manifest["cpu_s"]
     workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert manifest["peak_rss_mib"] >= workers_peak > 0
 

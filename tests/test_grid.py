@@ -10,7 +10,6 @@ from riesz.grid import (
     forward_transform,
     inverse_transform,
     lattice_offset,
-    modulate,
     random_band_limited,
     snap_to_lattice,
 )
@@ -104,22 +103,6 @@ def test_domain_tag_mismatch():
         forward_transform(spec)
     with pytest.raises(ValueError):
         inverse_transform(f)
-    with pytest.raises(ValueError):
-        modulate(spec, 1.0)
-
-
-def test_modulate_zero_is_identity():
-    g = GridSpec(1, 128, 8.0)
-    f = gaussian_field(g)
-    assert np.array_equal(modulate(f, 0.0).samples, f.samples)
-
-
-def test_modulate_preserves_modulus():
-    g = GridSpec(2, 32, 4.0)
-    rng = np.random.default_rng(11)
-    f = Field.spatial(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    out = modulate(f, (3 * g.dxi, -2 * g.dxi))
-    assert np.max(np.abs(np.abs(out.samples) - np.abs(f.samples))) < 1e-13
 
 
 def test_modulation_shifts_spectrum_exactly():
@@ -127,7 +110,7 @@ def test_modulation_shifts_spectrum_exactly():
     g = GridSpec(1, 256, 10.0)
     f = gaussian_field(g)
     k = 9
-    shifted = forward_transform(modulate(f, k * g.dxi))
+    shifted = forward_transform(Field.spatial(g, f.samples * np.exp(1j * k * g.dxi * g.x_axis())))
     rolled = np.roll(forward_transform(f).samples, k)
     assert np.max(np.abs(shifted.samples - rolled)) < 1e-12 * np.max(np.abs(rolled))
 
@@ -135,7 +118,7 @@ def test_modulation_shifts_spectrum_exactly():
 def test_modulated_gaussian_forward_closed_form():
     g = GridSpec(1, 256, 10.0)
     k = 14
-    f = modulate(gaussian_field(g), k * g.dxi)
+    f = Field.spatial(g, gaussian_field(g).samples * np.exp(1j * k * g.dxi * g.x_axis()))
     spec = forward_transform(f)
     xi = g.xi_axis()
     exact = np.sqrt(2.0 * np.pi) * np.exp(-((xi - k * g.dxi) ** 2) / 2.0)

@@ -8,7 +8,6 @@ from riesz.grid import (
     forward_transform,
     inverse_transform,
     lattice_offset,
-    modulate,
     snap_to_lattice,
 )
 from riesz.multiplier import apply
@@ -37,6 +36,12 @@ from riesz.symbols import (
     resolvent_symbol,
     scalar_symbol,
 )
+
+
+def modulate(f, xi0):
+    """f times the plane wave exp(i x.xi0), the shift the probes are built by."""
+    phase = sum(c * v for c, v in zip(f.grid.x_mesh(), np.atleast_1d(xi0)))
+    return Field.spatial(f.grid, f.samples * np.exp(1j * phase))
 
 
 @pytest.fixture(scope="module")
