@@ -378,8 +378,9 @@ def parse_field_spec(text, grid, rng, where="field"):
     arg = _spec_args(name, parts, FIELD_ARGS, where)
     if name == "gaussian":
         width = arg["width"]
-        if not 0 < width < np.inf:
-            raise UsageError(f"{where}: gaussian width must be positive and finite, got {width}")
+        if not (0 < width < np.inf and 0 < width * width < np.inf):
+            raise UsageError(f"{where}: gaussian width must be positive with a finite "
+                             f"nonzero square, got {width}")
         _check_resolved(where, "gaussian width", width, grid)
         r = grid.x_radius()
         return Field.spatial(grid, np.exp(-(r**2) / (2.0 * width**2)))

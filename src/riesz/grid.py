@@ -12,22 +12,23 @@ lattices are exactly dual: the forward map is h^d times the centered DFT and
 the round trip is exact to rounding.
 
 Every grid size is even, so centering is a swap of halves on every axis.
-Each transform copies its input into one scratch array with the halves
-swapped and transforms it in place.  In 1D it swaps it back a strip of rows
-at a time through a spare of one strip (_SAMPLE_STRIP_POINTS points).  In 2D
-it runs fftn's two 1D passes on rows: fft along the last axis, skipping the
-rows at both ends of the centered input that are zero in every bit; an
-in-place transpose through a spare tile (_TRANSPOSE_TILE^2 points); the pass
-along the first axis as one contiguous fftn call along the last axis; and
-one tiled pass that transposes back and swaps the halves together.  Each
-line goes through the FFT it goes through in fftn, so the bits are fftn's,
-and a transform holds one grid array plus a strip or a tile and makes no
-other grid-sized array.  The inverse scales by multiplying by 1 / h^d, which gives the bits
-of a division by h^d except the sign of an exact zero component.
-With overwrite=True (scipy.fft's overwrite_x) it skips the scratch array:
-the halves of the input's own samples are swapped in place, transformed and
-swapped back, and that array, bit for bit the same result, is returned.  The
-caller must have made the array and must not use the input afterwards.
+A transform works in one array it owns: the input's own sample array with
+overwrite=True (scipy.fft's overwrite_x), a copy of it otherwise.  It swaps
+that array's halves in place a strip of rows at a time through a spare of
+one strip (_SAMPLE_STRIP_POINTS points), transforms it in place and swaps
+it back.  In 1D the transform is one fftn call.  In 2D it runs fftn's two
+1D passes on rows: fft along the last axis, skipping the rows at both ends
+of the centered input that are zero in every bit (the swap before it skips
+them too); an in-place transpose through a spare tile (_TRANSPOSE_TILE^2
+points); the pass along the first axis as one contiguous fftn call along
+the last axis; and one tiled pass that transposes back and swaps the halves
+together.  Each line goes through the FFT it goes through in fftn, so the
+bits are fftn's, and a transform holds one grid array plus a strip or a
+tile and makes no other grid-sized array.  The inverse scales by
+multiplying by 1 / h^d, which gives the bits of a division by h^d except
+the sign of an exact zero component.  With overwrite=True that array, bit
+for bit the same result, is returned: the caller must have made the input's
+array and must not use the input afterwards.
 """
 
 from dataclasses import dataclass
@@ -256,28 +257,14 @@ def _transpose(work, swap, live=None):
             work[other] = tile.T
 
 
-def _swapped(samples, blocks, overwrite, live=None):
-    """samples with its _half_blocks swapped: a new array, or with overwrite,
-    samples itself, swapped in place through a spare strip (as
-    _swap_halves, given live)."""
-    if overwrite:
-        samples.setflags(write=True)
-        _swap_halves(samples, blocks, live)
-        return samples
-    work = np.empty_like(samples)
-    for dst, src in zip(blocks, reversed(blocks)):
-        work[dst] = samples[src]
-    return work
-
-
 def _centered(samples, overwrite, inverse):
     """fftshift(fftn(ifftshift(samples))), or with ifftn, in one grid-sized array.
 
-    Every grid size is even, so both shifts are the same swap of halves on
-    every axis.  Without overwrite the input is copied into a scratch array
-    already swapped; with it, samples itself is swapped in place and becomes
-    the result.  In 1D the array is transformed in place and swapped back a
-    strip at a time.
+    The array is the one the transform owns: samples itself with overwrite,
+    which becomes the result, or a copy of it.  Every grid size is even, so
+    both shifts are the same swap of halves on every axis, made in place
+    through a spare strip (_swap_halves).  In 1D the array is swapped,
+    transformed in place and swapped back.
 
     In 2D fftn is a 1D pass along the last axis and then one along the first.
     Here the first pass runs fft (or ifft) in place on the rows, skipping
@@ -292,20 +279,22 @@ def _centered(samples, overwrite, inverse):
     """
     transform = np.fft.ifftn if inverse else np.fft.fftn
     blocks = _half_blocks(samples.shape)
-    if samples.ndim == 1:
-        work = _swapped(samples, blocks, overwrite)
+    work = samples if overwrite else samples.copy()
+    work.setflags(write=True)
+    if work.ndim == 1:
+        _swap_halves(work, blocks)
         transform(work, out=work)
         _swap_halves(work, blocks)
         return work
     # the centered input's rows that are not zero in every bit: [first, stop)
-    size, half = len(samples), len(samples) // 2
-    first = _zero_rows(samples)
-    stop = size - _zero_rows(samples[::-1]) if first < size else size
+    size, half = len(work), len(work) // 2
+    first = _zero_rows(work)
+    stop = size - _zero_rows(work[::-1]) if first < size else size
     # the same rows once the halves are swapped; a swap trades rows r and
     # r + half, so the swap may read the flags in either order
     live = np.zeros(size, bool)
     live[(np.arange(first, stop) + half) % size] = True
-    work = _swapped(samples, blocks, overwrite, live)
+    _swap_halves(work, blocks, live)
     line = np.fft.ifft if inverse else np.fft.fft
     # centered rows [lo, hi) within one half are the work rows [lo, hi) moved by half
     for lo, hi in ((first, min(stop, half)), (max(first, half), stop)):
@@ -324,15 +313,13 @@ def forward_transform(f, overwrite=False):
 
     Equals h^d times the centered DFT of the samples, which approximates
     integral f(x) exp(-i x.xi) dx at every lattice frequency.  The result is
-    fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed in one
-    scratch array plus a strip or, in 2D, a tile (see _centered: the 2D
-    passes run on rows and skip the rows of zeros at both ends), and scaled
-    in place; f is left unchanged.
-
-    overwrite=True, as scipy.fft's overwrite_x, computes the same bits in f's
-    own sample array and returns it as the result, so no scratch array is
-    made.  Only a caller that made that array and gives f up may pass it:
-    f holds the spectrum afterwards.
+    fftshift(fftn(ifftshift(samples))) * h^d bit for bit, computed and scaled
+    in place in one array the transform owns, plus a strip or, in 2D, a tile
+    (see _centered: the 2D passes run on rows and skip the rows of zeros at
+    both ends).  That array is a copy of f's samples, so f is left unchanged,
+    or with overwrite=True (scipy.fft's overwrite_x) f's own sample array,
+    which is returned as the result.  Only a caller that made that array and
+    gives f up may pass it: f holds the spectrum afterwards.
     """
     if f.domain != "spatial":
         raise ValueError("forward_transform expects a spatial field")
@@ -346,12 +333,12 @@ def inverse_transform(big_f, overwrite=False):
     """Inverse of forward_transform, carrying the (2 pi)^(-d) normalization.
 
     Bit for bit fftshift(ifftn(ifftshift(samples))) * (1 / h^d), computed
-    like forward_transform in one scratch array and a strip or a tile, or,
-    with overwrite=True, in big_f's own sample array, on the same terms as
-    forward_transform's.  numpy divides a complex array by a real scalar by
-    multiplying by its reciprocal, so this is the division's result too,
-    except the sign of an exact zero component: (-0 + 1j) / c has real part
-    +0, (-0 + 1j) * (1 / c) has -0.
+    like forward_transform in one array it owns plus a strip or a tile: a
+    copy of big_f's samples, or with overwrite=True big_f's own sample array,
+    on the same terms as forward_transform's.  numpy divides a complex array
+    by a real scalar by multiplying by its reciprocal, so this is the
+    division's result too, except the sign of an exact zero component:
+    (-0 + 1j) / c has real part +0, (-0 + 1j) * (1 / c) has -0.
     """
     if big_f.domain != "frequency":
         raise ValueError("inverse_transform expects a frequency field")

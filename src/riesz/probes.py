@@ -233,7 +233,19 @@ class ProbeSpec:
         """Smallest N keeping the bump inside the localizer plateau."""
         if not 0 < self.lam <= 1:
             return 1
-        return int(np.ceil(self.rho / self.localizer_radius()))
+        return int(self._plateau_scale(self.rho))
+
+    def _plateau_scale(self, radius):
+        """ceil(radius / localizer_radius()): the smallest N keeping a bump of
+        this radius inside the plateau, a ValueError if xi0 rounds onto the
+        unit sphere and the plateau is empty."""
+        plateau = self.localizer_radius()
+        if plateau == 0:
+            raise ValueError(
+                f"no scale keeps the bump inside the localizer plateau at "
+                f"lambda={self.lam}, delta={self.delta}: xi0 rounds onto the unit sphere"
+            )
+        return np.ceil(radius / plateau)
 
     def default_grid(self, dim=1):
         return probe_grid(max(self.n_values), self.rho, dim=dim)
@@ -275,9 +287,9 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     _check_scale(n_scale)
     rho = spec.rho if profile is None else profile.support_radius
     if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
+        need = spec._plateau_scale(rho)
         raise ValueError(
-            f"N={n_scale} puts the bump outside the localizer plateau; "
-            f"need N >= {np.ceil(rho / spec.localizer_radius()):.0f}"
+            f"N={n_scale} puts the bump outside the localizer plateau; need N >= {need:.0f}"
         )
     ball = bochner_symbol(spec.delta)
     if not grid.covers_support(ball.support_radius):
@@ -406,12 +418,15 @@ def resolvent_norm_grid_sup(z, delta, grid):
 def _resolvent_bound(z, delta, p, probes):
     """Best ||R F||_p / ||f||_p over (b, F, ||f||_p) triples, where F is a
     probe spectrum, b the ball at its frequencies and R F = 1 / (z - b) * F,
-    the resolvent symbol's samples times F bit for bit."""
+    the resolvent symbol's samples times F bit for bit.  At p = 2 the norm is
+    a Parseval sum; otherwise each fresh image is inverted in place."""
     resolvent_symbol(z, delta)  # z must stay off [0, 1]
     best = 0.0
     for b, spectrum, f_norm in probes:
         image = Field.frequency(spectrum.grid, 1.0 / (z - b) * spectrum.samples)
-        best = max(best, spectrum_lp_norm(image, p) / f_norm)
+        norm = (spectrum_lp_norm(image, p) if p == 2
+                else lp_norm(inverse_transform(image, overwrite=True), p))
+        best = max(best, norm / f_norm)
     return best
 
 

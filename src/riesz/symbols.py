@@ -380,6 +380,13 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
     if not 0 < xi_max < np.inf:
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    # the screen forms |xi|^2 and |xi|^k, k <= kmax; both are largest at the grid corner
+    power = max(kmax, 2)
+    with np.errstate(over="ignore"):
+        corner = np.sqrt(_radius2((np.float64(xi_max),) * dim)) ** power
+    if not np.isfinite(corner):
+        raise ValueError(f"xi_max={xi_max} overflows |xi|^{power} at the corner of the "
+                         f"screen's {dim}D grid")
     if base_points < 2:
         raise ValueError(f"base_points must be at least 2, got {base_points}")
     if refinements is None:

@@ -403,6 +403,15 @@ def test_precondition_violation_is_usage_error(tmp_path):
     ("resolvent-verify", "--set", "truncation=100000000"),
     ("resolvent-verify", "--set", "delta=1e-20"),
     ("resolvent-verify", "--set", "delta=1e-20", "--set", "direction=reverse"),
+    # xi0 rounds onto the unit sphere, so the localizer plateau has radius 0:
+    # a ZeroDivisionError traceback in the plateau rule's message
+    ("probe", "--set", "lambdas=[1e-17]", "--set", "ps=[2.0]", "--set", "ns=[8,16,32,64]"),
+    ("probe", "--set", "delta=1e-300", "--set", "lambdas=[0.5]", "--set", "ps=[2.0]",
+     "--set", "ns=[8,16,32,64]"),
+    # width**2 overflows: an OverflowError traceback
+    ("apply", "--set", "symbol=bochner(delta=1)", "--set", "field=gaussian(width=1e200)"),
+    # |xi|^2 overflows on the screen's grid: nan sups and growths with exit 0
+    ("mikhlin", "--set", "symbol=scalar(1)", "--set", "xi_max=1e300"),
 ], ids=["delta", "band", "random-band", "alpha0", "grid-window", "map-re-steps",
         "map-im-steps", "map-scale-zero", "map-no-scales", "map-p", "map-delta",
         "map-pole-margin", "map-rho", "probe-nan-lambda", "probe-grid-dim",
@@ -436,7 +445,9 @@ def test_precondition_violation_is_usage_error(tmp_path):
         "grid-half-width-2d-overflow", "grid-half-width-2d-underflow", "probe-rho-overflow",
         "probe-p-underflow-serial", "probe-p-underflow-pool", "map-p-underflow",
         "lp-p-underflow", "herz-p-underflow", "weighted-p-underflow",
-        "truncation-past-term-bound", "delta-tiny-forward", "delta-tiny-reverse"])
+        "truncation-past-term-bound", "delta-tiny-forward", "delta-tiny-reverse",
+        "plateau-empty-tiny-lambda", "plateau-empty-tiny-delta", "gaussian-width-overflow",
+        "mikhlin-xi-max-overflow"])
 def test_bad_value_is_one_line_usage_error(tmp_path, capsys, args):
     if any(a.endswith("DUMP") for a in args):
         base = tmp_path / "dump" / "fields" / "output"

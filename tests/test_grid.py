@@ -265,14 +265,13 @@ def test_a_2d_transform_passes_over_the_nonzero_rows_then_once_over_the_grid(
     (2, 256, 1.3), (1, 16384, 1.55), (2, 512, 1.07), (2, 1024, 1.07), (1, 2**17, 1.13),
 ])
 def test_a_transform_holds_one_array_of_the_grid(dim, size, bound, traced_peak):
-    # the input is copied into one scratch array with its halves swapped
-    # and transformed in place.  In 1D it is swapped back through a spare
-    # strip of 2^14 points: a whole half of 16384 points, but 1/8 of 2^17.
-    # In 2D the passes along rows run in place and the transposes go
-    # through a spare tile of 64^2 points; overwrite swaps the halves in
-    # place through a spare strip, a whole quadrant of 256^2 but 1/16 of
-    # 512^2 and 1/64 of 1024^2.  Overwrite makes no scratch array, so it
-    # holds the spare alone
+    # a transform works in one array it owns, a copy of the input or with
+    # overwrite the input's own, and swaps its halves in place through a
+    # spare strip of 2^14 points: a whole half of 16384 points, but 1/8 of
+    # 2^17, and a whole quadrant of 256^2 but 1/16 of 512^2 and 1/64 of
+    # 1024^2.  In 2D the passes along rows run in place and the transposes
+    # go through a spare tile of 64^2 points.  Overwrite makes no copy, so
+    # it holds the spare alone
     g = GridSpec(dim, size, 20.0)
     x = np.random.default_rng(22).standard_normal(g.shape) + 0j
     for overwrite, limit in ((False, bound), (True, bound - 1.0)):

@@ -194,6 +194,20 @@ def test_custom_profile_radius_drives_the_plateau_check(grid):
         probe_ratio(spec, 8, grid, profile=bump_phi0(2.0))
 
 
+@pytest.mark.parametrize("lam,delta", [(1e-17, 1.0), (0.5, 1e-300)])
+def test_an_empty_plateau_admits_no_scale(grid, lam, delta):
+    # xi0 rounds onto the unit sphere, so the plateau has radius 0: the rule
+    # and its message divided by it, a ZeroDivisionError
+    spec = ProbeSpec(lam, 2.0, delta, n_values=(8, 16, 32, 64))
+    assert lambda_to_xi0(lam, delta) == 1.0 and spec.localizer_radius() == 0
+    message = (f"no scale keeps the bump inside the localizer plateau at lambda={lam}, "
+               f"delta={delta}: xi0 rounds onto the unit sphere")
+    for run in (spec.min_scale, lambda: probe_ratio(spec, 8, grid)):
+        with pytest.raises(ValueError) as error:
+            run()
+        assert str(error.value) == message
+
+
 def spatial_defect_ratio(spec, n_scale, grid):
     """The defect ratio with the defect formed in space, level f - B f, from
     the cell's own baseband probe on its baseband grid.
@@ -442,6 +456,29 @@ def test_the_map_samples_the_ball_once_per_probe_and_keeps_every_bit(grid, p):
                 ratio = spectrum_lp_norm(image, p) / spectrum_lp_norm(spec, p)
                 expected = max(expected, ratio)
         assert row["lower_bound"] == expected, z
+
+
+def test_a_p1_map_inverts_fresh_images_and_keeps_its_probes(grid, monkeypatch):
+    # each resolvent image is inverted in place; the map's rows over several
+    # z, which share its cached probes, are those of one-z maps on fresh
+    # probes, and the cached spectra keep their bits and stay read-only
+    zs = [2.0, 0.5 + 0.1j, 0.5 + 0.02j, -1.0 + 0.5j, 1.2 - 0.3j]
+    ns = (16, 32, 64)
+    built, make = [], probes._baseband_probe
+
+    def recorded(*args, **kwargs):
+        xi, spec = make(*args, **kwargs)
+        built.append((spec.samples, spec.samples.tobytes()))
+        return xi, spec
+
+    monkeypatch.setattr(probes, "_baseband_probe", recorded)
+    rows = spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=ns)
+    # levels 0, 1/4, 1/2, 3/4 and 1, three scales each
+    assert len(built) == 15
+    for samples, bits in built:
+        assert samples.tobytes() == bits and not samples.flags.writeable
+    for z, row in zip(zs, rows):
+        assert [row] == spectrum_map([z], 1.0, 1.0, grid=grid, n_values=ns), z
 
 
 def test_p1_map_is_converged_in_the_oversampling(grid, monkeypatch):
