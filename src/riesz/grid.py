@@ -44,11 +44,14 @@ _SAMPLE_STRIP_POINTS = 2**14
 _TRANSPOSE_TILE = 64
 
 
+def _radius2(coords):
+    """|x|^2 at per-axis coordinate arrays, summed in axis order (so a sub-box gets its bits)."""
+    return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+
+
 def _box_radius(axes):
-    """|x| on the box of points whose coordinates run over the given per-axis
-    arrays, summing the squares in axis order, so a sub-box of a grid gets
-    that grid's radii there bit for bit."""
-    return np.sqrt(sum(c * c for c in np.meshgrid(*axes, indexing="ij", sparse=True)))
+    """|x| on the box of points whose coordinates run over the given per-axis arrays."""
+    return np.sqrt(_radius2(np.meshgrid(*axes, indexing="ij", sparse=True)))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ lower bounds on resolvent norms over the complex plane.
 Each probe runs on its baseband grid (`baseband_grid`): the sweep grid's
 half-width and frequency lattice around xi0, with only as many points as its
 radius rho/N needs.  lambda - b is a multiplier, so the defect is built on
-the probe's spectrum F as (lambda - b) F, with the ball b evaluated only on
-its support box of that shifted lattice; a probe lives in one array of its
-own, and its norms are strip sums, so it holds one array of its baseband
-grid plus strips.  `probe_field` is the full-grid probe.
+the probe's spectrum F as (lambda - b) F.  The ball b on a probe lattice,
+here, in the map and in `probe_lower_bound`, comes from the one symbol
+sampler (`Symbol._strips`), on its support box only; a probe lives in one
+array of its own, and its norms are strip sums, so it holds one array of its
+baseband grid plus strips.  `probe_field` is the full-grid probe.
 
 How many points a baseband grid needs depends on the norm
 (`baseband_oversampling`).  A norm of even order p with no weight (or the
@@ -42,15 +43,7 @@ from .grid import (
     snap_to_lattice,
 )
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
-from .symbols import (
-    _radius2,
-    _span,
-    ball_power_profile,
-    bochner_symbol,
-    bump_phi0,
-    dist_to_unit_interval,
-    resolvent_symbol,
-)
+from .symbols import _span, bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
 
 def lambda_to_xi0(lam, delta):
@@ -175,14 +168,14 @@ def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None, p=None, weight_a=
 
     The bump is `_probe_spectrum`'s, and its radius (rho, or the profile's
     support radius) and the norm it is measured in (order p, weight
-    |x|^weight_a) size the baseband grid.  Returns the absolute lattice
-    frequencies of the baseband grid, xi0 + k dxi per axis with
-    -M/2 <= k < M/2, as a sparse mesh, and the probe spectrum sampled there
+    |x|^weight_a) size the baseband grid.  Returns the probe spectrum sampled
+    at the absolute lattice frequencies xi0 + k dxi per axis, -M/2 <= k < M/2,
     as a frequency Field on the baseband grid, in a new array the caller
-    owns.  Only the bump's support box is evaluated; the rest are exact
-    zeros.  Those samples equal the sweep grid's on the probe's support, and
-    the field's spatial samples are the sweep grid's field, demodulated by
-    xi0, at every (size / M)-th point.
+    owns; a symbol takes the same lattice with `fresh_sample(field.grid,
+    lattice_offset(grid, xi0))`.  Only the bump's support box is evaluated;
+    the rest are exact zeros.  Those samples equal the sweep grid's on the
+    probe's support, and the field's spatial samples are the sweep grid's
+    field, demodulated by xi0, at every (size / M)-th point.
     """
     spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
     radius = rho if profile is None else profile.support_radius
@@ -195,8 +188,7 @@ def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None, p=None, weight_a=
     samples = np.zeros(small.shape, complex)
     samples[box] = spec.evaluate(
         tuple(np.meshgrid(*(axis[b] for axis, b in zip(axes, box)), indexing="ij", sparse=True)))
-    xi = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-    return xi, Field.frequency(small, samples)
+    return Field.frequency(small, samples)
 
 
 @dataclass(frozen=True)
@@ -295,7 +287,7 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     if not grid.covers_support(ball.support_radius):
         raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
     xi0, level = _achieved_level(spec, grid)
-    _, spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile, spec.p, spec.weight_a)
+    spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile, spec.p, spec.weight_a)
     f = inverse_transform(spectrum, overwrite=True)
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
@@ -416,8 +408,8 @@ def resolvent_norm_grid_sup(z, delta, grid):
 
 
 def _resolvent_bound(z, delta, p, probes):
-    """Best ||R F||_p / ||f||_p over (b, F, ||f||_p) triples, where F is a
-    probe spectrum, b the ball at its frequencies and R F = 1 / (z - b) * F,
+    """Best ||R F||_p / ||f||_p over (b, F, ||f||_p) triples: F a probe
+    spectrum, b the ball's fresh sample on F's lattice and R F = 1 / (z - b) F,
     the resolvent symbol's samples times F bit for bit.  At p = 2 the norm is
     a Parseval sum; otherwise each fresh image is inverted in place."""
     resolvent_symbol(z, delta)  # z must stay off [0, 1]
@@ -434,25 +426,16 @@ def probe_lower_bound(z, delta, p, grid, probes):
     """Best resolvent-norm lower bound ||R f||_p / ||f||_p from (probe, ||f||_p) pairs.
 
     A probe is a spatial field on grid, whose spectrum takes one forward
-    transform, or a baseband pair (xi, spectrum) from `_baseband_probe`: a
-    spectrum on a small grid of grid's half-width with its absolute lattice
-    frequencies xi.  A frequency field is a ValueError.  The resolvent is
-    sampled at the probe's frequencies; ||R f||_2 is a Parseval sum with no
-    transform, and any other p takes one inverse transform per probe on the
-    probe's grid.
+    transform; a probe on another grid or a frequency field is a ValueError.
+    The ball is sampled once on grid's lattice; ||R f||_2 is a Parseval sum
+    with no transform, and any other p takes one inverse transform per probe.
     """
-    ball = ball_power_profile(delta)
-
-    def triples():
-        for probe, f_norm in probes:
-            if isinstance(probe, Field):
-                spectrum = forward_transform(probe)
-                xi = probe.grid.xi_mesh()
-            else:
-                xi, spectrum = probe
-            yield ball(np.sqrt(_radius2(xi))), spectrum, f_norm
-
-    return _resolvent_bound(complex(z), delta, p, triples())
+    probes = list(probes)
+    if any(probe.grid != grid for probe, _ in probes):
+        raise ValueError(f"every probe must be on the bound's grid {grid}")
+    ball = bochner_symbol(delta).fresh_sample(grid)
+    return _resolvent_bound(complex(z), delta, p, ((ball, forward_transform(probe), f_norm)
+                                                   for probe, f_norm in probes))
 
 
 MAP_EXTRA_LEVELS = (0.25, 0.75)
@@ -472,7 +455,7 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     sweep grid's half-width, so its frequency lattice, snapped xi0 and 4-cell
     rule, with only as many points as `baseband_oversampling(p)` asks for the
     probe's radius rho/N (c = 32 at p = 1, c = min(p, 32) at an even p).  Its
-    spectrum and the ball b are sampled once, when the probe is built, at the
+    spectrum and the ball b (a `fresh_sample`) are sampled once, at the
     absolute lattice frequencies around xi0, where they equal the sweep
     grid's samples; each non-pole z forms R F = 1 / (z - b) * F from them.
     At p = 2 the bound is the Parseval ratio sqrt(sum |R F|^2 / sum |F|^2)
@@ -490,16 +473,16 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
         raise ValueError(f"pole margin must be positive, got {pole_margin}")
     if grid is None:
         grid = probe_grid(max(n_values), rho)
-    ball = ball_power_profile(delta)
+    ball = bochner_symbol(delta)
     probe_cache = {}
 
     def probes_for(lam):
         xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, delta))
         key = lattice_offset(grid, xi0)
         if key not in probe_cache:
-            bands = (_baseband_probe(grid, xi0, n, rho, p=p) for n in n_values)
-            probe_cache[key] = [(ball(np.sqrt(_radius2(xi))), spec, spectrum_lp_norm(spec, p))
-                                for xi, spec in bands]
+            specs = (_baseband_probe(grid, xi0, n, rho, p=p) for n in n_values)
+            probe_cache[key] = [(ball.fresh_sample(s.grid, key), s, spectrum_lp_norm(s, p))
+                                for s in specs]
         return probe_cache[key]
 
     rows = []

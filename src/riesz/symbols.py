@@ -11,8 +11,9 @@ box of lattice cells within the support radius on every axis, in row strips
 of about _SAMPLE_STRIP_POINTS points, so a sample costs in proportion to its
 support box, not to the grid, and a compound rule's temporaries are bounded
 by a strip.  Products are formed strip by strip; `Symbol.fresh_sample`
-writes the strips into a new grid array with exact zeros elsewhere.  The
-cached `Symbol.sample` has no package caller.
+writes the strips into a new grid array with exact zeros elsewhere, on the
+grid's lattice or on one shifted by whole cells (a probe's baseband lattice),
+so no other module samples a symbol.  `Symbol.sample` has no package caller.
 """
 
 import math
@@ -20,20 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _SAMPLE_STRIP_POINTS
+from .grid import _SAMPLE_STRIP_POINTS, _radius2
 
 _STRIP_POINTS = 2**17  # mikhlin_check's and the |f|^p sums' strip; a 1D default grid is one
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
+_TINIEST = np.finfo(float).smallest_subnormal  # its exponent is the lowest mikhlin_check scale
 
 
 def _span(axis, radius):
     """The slice of an ascending axis where axis**2 <= radius**2; empty if none."""
     kept = np.flatnonzero(axis**2 <= radius**2)
     return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
-
-
-def _radius2(coords):
-    return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
 
 
 def _flat_exp(t):
@@ -118,15 +116,16 @@ class Symbol:
             self._cache[grid] = hit
         return hit
 
-    def fresh_sample(self, grid):
-        """Values on the grid frequency lattice, in a new array the caller owns.
+    def fresh_sample(self, grid, offset=None):
+        """Values on the grid frequency lattice, shifted by `offset` cells per
+        axis as in `_strips`, in a new array the caller owns.
 
         The rule runs only on the support box (see `_strips`), so no cell
         `evaluate` keeps lies outside it; the rest are exact zeros.  The
         result equals the masked full-lattice evaluation bit for bit.
         """
         out = np.zeros(grid.shape, complex)
-        for index, values in self._strips(grid)[1]:
+        for index, values in self._strips(grid, offset)[1]:
             out[index] = values
         return out
 
@@ -372,7 +371,10 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
     in O(strip x row) memory per level.  Each order-k directional derivative
     is folded into one running sum of squares as soon as it is made, so a
     strip holds only the order-(k-1) tensors that order k still needs, never
-    all dim^k order-k ones.  This is a report-only screen.
+    all dim^k order-k ones, in units of a power of two that follows the
+    strip's largest modulus: no finite scale of the symbol leaves the float
+    range, and the sups keep the plain sum's bits wherever it stays normal.
+    This is a report-only screen.
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
@@ -412,10 +414,17 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
                 row0, row1 = max(start, k) - lo, min(stop, n - k) - lo
                 inner = (slice(row0, row1),) + (slice(k, n - k),) * (dim - 1)
                 made = tensors if k == 0 else _directional_gradients(tensors, spacing)
-                tensors, square = [], 0.0
+                # squares in units of 4^scale, 2^scale the first power of two
+                # above every modulus so far; a power of two scales exactly
+                tensors, square, scale = [], 0.0, math.frexp(_TINIEST)[1]
                 for t in made:
                     if row0 < row1:
                         term = np.abs(t[inner])
+                        top = math.frexp(float(np.max(term, initial=_TINIEST)))[1]
+                        if top > scale:
+                            square *= 2.0 ** (2 * (scale - top))
+                            scale = top
+                        np.ldexp(term, -scale, out=term)
                         term **= 2
                         square += term
                         del term
@@ -427,7 +436,7 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
                 r = radius[inner]
                 keep = np.all([np.abs(r - r_ns) > max(2, k) * spacing
                                for r_ns in m.nonsmooth_radii], axis=0)
-                mag = np.sqrt(square)
+                mag = np.ldexp(np.sqrt(square), scale)
                 level_sups[k] = float(np.max(r**k * mag, where=keep, initial=level_sups[k]))
         points.append(n)
         sups.append(level_sups)

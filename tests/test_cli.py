@@ -890,6 +890,24 @@ def test_not_flagged_is_the_mikhlin_report_verdict(tmp_path, symbol, flagged):
     assert float(check["value"]) == max(report.growth)
 
 
+@pytest.mark.parametrize("factor", ["1e200", "1e-200"])
+def test_a_mikhlin_symbol_far_from_unit_scale_is_screened(tmp_path, factor):
+    # the squares of a 1e200 symbol overflow and those of 1e-200 underflow;
+    # the screen's sups scale with the symbol and its growth does not
+    rows = {}
+    for spec in ("bochner(delta=1)", f"scale({factor},bochner(delta=1))"):
+        code, out = run_cli(tmp_path / spec, "mikhlin", "--set", f"symbol={spec}")
+        assert code == 0
+        with open(out / "mikhlin.csv", newline="") as handle:
+            rows[spec] = list(csv.DictReader(handle))
+    base, scaled = rows.values()
+    assert len(base) == len(scaled)
+    for a, b in zip(base, scaled):
+        assert float(b["sup"]) == pytest.approx(float(factor) * float(a["sup"]), rel=1e-12)
+        assert float(b["growth"]) == pytest.approx(float(a["growth"]), rel=1e-12)
+        assert b["flagged"] == a["flagged"]
+
+
 def test_reproducible_csv_bodies(tmp_path):
     cfg = tmp_path / "probe.toml"
     cfg.write_text('lambdas = [0.5]\nps = [2.0]\nns = [8, 16, 32, 64]\n')

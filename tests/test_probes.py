@@ -44,6 +44,15 @@ def modulate(f, xi0):
     return Field.spatial(f.grid, f.samples * np.exp(1j * phase))
 
 
+def baseband_xi(grid, xi0, small):
+    """The absolute lattice frequencies of a baseband grid, xi0 + k dxi per
+    axis with -M/2 <= k < M/2, as a sparse mesh, built here and not by the
+    package's sampler."""
+    k = np.arange(small.size) - small.size // 2
+    axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
+
 @pytest.fixture(scope="module")
 def grid():
     # shared sweep grid sized for N up to 64
@@ -216,9 +225,10 @@ def spatial_defect_ratio(spec, n_scale, grid):
     shifted lattice of the baseband grid, not on the ball's box in strips.
     """
     xi0, level = probes._achieved_level(spec, grid)
-    xi, spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho, p=spec.p,
-                                          weight_a=spec.weight_a)
+    spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho, p=spec.p,
+                                      weight_a=spec.weight_a)
     f = inverse_transform(spectrum)
+    xi = baseband_xi(grid, xi0, f.grid)
     image = bochner_symbol(spec.delta).evaluate(xi) * forward_transform(f).samples
     defect = level * f - inverse_transform(Field.frequency(f.grid, image))
     return spec._norm(defect) / spec._norm(f)
@@ -451,7 +461,8 @@ def test_the_map_samples_the_ball_once_per_probe_and_keeps_every_bit(grid, p):
         for lam in sorted({min(max(complex(z).real, 0.0), 1.0), *probes.MAP_EXTRA_LEVELS}):
             xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
             for n in ns:
-                xi, spec = probes._baseband_probe(grid, xi0, n, p=p)
+                spec = probes._baseband_probe(grid, xi0, n, p=p)
+                xi = baseband_xi(grid, xi0, spec.grid)
                 image = Field.frequency(spec.grid, res.evaluate(xi) * spec.samples)
                 ratio = spectrum_lp_norm(image, p) / spectrum_lp_norm(spec, p)
                 expected = max(expected, ratio)
@@ -467,9 +478,9 @@ def test_a_p1_map_inverts_fresh_images_and_keeps_its_probes(grid, monkeypatch):
     built, make = [], probes._baseband_probe
 
     def recorded(*args, **kwargs):
-        xi, spec = make(*args, **kwargs)
+        spec = make(*args, **kwargs)
         built.append((spec.samples, spec.samples.tobytes()))
-        return xi, spec
+        return spec
 
     monkeypatch.setattr(probes, "_baseband_probe", recorded)
     rows = spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=ns)
@@ -593,18 +604,21 @@ def test_probe_scales_are_integers_at_least_one(grid):
 def test_baseband_probe_is_the_demodulated_full_grid_probe(grid):
     xi0 = snap_to_lattice(grid, lambda_to_xi0(0.5, 1.0))
     (k0,) = lattice_offset(grid, xi0)
+    ball = bochner_symbol(1.0)
     for n in (16, 64):
-        xi, spec = probes._baseband_probe(grid, xi0, n, 0.5)
-        m = spec.grid.size
+        spec = probes._baseband_probe(grid, xi0, n, 0.5)
+        small = spec.grid
+        m = small.size
         window = slice(grid.size // 2 + k0 - m // 2, grid.size // 2 + k0 + m // 2)
-        # the sweep grid's frequencies and spectrum samples, bit for bit
-        assert np.array_equal(xi[0], grid.xi_axis()[window])
+        # the sweep grid's frequencies, spectrum and ball samples, bit for bit
+        assert np.array_equal(baseband_xi(grid, xi0, small)[0], grid.xi_axis()[window])
         full_spec = bump_phi0(0.5).dilated(n).shifted(xi0).sample(grid)
         assert np.array_equal(spec.samples, full_spec[window])
+        assert np.array_equal(ball.fresh_sample(small, (k0,)), ball.fresh_sample(grid)[window])
         # the sweep grid's field, demodulated, at every (size / m)-th point
-        small = inverse_transform(spec).samples
+        f = inverse_transform(spec).samples
         full = probe_field(xi0, n, grid).samples[:: grid.size // m]
-        assert np.max(np.abs(np.abs(small) - np.abs(full))) < 1e-12 * np.max(np.abs(full))
+        assert np.max(np.abs(np.abs(f) - np.abs(full))) < 1e-12 * np.max(np.abs(full))
 
 
 def test_probe_lower_bound_never_exceeds_p2_oracle(grid):
@@ -618,11 +632,38 @@ def test_probe_lower_bound_never_exceeds_p2_oracle(grid):
     assert lower <= resolvent_norm_oracle(z, 1.0) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_probe_lower_bound_is_the_resolvent_sample_times_the_spectrum(grid, p):
+    # the best ratio over the probes of R F, the resolvent symbol's fresh
+    # sample on grid times the probe's spectrum, bit for bit
+    z, delta = 0.5 + 0.1j, 1.0
+    res = resolvent_symbol(z, delta).fresh_sample(grid)
+    pairs, expected = [], 0.0
+    for lam in (0.25, 0.5, 0.75):
+        for n in (16, 64):
+            f = probe_field(snap_to_lattice(grid, lambda_to_xi0(lam, delta)), n, grid)
+            f_norm = lp_norm(f, p)
+            image = Field.frequency(grid, res * forward_transform(f).samples)
+            norm = spectrum_lp_norm(image, p) if p == 2 else lp_norm(inverse_transform(image), p)
+            expected = max(expected, norm / f_norm)
+            pairs.append((f, f_norm))
+    assert probe_lower_bound(z, delta, p, grid, pairs) == expected
+
+
 def test_probe_lower_bound_rejects_a_frequency_side_probe(grid):
-    # a probe is a spatial field or a baseband pair; a spectrum is neither
+    # a probe is a spatial field; a spectrum is not
     f = probe_field(snap_to_lattice(grid, lambda_to_xi0(0.5, 1.0)), 16, grid)
     with pytest.raises(ValueError, match="spatial"):
         probe_lower_bound(0.5 + 0.1j, 1.0, 2.0, grid, [(forward_transform(f), lp_norm(f, 2))])
+
+
+def test_probe_lower_bound_rejects_a_probe_on_another_grid(grid):
+    # the probe's spectrum lives on its own lattice, not on grid's
+    other = probe_grid(32, 0.5)
+    f = probe_field(snap_to_lattice(other, lambda_to_xi0(0.5, 1.0)), 16, other)
+    assert other != grid
+    with pytest.raises(ValueError, match="every probe must be on the bound's grid"):
+        probe_lower_bound(0.5 + 0.1j, 1.0, 2.0, grid, [(f, lp_norm(f, 2))])
 
 
 # -- two dimensions ----------------------------------------------------------

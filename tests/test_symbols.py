@@ -420,6 +420,17 @@ def test_mikhlin_streams_the_orders_of_the_benchmark_config(traced_peak):
     assert not report.any_flagged
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+def test_mikhlin_sums_of_squares_keep_a_power_of_two_scale(dim, factor):
+    # 2^600 squared overflows and 2^-600 squared underflows; a power of two
+    # scales the values and differences exactly, so the sups scale by it too
+    base = mikhlin_check(bochner_symbol(1.0), 2, dim=dim, refinements=2)
+    report = mikhlin_check(factor * bochner_symbol(1.0), 2, dim=dim, refinements=2)
+    assert report.sups == [[factor * s for s in level] for level in base.sups]
+    assert report.growth == base.growth and report.flagged == base.flagged
+
+
 def test_mikhlin_rejects_large_order():
     with pytest.raises(ValueError):
         mikhlin_check(scalar_symbol(1.0), 4)
