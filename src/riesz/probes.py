@@ -10,13 +10,15 @@ spectrum; the same probes pushed through resolvent symbols give certified
 lower bounds on resolvent norms over the complex plane.
 
 Each probe runs on its baseband grid (`baseband_grid`): the sweep grid's
-half-width and frequency lattice around xi0, with only as many points as its
-radius rho/N needs.  lambda - b is a multiplier, so the defect is built on
-the probe's spectrum F as (lambda - b) F.  The ball b on a probe lattice,
-here, in the map and in `probe_lower_bound`, comes from the one symbol
-sampler (`Symbol._strips`), on its support box only; a probe lives in one
-array of its own, and its norms are strip sums, so it holds one array of its
-baseband grid plus strips.  `probe_field` is the full-grid probe.
+half-width and frequency lattice, with only as many points as its radius
+rho/N needs.  By modulation its norms do not depend on xi0, so its spectrum
+F is the bump at k dxi, exactly symmetric (the map builds one per scale),
+and xi0 is only the cell offset of the lattice xi0 + k dxi where the ball b
+is sampled.  The defect is built as (lambda - b) F.  Every probe spectrum and
+ball comes from the one symbol sampler (`Symbol._strips`), on its support
+box only; a probe lives in one array of its own and its norms are strip
+sums, so it holds one array of its baseband grid plus strips.  `probe_field`
+is the full-grid probe, the same bump at (k - k0) dxi, xi0 = k0 dxi.
 
 How many points a baseband grid needs depends on the norm
 (`baseband_oversampling`).  A norm of even order p with no weight (or the
@@ -43,7 +45,7 @@ from .grid import (
     snap_to_lattice,
 )
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
-from .symbols import _span, bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
+from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
 
 def lambda_to_xi0(lam, delta):
@@ -87,18 +89,10 @@ def _check_scales(n_values):
         raise ValueError(f"probe scales must be integers >= 1, got {list(n_values)}")
 
 
-def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
-    """Spectrum symbol of `probe_field`, after its lattice and 4-cell checks.
-
-    The bump radius is rho, or the support radius of a given profile.
-    """
+def _probe_spectrum(n_scale, grid, rho=0.5, profile=None):
+    """Spectrum symbol of a probe about xi0 = 0: the profile (or bump_phi0(rho))
+    dilated by n_scale, after the check that it spans 4 cells of grid."""
     _check_scale(n_scale)
-    snapped = snap_to_lattice(grid, xi0)
-    request = np.atleast_1d(np.asarray(xi0, dtype=float))
-    if np.max(np.abs(snapped[: request.size] - request)) > 1e-9 * grid.dxi:
-        raise ValueError(
-            f"xi0={xi0} is off the frequency lattice; nearest is {snapped}"
-        )
     if profile is None:
         profile = bump_phi0(rho)
     radius = profile.support_radius
@@ -108,16 +102,23 @@ def _probe_spectrum(xi0, n_scale, grid, rho=0.5, profile=None):
             f"bump radius {radius / n_scale:.3g} spans fewer than 4 cells "
             f"(dxi={grid.dxi:.3g}); use a grid with half-width >= {need:.4g}"
         )
-    return profile.dilated(n_scale).shifted(snapped)
+    return profile.dilated(n_scale)
 
 
 def probe_field(xi0, n_scale, grid, rho=0.5, profile=None):
     """Spatial probe whose transform is profile(n_scale * (xi - xi0)).
 
     xi0 must sit on the frequency lattice (so modulation identities are
-    exact) and the bump must span at least 4 frequency cells.
+    exact) and the bump must span at least 4 frequency cells.  The bump is
+    sampled at (k - k0) dxi, xi0 = k0 dxi.
     """
-    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile).fresh_sample(grid)
+    bump = _probe_spectrum(n_scale, grid, rho, profile)
+    cells = lattice_offset(grid, xi0)
+    if cells is None:
+        raise ValueError(
+            f"xi0={xi0} is off the frequency lattice; nearest is {snap_to_lattice(grid, xi0)}"
+        )
+    spec = bump.fresh_sample(grid, tuple(-k for k in cells))
     return inverse_transform(Field.frequency(grid, spec), overwrite=True)
 
 
@@ -163,32 +164,19 @@ def baseband_grid(grid, n_scale, rho, p=None, weight_a=None):
     return small if small.xi_max >= need else grid
 
 
-def _baseband_probe(grid, xi0, n_scale, rho=0.5, profile=None, p=None, weight_a=None):
-    """Probe of scale n_scale at the lattice frequency xi0, on its baseband grid.
-
-    The bump is `_probe_spectrum`'s, and its radius (rho, or the profile's
-    support radius) and the norm it is measured in (order p, weight
-    |x|^weight_a) size the baseband grid.  Returns the probe spectrum sampled
-    at the absolute lattice frequencies xi0 + k dxi per axis, -M/2 <= k < M/2,
-    as a frequency Field on the baseband grid, in a new array the caller
-    owns; a symbol takes the same lattice with `fresh_sample(field.grid,
-    lattice_offset(grid, xi0))`.  Only the bump's support box is evaluated;
-    the rest are exact zeros.  Those samples equal the sweep grid's on the
-    probe's support, and the field's spatial samples are the sweep grid's
-    field, demodulated by xi0, at every (size / M)-th point.
+def _baseband_probe(grid, n_scale, rho=0.5, profile=None, p=None, weight_a=None):
+    """Spectrum of a probe of scale n_scale: `_probe_spectrum`'s bump at k dxi
+    per axis, -M/2 <= k < M/2, from `Symbol.fresh_sample`, exactly symmetric,
+    as a frequency Field in a new array the caller owns.  The bump's radius
+    (rho, or the profile's support radius) and the norm (order p, weight
+    |x|^weight_a) size the baseband grid.  The probe about xi0 has this
+    spectrum on the lattice shifted by xi0's cells, where a symbol takes its
+    values with `fresh_sample(field.grid, lattice_offset(grid, xi0))`.
     """
-    spec = _probe_spectrum(xi0, n_scale, grid, rho, profile)
-    radius = rho if profile is None else profile.support_radius
-    small = baseband_grid(grid, n_scale, radius, p, weight_a)
-    k = np.arange(small.size) - small.size // 2
-    axes = [(k0 + k) * grid.dxi for k0 in lattice_offset(grid, xi0)]
-    # the cells that pass the bump's own radius check on every axis
-    box = tuple(_span(axis - center, radius / n_scale)
-                for axis, center in zip(axes, snap_to_lattice(grid, xi0)))
-    samples = np.zeros(small.shape, complex)
-    samples[box] = spec.evaluate(
-        tuple(np.meshgrid(*(axis[b] for axis, b in zip(axes, box)), indexing="ij", sparse=True)))
-    return Field.frequency(small, samples)
+    bump = _probe_spectrum(n_scale, grid, rho, profile)
+    small = baseband_grid(grid, n_scale, rho if profile is None else profile.support_radius,
+                          p, weight_a)
+    return Field.frequency(small, bump.fresh_sample(small))
 
 
 @dataclass(frozen=True)
@@ -267,11 +255,12 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     N must keep the bump (radius spec.rho, or the profile's support radius)
     inside the localizer plateau.  The probe is `_baseband_probe`'s: the
     sweep grid's half-width and lattice with M_N points per axis
-    (BASEBAND_OVERSAMPLING), its spectrum sampled at xi0 + k dxi.  Its array
-    is inverted in place into f and ||f|| is taken; then it is transformed
-    in place into F, scaled by level outside the support box of the ball b
-    on that shifted lattice and set to (level - b) F on it, one row strip of
-    b at a time, and inverted in place.  Each norm takes f's moduli one strip
+    (BASEBAND_OVERSAMPLING), its bump sampled at k dxi; f is the probe about
+    xi0 demodulated, so the ball b is sampled at xi0 + k dxi.  The array is
+    inverted in place into f and ||f|| is taken; then it is transformed in
+    place into F, scaled by level outside the support box of b and set to
+    (level - b) F on it, one row strip of b at a time, and inverted in
+    place.  Each norm takes f's moduli one strip
     at a time (norms._abs_power_sum), and each transform swaps its halves
     through one strip.  So a probe holds one array of its baseband grid plus
     strips: 1.07 arrays traced on 2D 1024^2.
@@ -287,7 +276,7 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     if not grid.covers_support(ball.support_radius):
         raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
     xi0, level = _achieved_level(spec, grid)
-    spectrum = _baseband_probe(grid, xi0, n_scale, spec.rho, profile, spec.p, spec.weight_a)
+    spectrum = _baseband_probe(grid, n_scale, spec.rho, profile, spec.p, spec.weight_a)
     f = inverse_transform(spectrum, overwrite=True)
     f_norm = spec._norm(f)
     defect = forward_transform(f, overwrite=True).samples
@@ -451,17 +440,18 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     MAP_EXTRA_LEVELS; the p = 2 column carries the closed-form oracle
     1/dist(z, [0, 1]).
 
-    Each distinct probe lives on its own baseband grid (`baseband_grid`): the
+    Each scale's probe lives on its own baseband grid (`baseband_grid`): the
     sweep grid's half-width, so its frequency lattice, snapped xi0 and 4-cell
     rule, with only as many points as `baseband_oversampling(p)` asks for the
     probe's radius rho/N (c = 32 at p = 1, c = min(p, 32) at an even p).  Its
-    spectrum and the ball b (a `fresh_sample`) are sampled once, at the
-    absolute lattice frequencies around xi0, where they equal the sweep
-    grid's samples; each non-pole z forms R F = 1 / (z - b) * F from them.
-    At p = 2 the bound is the Parseval ratio sqrt(sum |R F|^2 / sum |F|^2)
-    and the map makes no transform; otherwise it makes one inverse transform
-    per distinct probe, for ||f||_p, and one per (non-pole z, probe), all on
-    baseband grids.
+    spectrum F, the bump at k dxi, depends on (N, p) only, so the map builds
+    it and its ||f||_p once per scale, at the first non-pole z.  The ball b
+    (a `fresh_sample`) is sampled once per (level, scale), on F's lattice
+    shifted by xi0's cells, where it equals the sweep grid's samples; each
+    non-pole z forms R F = 1 / (z - b) * F from them.  At p = 2 the bound is
+    the Parseval ratio sqrt(sum |R F|^2 / sum |F|^2) and the map makes no
+    transform; otherwise it makes one inverse transform per scale, for
+    ||f||_p, and one per (non-pole z, level, scale), all on baseband grids.
     """
     _check_scales(n_values)
     # checked here, not only where a probe is built, so an all-pole map rejects them too
@@ -474,15 +464,16 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     if grid is None:
         grid = probe_grid(max(n_values), rho)
     ball = bochner_symbol(delta)
-    probe_cache = {}
+    spectra, probe_cache = [], {}
 
     def probes_for(lam):
-        xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, delta))
-        key = lattice_offset(grid, xi0)
+        if not spectra:
+            spectra.extend((s, spectrum_lp_norm(s, p))
+                           for s in (_baseband_probe(grid, n, rho, p=p) for n in n_values))
+        key = lattice_offset(grid, snap_to_lattice(grid, lambda_to_xi0(lam, delta)))
         if key not in probe_cache:
-            specs = (_baseband_probe(grid, xi0, n, rho, p=p) for n in n_values)
-            probe_cache[key] = [(ball.fresh_sample(s.grid, key), s, spectrum_lp_norm(s, p))
-                                for s in specs]
+            probe_cache[key] = [(ball.fresh_sample(s.grid, key), s, f_norm)
+                                for s, f_norm in spectra]
         return probe_cache[key]
 
     rows = []

@@ -372,9 +372,10 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
     is folded into one running sum of squares as soon as it is made, so a
     strip holds only the order-(k-1) tensors that order k still needs, never
     all dim^k order-k ones, in units of a power of two that follows the
-    strip's largest modulus: no finite scale of the symbol leaves the float
-    range, and the sups keep the plain sum's bits wherever it stays normal.
-    This is a report-only screen.
+    strip's largest modulus, and the strip's samples in units of a power of
+    two above theirs: no finite scale of the symbol overflows, the sups keep
+    the plain sum's bits wherever it stays normal, and a sup beyond the
+    float range is a ValueError naming its order.  A report-only screen.
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
@@ -408,7 +409,10 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
             coords = tuple(np.meshgrid(axis[lo:hi], *([axis] * (dim - 1)),
                                        indexing="ij", sparse=True))
             radius = np.sqrt(_radius2(coords))
+            # in units of 2^shift above every modulus: no difference quotient overflows
             tensors = [m.evaluate(coords)]
+            shift = math.frexp(float(np.max(np.abs(tensors[0]), initial=0.0)))[1]
+            np.ldexp(tensors[0].view(float), -shift, out=tensors[0].view(float))
             for k in range(kmax + 1):
                 # global rows and columns k..n-k-1: the frame's stencils are one-sided
                 row0, row1 = max(start, k) - lo, min(stop, n - k) - lo
@@ -436,8 +440,12 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
                 r = radius[inner]
                 keep = np.all([np.abs(r - r_ns) > max(2, k) * spacing
                                for r_ns in m.nonsmooth_radii], axis=0)
-                mag = np.ldexp(np.sqrt(square), scale)
-                level_sups[k] = float(np.max(r**k * mag, where=keep, initial=level_sups[k]))
+                top = float(np.max(r**k * np.sqrt(square), where=keep, initial=0.0))
+                try:
+                    level_sups[k] = float(np.maximum(level_sups[k], math.ldexp(top, scale + shift)))
+                except OverflowError:
+                    raise ValueError(f"the order-{k} Mikhlin sup of this symbol leaves "
+                                     f"the float range") from None
         points.append(n)
         sups.append(level_sups)
     growth, flagged = [], []

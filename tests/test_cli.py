@@ -890,10 +890,11 @@ def test_not_flagged_is_the_mikhlin_report_verdict(tmp_path, symbol, flagged):
     assert float(check["value"]) == max(report.growth)
 
 
-@pytest.mark.parametrize("factor", ["1e200", "1e-200"])
+@pytest.mark.parametrize("factor", ["1e200", "1e-200", "1e306"])
 def test_a_mikhlin_symbol_far_from_unit_scale_is_screened(tmp_path, factor):
-    # the squares of a 1e200 symbol overflow and those of 1e-200 underflow;
-    # the screen's sups scale with the symbol and its growth does not
+    # the squares of a 1e200 symbol overflow and those of 1e-200 underflow,
+    # and the difference quotients of a 1e306 one overflow; the screen's sups
+    # scale with the symbol and its growth does not
     rows = {}
     for spec in ("bochner(delta=1)", f"scale({factor},bochner(delta=1))"):
         code, out = run_cli(tmp_path / spec, "mikhlin", "--set", f"symbol={spec}")
@@ -906,6 +907,15 @@ def test_a_mikhlin_symbol_far_from_unit_scale_is_screened(tmp_path, factor):
         assert float(b["sup"]) == pytest.approx(float(factor) * float(a["sup"]), rel=1e-12)
         assert float(b["growth"]) == pytest.approx(float(a["growth"]), rel=1e-12)
         assert b["flagged"] == a["flagged"]
+
+
+def test_a_mikhlin_sup_beyond_the_float_range_is_one_line(tmp_path, capsys):
+    # |xi| |grad m| of a 1e308 symbol is finite in units of a power of two but
+    # not as a float
+    code, out = run_cli(tmp_path, "mikhlin", "--set", "symbol=scale(1e308,bochner(delta=1))")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "riesz: the order-1 Mikhlin sup of this symbol leaves the float range\n")
 
 
 def test_reproducible_csv_bodies(tmp_path):
@@ -1106,6 +1116,33 @@ def test_no_subcommand_reads_the_sample_cache(tmp_path, monkeypatch):
         argv = [command, "--out", command.split("-")[0], "--workers", "1", *flags,
                 *(arg for text in settings for arg in ("--set", text))]
         assert main(argv) == 0, command
+
+
+def test_every_probe_symbol_value_comes_from_the_one_sampler(tmp_path, monkeypatch):
+    # the probe spectra and the ball on every probe lattice: each outermost
+    # Symbol.evaluate of a probe or spectrum-map run is made by Symbol._strips
+    callers, depth, evaluate = Counter(), [0], Symbol.evaluate
+
+    def recorded(self, coords):
+        if not depth[0]:
+            callers[sys._getframe(1).f_code.co_qualname] += 1
+        depth[0] += 1
+        try:
+            return evaluate(self, coords)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Symbol, "evaluate", recorded)
+    monkeypatch.chdir(tmp_path)
+    for p in ("1.0", "2.0"):
+        # lambda = 0 puts xi0 at 2, off the lattice's centre
+        runs = [("probe", "grid_dim=2", "lambdas=[0.0,1.0]", f"ps=[{p}]", "ns=[1,2,3,4]"),
+                ("spectrum-map", "re=[-0.5,1.5,3]", "im=[-1.0,1.0,3]", f"p={p}", "ns=[8,16]")]
+        for command, *settings in runs:
+            argv = [command, "--out", f"{command}-{p}", "--workers", "1",
+                    *(arg for text in settings for arg in ("--set", text))]
+            assert main(argv) == 0, command
+    assert set(callers) == {"Symbol._strips.<locals>.strips"}
 
 
 def test_manifest_records_peak_rss(tmp_path):

@@ -225,7 +225,7 @@ def spatial_defect_ratio(spec, n_scale, grid):
     shifted lattice of the baseband grid, not on the ball's box in strips.
     """
     xi0, level = probes._achieved_level(spec, grid)
-    spectrum = probes._baseband_probe(grid, xi0, n_scale, spec.rho, p=spec.p,
+    spectrum = probes._baseband_probe(grid, n_scale, spec.rho, p=spec.p,
                                       weight_a=spec.weight_a)
     f = inverse_transform(spectrum)
     xi = baseband_xi(grid, xi0, f.grid)
@@ -406,15 +406,15 @@ def test_spectrum_map_rows(grid):
 
 def test_spectrum_map_transforms_each_probe_once(grid, transforms):
     # levels: 1 at z = 2, 1/2 at z = 1/2 + i/10, 0 at z = -1 + i/2, plus the
-    # extras 1/4 and 3/4; five levels of three scales make 15 distinct probes
+    # extras 1/4 and 3/4; five levels of three scales share 3 probe spectra
     zs = [2.0, 0.5 + 0.1j, 0.5 + 1e-5j, -1.0 + 0.5j]
     rows = spectrum_map(zs, 2.0, 1.0, grid=grid, n_values=(16, 32, 64))
     assert sum(row["pole"] for row in rows) == 1
     # p = 2 is Parseval on the probe spectra: no transform at all
     assert len(transforms) == 0
     spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=(16, 32, 64))
-    # 1 per distinct probe (its L^1 norm) and 1 per (non-pole z, probe)
-    assert len(transforms) == 15 + 3 * 9
+    # 1 per scale (its L^1 norm) and 1 per (non-pole z, level, scale)
+    assert len(transforms) == 3 + 3 * 9
 
 
 def _full_grid_probes(z, grid, n_values, rho=0.5):
@@ -461,7 +461,7 @@ def test_the_map_samples_the_ball_once_per_probe_and_keeps_every_bit(grid, p):
         for lam in sorted({min(max(complex(z).real, 0.0), 1.0), *probes.MAP_EXTRA_LEVELS}):
             xi0 = snap_to_lattice(grid, lambda_to_xi0(lam, 1.0))
             for n in ns:
-                spec = probes._baseband_probe(grid, xi0, n, p=p)
+                spec = probes._baseband_probe(grid, n, p=p)
                 xi = baseband_xi(grid, xi0, spec.grid)
                 image = Field.frequency(spec.grid, res.evaluate(xi) * spec.samples)
                 ratio = spectrum_lp_norm(image, p) / spectrum_lp_norm(spec, p)
@@ -484,8 +484,8 @@ def test_a_p1_map_inverts_fresh_images_and_keeps_its_probes(grid, monkeypatch):
 
     monkeypatch.setattr(probes, "_baseband_probe", recorded)
     rows = spectrum_map(zs, 1.0, 1.0, grid=grid, n_values=ns)
-    # levels 0, 1/4, 1/2, 3/4 and 1, three scales each
-    assert len(built) == 15
+    # one spectrum per scale, shared by the levels 0, 1/4, 1/2, 3/4 and 1
+    assert len(built) == 3
     for samples, bits in built:
         assert samples.tobytes() == bits and not samples.flags.writeable
     for z, row in zip(zs, rows):
@@ -601,12 +601,30 @@ def test_probe_scales_are_integers_at_least_one(grid):
             probes.baseband_grid(grid, n, 0.5)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_baseband_probe_is_the_symmetric_bump_at_k_dxi(dim):
+    # dxi is not a power of two on this grid, so a bump about xi0 read at
+    # (k0 + k) dxi - k0 dxi would not be exactly symmetric; the bump at k dxi is
+    sweep = probe_grid(64, 0.51, dim=dim)
+    assert not np.log2(sweep.dxi).is_integer()
+    for n in (8, 16, 64):
+        spec = probes._baseband_probe(sweep, n, 0.51, p=2.0)
+        samples = spec.samples
+        # F[m/2 + j] == F[m/2 - j] along every axis: drop index 0, then flip
+        inner = samples[(slice(1, None),) * dim]
+        for axis in range(dim):
+            assert np.array_equal(inner, np.flip(inner, axis)), (n, axis)
+        xi = tuple(np.meshgrid(*([spec.grid.xi_axis()] * dim), indexing="ij", sparse=True))
+        assert np.array_equal(samples, bump_phi0(0.51).dilated(n).evaluate(xi)), n
+        assert np.count_nonzero(samples) > 1
+
+
 def test_baseband_probe_is_the_demodulated_full_grid_probe(grid):
     xi0 = snap_to_lattice(grid, lambda_to_xi0(0.5, 1.0))
     (k0,) = lattice_offset(grid, xi0)
     ball = bochner_symbol(1.0)
     for n in (16, 64):
-        spec = probes._baseband_probe(grid, xi0, n, 0.5)
+        spec = probes._baseband_probe(grid, n, 0.5)
         small = spec.grid
         m = small.size
         window = slice(grid.size // 2 + k0 - m // 2, grid.size // 2 + k0 + m // 2)
