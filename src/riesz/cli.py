@@ -85,6 +85,7 @@ from .norms import (
 from .probes import (
     ProbeSpec,
     baseband_grid,
+    baseband_oversampling,
     decay_curve,
     halving_factors,
     probe_grid,
@@ -607,6 +608,16 @@ def _baseband_sizes(grid, ns, rho, ps, weight_a=None):
     return {p: {n: baseband_grid(grid, n, rho, p, weight_a).size for n in ns} for p in ps}
 
 
+def _baseband_below_rule(grid, ns, rho, ps, weight_a=None):
+    """The cells whose baseband grid misses the rule xi_max >= c rho / N of
+    `baseband_grid`, which falls back to the sweep grid there: each as
+    {p, n, c}, with the c = xi_max N / rho it runs at, for the manifest."""
+    cells = [(p, n, baseband_grid(grid, n, rho, p, weight_a))
+             for p in ps for n in dict.fromkeys(ns)]
+    return [{"p": p, "n": n, "c": cell.xi_max * n / rho} for p, n, cell in cells
+            if not cell.xi_max >= baseband_oversampling(p, weight_a) * rho / n]
+
+
 # probe sizes its own grid from ns and rho, so grid_size and grid_half_width are unknown keys
 @_command("probe", {
     "lambdas": (_tuple_of(_real), (0.25, 0.5, 1.0)), "ps": (_tuple_of(_real), (1.0, 2.0, 4.0)),
@@ -634,8 +645,9 @@ def run_probe(cfg, out_dir, seed, workers):
                                                   and r["p"] == spec.p])]
         checks.append(("halving", float(np.max(factors, initial=0.0)),
                        cfg["assert_max_halving"]))
-    return rows, checks, {"grid": grid, "baseband_sizes": _baseband_sizes(
-        grid, ns, rho, cfg["ps"], cfg["weight_a"])}
+    sizing = (grid, ns, rho, cfg["ps"], cfg["weight_a"])
+    return rows, checks, {"grid": grid, "baseband_sizes": _baseband_sizes(*sizing),
+                          "baseband_below_rule": _baseband_below_rule(*sizing)}
 
 
 # spectrum-map sizes its own grid from ns and rho, so it has no grid key
@@ -654,8 +666,9 @@ def run_spectrum_map(cfg, out_dir, seed, workers):
         if not np.isfinite(row["lower_bound"]):
             row["lower_bound"] = -1.0
             row["oracle_p2"] = -1.0
-    extras = {"grid": grid, "baseband_sizes": _baseband_sizes(grid, ns, rho, (cfg["p"],))}
-    return rows, [], extras
+    sizing = (grid, ns, rho, (cfg["p"],))
+    return rows, [], {"grid": grid, "baseband_sizes": _baseband_sizes(*sizing),
+                      "baseband_below_rule": _baseband_below_rule(*sizing)}
 
 
 def _norm_value(field, name, arg):
@@ -704,7 +717,7 @@ def run_mikhlin(cfg, out_dir, seed, workers):
     # the largest growth passes its threshold exactly when no order is flagged
     checks = ([("not_flagged", float(np.max(report.growth)), report.threshold)]
               if cfg["assert_not_flagged"] else [])
-    return rows, checks, {}
+    return rows, checks, {"floors": report.floors}
 
 
 def _arg_parser():

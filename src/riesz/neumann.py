@@ -55,8 +55,7 @@ def choose_r0(z, delta):
     z = complex(z)
     if dist_to_unit_interval(z) <= 1e-12:
         raise ValueError(f"z={z} lies on (or hugs) the segment [0, 1]")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    bochner_symbol(delta)  # rejects delta <= 0
     return min(abs(z / 2.0) ** (1.0 / delta), 1.0) / 4.0
 
 

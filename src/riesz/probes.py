@@ -44,6 +44,7 @@ from .grid import (
     lattice_offset,
     snap_to_lattice,
 )
+from .multiplier import _check_window
 from .norms import WeightSpec, _square_mass, lp_norm, spectrum_lp_norm, weighted_lp_norm
 from .symbols import bochner_symbol, bump_phi0, dist_to_unit_interval, resolvent_symbol
 
@@ -56,8 +57,7 @@ def lambda_to_xi0(lam, delta):
     ball multiplier annihilates.  Off-spectrum controls extend the map with
     the nearest attainable point: x = 0 for lam > 1, x = 2 for lam < 0.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    bochner_symbol(delta)  # rejects delta <= 0
     if lam > 1.0:
         return 0.0
     if lam <= 0.0:
@@ -200,32 +200,13 @@ class ProbeSpec:
             raise ValueError(f"lam must be finite, got {self.lam}")
         if not 1 <= self.p < np.inf:
             raise ValueError(f"p must lie in [1, inf), got {self.p}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        bochner_symbol(self.delta)  # rejects delta <= 0
         bump_phi0(self.rho)  # rho must be positive with a finite nonzero square
         _check_scales(self.n_values)
 
     def localizer_radius(self):
         xi0 = lambda_to_xi0(self.lam, self.delta)
         return (1.0 - abs(xi0)) / 2.0
-
-    def min_scale(self):
-        """Smallest N keeping the bump inside the localizer plateau."""
-        if not 0 < self.lam <= 1:
-            return 1
-        return int(self._plateau_scale(self.rho))
-
-    def _plateau_scale(self, radius):
-        """ceil(radius / localizer_radius()): the smallest N keeping a bump of
-        this radius inside the plateau, a ValueError if xi0 rounds onto the
-        unit sphere and the plateau is empty."""
-        plateau = self.localizer_radius()
-        if plateau == 0:
-            raise ValueError(
-                f"no scale keeps the bump inside the localizer plateau at "
-                f"lambda={self.lam}, delta={self.delta}: xi0 rounds onto the unit sphere"
-            )
-        return np.ceil(radius / plateau)
 
     def default_grid(self, dim=1):
         return probe_grid(max(self.n_values), self.rho, dim=dim)
@@ -253,28 +234,32 @@ def _probe_norms(spec, n_scale, grid, profile=None):
     baseband grid.
 
     N must keep the bump (radius spec.rho, or the profile's support radius)
-    inside the localizer plateau.  The probe is `_baseband_probe`'s: the
-    sweep grid's half-width and lattice with M_N points per axis
-    (BASEBAND_OVERSAMPLING), its bump sampled at k dxi; f is the probe about
-    xi0 demodulated, so the ball b is sampled at xi0 + k dxi.  The array is
-    inverted in place into f and ||f|| is taken; then it is transformed in
-    place into F, scaled by level outside the support box of b and set to
-    (level - b) F on it, one row strip of b at a time, and inverted in
-    place.  Each norm takes f's moduli one strip
-    at a time (norms._abs_power_sum), and each transform swaps its halves
-    through one strip.  So a probe holds one array of its baseband grid plus
-    strips: 1.07 arrays traced on 2D 1024^2.
+    inside the localizer plateau, N >= radius / plateau; no N does when xi0
+    rounds onto the unit sphere and the plateau is empty.  The probe is
+    `_baseband_probe`'s: the sweep grid's half-width and lattice with M_N
+    points per axis (BASEBAND_OVERSAMPLING), its bump sampled at k dxi; f is
+    the probe about xi0 demodulated, so the ball b is sampled at xi0 + k dxi.
+    The array is inverted in place into f and ||f|| is taken; then it is
+    transformed in place into F, scaled by level outside the support box of b
+    and set to (level - b) F on it, one row strip of b at a time, and
+    inverted in place.  Each norm takes f's moduli one strip at a time
+    (norms._abs_power_sum), and each transform swaps its halves through one
+    strip.  So a probe holds one array of its baseband grid plus strips: 1.07
+    arrays traced on 2D 1024^2.
     """
     _check_scale(n_scale)
     rho = spec.rho if profile is None else profile.support_radius
-    if 0 < spec.lam <= 1 and rho / n_scale > spec.localizer_radius() + 1e-12:
-        need = spec._plateau_scale(rho)
-        raise ValueError(
-            f"N={n_scale} puts the bump outside the localizer plateau; need N >= {need:.0f}"
-        )
+    plateau = spec.localizer_radius()
+    if 0 < spec.lam <= 1 and rho / n_scale > plateau + 1e-12:
+        if plateau == 0:
+            raise ValueError(
+                f"no scale keeps the bump inside the localizer plateau at "
+                f"lambda={spec.lam}, delta={spec.delta}: xi0 rounds onto the unit sphere"
+            )
+        raise ValueError(f"N={n_scale} puts the bump outside the localizer plateau; "
+                         f"need N >= {np.ceil(rho / plateau):.0f}")
     ball = bochner_symbol(spec.delta)
-    if not grid.covers_support(ball.support_radius):
-        raise ValueError(f"the ball |xi| <= 1 exceeds the grid frequency window {grid.xi_max}")
+    _check_window(ball, grid)
     xi0, level = _achieved_level(spec, grid)
     spectrum = _baseband_probe(grid, n_scale, spec.rho, profile, spec.p, spec.weight_a)
     f = inverse_transform(spectrum, overwrite=True)
@@ -386,8 +371,7 @@ def resolvent_norm_oracle(z, delta):
 
     b = (1 - |xi|^2)_+^delta takes every value in [0, 1] for any delta > 0.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    bochner_symbol(delta)  # rejects delta <= 0
     return 1.0 / dist_to_unit_interval(z)
 
 
@@ -457,13 +441,11 @@ def spectrum_map(z_values, p, delta, grid=None, n_values=(32, 64, 128, 256),
     # checked here, not only where a probe is built, so an all-pole map rejects them too
     if not 1 <= p < np.inf:
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    ball = bochner_symbol(delta)  # rejects delta <= 0
     if not pole_margin > 0:
         raise ValueError(f"pole margin must be positive, got {pole_margin}")
     if grid is None:
         grid = probe_grid(max(n_values), rho)
-    ball = bochner_symbol(delta)
     spectra, probe_cache = [], {}
 
     def probes_for(lam):

@@ -26,6 +26,7 @@ from .grid import _SAMPLE_STRIP_POINTS, _radius2
 _STRIP_POINTS = 2**17  # mikhlin_check's and the |f|^p sums' strip; a 1D default grid is one
 MIKHLIN_GROWTH_THRESHOLD = 10.0  # finest/coarsest sup ratio above which mikhlin_check flags
 _TINIEST = np.finfo(float).smallest_subnormal  # its exponent is the lowest mikhlin_check scale
+_EPS = float(np.finfo(float).eps)  # relative rounding of a sample, in mikhlin_check's floors
 
 
 def _span(axis, radius):
@@ -81,8 +82,10 @@ class Symbol:
                       point depends on that point's coordinates alone;
                       `_strips` relies on it)
     support_radius  : values are identically 0 beyond this radius (inf allowed)
-    nonsmooth_radii : radii of origin-centered spheres where derivatives may
-                      fail to exist (finite-difference screens avoid them)
+    nonsmooth_radii : radii of the origin-centered spheres where derivatives
+                      may fail to exist; every constructor and combinator
+                      carries them, so no symbol drops one
+                      (finite-difference screens avoid them)
 
     Frozen, so the per-grid sample cache stays true to fn and support_radius.
     """
@@ -189,19 +192,6 @@ class Symbol:
     def __neg__(self):
         return (-1.0) * self
 
-    def shifted(self, xi0):
-        """Symbol xi -> value(xi - xi0); xi0 is a scalar (first axis) or vector."""
-        vec = np.atleast_1d(np.asarray(xi0, dtype=float))
-        support = self.support_radius
-        if np.isfinite(support):
-            support = support + float(np.linalg.norm(vec))
-        def fn(coords, s=self, v=vec):
-            comps = list(v) + [0.0] * (len(coords) - len(v))
-            return s.evaluate(tuple(c - w for c, w in zip(coords, comps)))
-        # Off-center spheres are not tracked; derivative screens apply to the
-        # unshifted symbol.
-        return Symbol(fn, support)
-
     def dilated(self, factor):
         """Symbol xi -> value(factor * xi)."""
         if not factor > 0:
@@ -226,7 +216,11 @@ def radial_symbol(profile, support_radius, nonsmooth_radii=()):
 
 
 def ball_power_profile(delta):
-    """Radial rule r -> (1 - r^2)_+^delta."""
+    """Radial rule r -> (1 - r^2)_+^delta.  delta > 0 is the ball's one
+    parameter; this is the one place it is checked."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+
     def profile(r):
         base = np.clip(1.0 - np.asarray(r, dtype=float) ** 2, 0.0, None)
         return base**delta
@@ -235,8 +229,6 @@ def ball_power_profile(delta):
 
 def bochner_symbol(delta):
     """Ball multiplier symbol (1 - |xi|^2)_+^delta."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     return radial_symbol(ball_power_profile(delta), 1.0, (1.0,))
 
 
@@ -253,12 +245,10 @@ def resolvent_symbol(z, delta):
     Its modulus is bounded by 1/dist(z, [0, 1]) because the base symbol's
     range is exactly [0, 1].
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    base = ball_power_profile(delta)
     z = complex(z)
     if dist_to_unit_interval(z) <= 1e-12:
         raise ValueError(f"z={z} is within 1e-12 of the segment [0, 1] (pole)")
-    base = ball_power_profile(delta)
     return radial_symbol(lambda r: 1.0 / (z - base(r)), np.inf, (1.0,))
 
 
@@ -329,8 +319,10 @@ def critical_delta(p, d):
 class MikhlinReport:
     """Finite-difference screen of |xi|^k |grad^k m(xi)| over a refinement ladder.
 
-    sups[level][k] holds the masked sup at each refinement level; growth[k]
-    compares the finest level against the coarsest, and a symbol is flagged
+    sups[level][k] holds the masked sup at each refinement level, and
+    floors[level][k] the rounding floor it is read against: a sup at or below
+    its floor is rounding noise and counts as 0.  growth[k] compares the
+    finest level against the coarsest, and a symbol is flagged
     "unbounded-suspect" at order k when that growth exceeds the threshold
     (MIKHLIN_GROWTH_THRESHOLD, recorded here).
     """
@@ -340,6 +332,7 @@ class MikhlinReport:
     xi_max: float
     points: list
     sups: list
+    floors: list
     growth: list
     flagged: list
     threshold: float
@@ -375,7 +368,13 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
     strip's largest modulus, and the strip's samples in units of a power of
     two above theirs: no finite scale of the symbol overflows, the sups keep
     the plain sum's bits wherever it stays normal, and a sup beyond the
-    float range is a ValueError naming its order.  A report-only screen.
+    float range is a ValueError naming its order.
+
+    Samples carry relative rounding eps, and each central difference
+    multiplies an error bound by at most 1/h, so a level's order-k term has
+    the rounding floor eps max|m| (sqrt(d) xi_max / h)^k d^(k/2), max|m| over
+    the level's samples (the strips' own scale maxima).  A sup at or below
+    its floor counts as 0 in the growth ratio.  A report-only screen.
     """
     if not 0 <= kmax <= 3:
         raise ValueError(f"kmax must lie in [0, 3], got {kmax}")
@@ -396,13 +395,13 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
         refinements = 8 if dim == 1 else 3
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
-    points, sups = [], []
+    points, sups, floors = [], [], []
     for level in range(refinements + 1):
         n = base_points * 2**level + 1
         axis = np.linspace(-xi_max, xi_max, n)
         spacing = axis[1] - axis[0]
         rows = max(1, _STRIP_POINTS // n ** (dim - 1))
-        level_sups = [0.0] * (kmax + 1)
+        level_sups, peak = [0.0] * (kmax + 1), 0.0
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             lo, hi = max(start - kmax, 0), min(stop + kmax, n)
@@ -411,7 +410,9 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
             radius = np.sqrt(_radius2(coords))
             # in units of 2^shift above every modulus: no difference quotient overflows
             tensors = [m.evaluate(coords)]
-            shift = math.frexp(float(np.max(np.abs(tensors[0]), initial=0.0)))[1]
+            strip_max = float(np.max(np.abs(tensors[0]), initial=0.0))
+            peak = max(peak, strip_max)
+            shift = math.frexp(strip_max)[1]
             np.ldexp(tensors[0].view(float), -shift, out=tensors[0].view(float))
             for k in range(kmax + 1):
                 # global rows and columns k..n-k-1: the frame's stencils are one-sided
@@ -448,9 +449,12 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
                                      f"the float range") from None
         points.append(n)
         sups.append(level_sups)
+        reach = dim * float(xi_max) / float(spacing)  # (sqrt(d) xi_max / h)^k d^(k/2) = reach^k
+        floors.append([_EPS * peak * reach**k for k in range(kmax + 1)])
+    heard = [[s if s > f else 0.0 for s, f in zip(*level)] for level in zip(sups, floors)]
     growth, flagged = [], []
     for k in range(kmax + 1):
-        first, last = sups[0][k], sups[-1][k]
+        first, last = heard[0][k], heard[-1][k]
         if first < 1e-300 and last < 1e-300:
             g = 1.0
         elif first < 1e-300:
@@ -459,5 +463,5 @@ def mikhlin_check(m, kmax, dim=1, xi_max=4.0, base_points=256, refinements=None)
             g = last / first
         growth.append(g)
         flagged.append(bool(not np.isfinite(g) or g > MIKHLIN_GROWTH_THRESHOLD))
-    return MikhlinReport(kmax, dim, xi_max, points, sups, growth, flagged,
+    return MikhlinReport(kmax, dim, xi_max, points, sups, floors, growth, flagged,
                          MIKHLIN_GROWTH_THRESHOLD)

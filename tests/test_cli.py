@@ -1228,6 +1228,41 @@ def test_spectrum_map_run(tmp_path):
     assert extras["baseband_sizes"] == {
         "2.0": {str(n): baseband_grid(grid, n, 0.5, 2.0).size for n in (8, 16, 32)}}
     assert extras["baseband_sizes"]["2.0"] == {"8": 128, "16": 64, "32": 32}
+    assert extras["baseband_below_rule"] == []
+
+
+@pytest.mark.parametrize("args, below", [
+    (("spectrum-map", "--set", "ns=[1]", "--set", "p=1.0"), [{"p": 1.0, "n": 1, "c": 8.0}]),
+    # on the 1024-point sweep grid (xi_max = 4) p = 1 needs 32 rho / N: N = 4
+    # meets it exactly, and every p = 2 cell meets its rule 2 rho / N
+    (("probe", "--set", "lambdas=[1.0]", "--set", "ps=[1.0,2.0]", "--set", "ns=[1,2,4,8]"),
+     [{"p": 1.0, "n": 1, "c": 8.0}, {"p": 1.0, "n": 2, "c": 16.0}]),
+    (("probe",), []), (("spectrum-map",), [])], ids=["map-n1", "probe-small-n", "probe", "map"])
+def test_the_manifest_names_each_cell_below_its_resolution_rule(tmp_path, args, below):
+    code, out = run_cli(tmp_path, *args)
+    assert code == 0
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    assert extras["baseband_below_rule"] == below
+
+
+def test_the_two_csv_sentinels(tmp_path):
+    # a pole row of the map has no bound: -1.0 in lower_bound and oracle_p2
+    code, out = run_cli(tmp_path / "map", "spectrum-map", "--set", "re=[0.5,0.5,1]",
+                        "--set", "im=[-1.0,1.0,3]", "--set", "ns=[8,16]")
+    assert code == 0
+    with open(out / "spectrum-map.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["pole"] for row in rows] == ["false", "true", "false"]
+    assert (rows[1]["lower_bound"], rows[1]["oracle_p2"]) == ("-1.0", "-1.0")
+    assert all(float(row["lower_bound"]) > 0 for row in (rows[0], rows[2]))
+    # a zero ratio has no logarithm: the probe's slope is -inf
+    code, out = run_cli(tmp_path / "probe", "probe", "--set", "lambdas=[0.0]",
+                        "--set", "ps=[2.0]", "--set", "ns=[8,16,32,64]")
+    assert code == 0
+    with open(out / "probe.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["ratio"] for row in rows] == ["0.0"] * 4
+    assert [row["slope"] for row in rows] == ["-inf"] * 4
 
 
 def test_spectrum_map_is_reproducible_across_runs_and_workers(tmp_path):

@@ -269,7 +269,7 @@ def test_decompositions_hold_only_what_their_composites_read():
 def test_ball_sample_gives_the_resolvent_bit_for_bit(grid, grid_2d, z, delta):
     # the forward target and the reverse composite's resolvent, 1/(z - b)
     on = GridSpec(2, 256, 40.0) if grid_2d else grid
-    expected = resolvent_symbol(z, delta).sample(on).tobytes()
+    expected = resolvent_symbol(z, delta).fresh_sample(on).tobytes()
     forward, reverse = (decompose(make_plan(z, delta, direction=direction, grid=on))
                         for direction, decompose in DECOMPOSITIONS)
     assert forward.target.samples.tobytes() == expected

@@ -29,6 +29,7 @@ from riesz.probes import (
 )
 from riesz.symbols import (
     BumpProfile,
+    Symbol,
     bochner_symbol,
     bump_phi0,
     dist_to_unit_interval,
@@ -42,6 +43,18 @@ def modulate(f, xi0):
     """f times the plane wave exp(i x.xi0), the shift the probes are built by."""
     phase = sum(c * v for c, v in zip(f.grid.x_mesh(), np.atleast_1d(xi0)))
     return Field.spatial(f.grid, f.samples * np.exp(1j * phase))
+
+
+def shifted(symbol, xi0):
+    """symbol at xi - xi0 (xi0 a scalar on the first axis, or a vector): the
+    probe about xi0 built here, not by the package's lattice offset."""
+    vec = np.atleast_1d(np.asarray(xi0, dtype=float))
+
+    def fn(coords):
+        comps = list(vec) + [0.0] * (len(coords) - len(vec))
+        return symbol.evaluate(tuple(c - w for c, w in zip(coords, comps)))
+
+    return Symbol(fn, symbol.support_radius + float(np.linalg.norm(vec)))
 
 
 def baseband_xi(grid, xi0, small):
@@ -96,7 +109,7 @@ def test_probe_spectrum_confined(grid):
     xi = grid.xi_axis()
     outside = np.abs(xi - xi0[0]) > 0.5 / n
     # the constructed spectrum vanishes outside the bump exactly
-    constructed = bump_phi0(0.5).dilated(n).shifted(xi0).sample(grid)
+    constructed = shifted(bump_phi0(0.5).dilated(n), xi0).fresh_sample(grid)
     assert np.max(np.abs(constructed[outside])) == 0.0
     # and the spatial round trip only adds rounding noise there
     spec = forward_transform(probe_field(xi0, n, grid))
@@ -153,8 +166,8 @@ def test_quadratic_decay_at_top_level(grid):
 
 def test_scale_below_localizer_plateau_rejected(grid):
     spec = ProbeSpec(0.25, 2.0, 1.0)
-    assert spec.min_scale() == 8
-    with pytest.raises(ValueError):
+    probe_ratio(spec, 8, grid)
+    with pytest.raises(ValueError, match="plateau; need N >= 8"):
         probe_ratio(spec, 4, grid)
     with pytest.raises(ValueError, match="plateau"):
         weighted_probe_report(ProbeSpec(0.25, 2.0, 1.0, weight_a=0.5), 4, grid)
@@ -175,7 +188,7 @@ def localized_defect_ratio(spec, n_scale, grid):
     """
     xi0, level = probes._achieved_level(spec, grid)
     plateau = (1.0 - abs(xi0[0])) / 2.0
-    localizer = radial_symbol(BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau).shifted(xi0)
+    localizer = shifted(radial_symbol(BumpProfile(plateau, 2.0 * plateau), 2.0 * plateau), xi0)
     m_loc = (scalar_symbol(level) - bochner_symbol(spec.delta)) * localizer
     f = probe_field(xi0, n_scale, grid, rho=spec.rho)
     return spec._norm(apply(m_loc, f)) / spec._norm(f)
@@ -211,10 +224,9 @@ def test_an_empty_plateau_admits_no_scale(grid, lam, delta):
     assert lambda_to_xi0(lam, delta) == 1.0 and spec.localizer_radius() == 0
     message = (f"no scale keeps the bump inside the localizer plateau at lambda={lam}, "
                f"delta={delta}: xi0 rounds onto the unit sphere")
-    for run in (spec.min_scale, lambda: probe_ratio(spec, 8, grid)):
-        with pytest.raises(ValueError) as error:
-            run()
-        assert str(error.value) == message
+    with pytest.raises(ValueError) as error:
+        probe_ratio(spec, 8, grid)
+    assert str(error.value) == message
 
 
 def spatial_defect_ratio(spec, n_scale, grid):
@@ -274,8 +286,26 @@ def test_the_baseband_cell_matches_the_sweep_grid_cell(grid, dim):
 
 def test_probe_rejects_a_grid_narrower_than_the_ball():
     narrow = GridSpec(1, 64, 128.0)  # xi_max = pi / 4
-    with pytest.raises(ValueError, match="exceeds the grid frequency window"):
+    with pytest.raises(ValueError, match="exceeds the grid frequency window") as probe_error:
         probe_ratio(ProbeSpec(1.5, 2.0, 1.0, n_values=(4,)), 4, narrow)
+    # the one window rule, word for word as `apply` states it
+    with pytest.raises(ValueError) as apply_error:
+        apply(bochner_symbol(1.0), Field.spatial(narrow, np.zeros(narrow.shape)))
+    assert str(probe_error.value) == str(apply_error.value)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+def test_every_entry_point_states_the_delta_rule_alike(delta):
+    from riesz.neumann import choose_r0, make_plan
+
+    calls = [lambda: lambda_to_xi0(0.5, delta), lambda: ProbeSpec(0.5, 2.0, delta),
+             lambda: resolvent_norm_oracle(2.0, delta), lambda: spectrum_map([2.0], 2.0, delta),
+             lambda: bochner_symbol(delta), lambda: resolvent_symbol(2.0, delta),
+             lambda: choose_r0(2.0, delta), lambda: make_plan(2.0, delta)]
+    for call in calls:
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == f"delta must be positive, got {delta}"
 
 
 def test_a_probe_holds_at_most_one_and_a_half_arrays_of_the_grid(traced_peak):
@@ -308,8 +338,7 @@ def test_modulation_covariance(grid):
     lam = 0.5
     b = bochner_symbol(1.0)
     lhs = lam * modulate(g_field, xi0) - apply(b, modulate(g_field, xi0))
-    shifted = scalar_symbol(lam) - b.shifted(-xi0[0])
-    rhs = modulate(apply(shifted, g_field), xi0)
+    rhs = modulate(apply(scalar_symbol(lam) - shifted(b, -xi0[0]), g_field), xi0)
     scale = np.max(np.abs(lhs.samples))
     assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-12 * max(scale, 1.0)
 
@@ -630,7 +659,7 @@ def test_baseband_probe_is_the_demodulated_full_grid_probe(grid):
         window = slice(grid.size // 2 + k0 - m // 2, grid.size // 2 + k0 + m // 2)
         # the sweep grid's frequencies, spectrum and ball samples, bit for bit
         assert np.array_equal(baseband_xi(grid, xi0, small)[0], grid.xi_axis()[window])
-        full_spec = bump_phi0(0.5).dilated(n).shifted(xi0).sample(grid)
+        full_spec = shifted(bump_phi0(0.5).dilated(n), xi0).fresh_sample(grid)
         assert np.array_equal(spec.samples, full_spec[window])
         assert np.array_equal(ball.fresh_sample(small, (k0,)), ball.fresh_sample(grid)[window])
         # the sweep grid's field, demodulated, at every (size / m)-th point

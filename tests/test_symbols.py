@@ -15,6 +15,7 @@ from riesz.symbols import (
     cutoff_pair,
     dist_to_unit_interval,
     mikhlin_check,
+    radial_symbol,
     resolvent_symbol,
     scalar_symbol,
     smoothstep,
@@ -113,7 +114,7 @@ def test_resolvent_sup_bounded_by_distance():
         if dist_to_unit_interval(z) < 1e-3:
             continue
         sym = resolvent_symbol(z, 1.0)
-        sup = np.max(np.abs(sym.sample(g)))
+        sup = np.max(np.abs(sym.fresh_sample(g)))
         assert sup <= 1.0 / dist_to_unit_interval(z) + 1e-12
 
 
@@ -133,7 +134,7 @@ def test_cutoff_pair_partition_on_grid_ball():
     psi1, psi2 = cutoff_pair(0.3)
     g = GridSpec(1, 1024, 64.0)
     xi = g.xi_axis()
-    total = psi1.sample(g) + psi2.sample(g)
+    total = psi1.fresh_sample(g) + psi2.fresh_sample(g)
     ball = np.abs(xi) <= 1.0 + 0.3 / 2.0
     assert np.max(np.abs(total[ball] - 1.0)) == 0.0
 
@@ -170,14 +171,14 @@ def test_bump_normalization_spatial_value():
     assert riemann == pytest.approx(1.0, abs=1e-10)
     # the transform path reproduces the same value at x = 0
     g = GridSpec(1, 2560, 160.0)
-    spatial = inverse_transform(Field.frequency(g, phi.sample(g)))
+    spatial = inverse_transform(Field.frequency(g, phi.fresh_sample(g)))
     assert abs(spatial.samples[g.size // 2] - 1.0) < 1e-8
 
 
 def test_bump_normalization_2d():
     phi = bump_phi0(1.0)
     g = GridSpec(2, 512, 160.0)
-    spatial = inverse_transform(Field.frequency(g, phi.sample(g)))
+    spatial = inverse_transform(Field.frequency(g, phi.fresh_sample(g)))
     assert abs(spatial.samples[g.size // 2, g.size // 2] - 1.0) < 1e-8
 
 
@@ -239,6 +240,15 @@ def _unit_rule(coords):
     return np.ones(np.broadcast(*coords).shape, dtype=complex)
 
 
+def _off_centre(symbol, xi0):
+    """symbol about xi0 (zero-padded, or cut to the grid's axes), built as a
+    rule of its own and declared on its support widened by |xi0|: a rule off
+    centre inside its declared support."""
+    def rule(coords):
+        return symbol.evaluate(tuple(c - w for c, w in zip(coords, xi0 + (0.0,) * len(coords))))
+    return Symbol(rule, symbol.support_radius + float(np.linalg.norm(xi0)))
+
+
 def _on_lattice(grid, k):
     """The lattice coordinate k cells from the origin, as sample computes it."""
     return float(grid.xi_axis()[grid.size // 2 + k])
@@ -252,8 +262,8 @@ _BOX_SYMBOLS = {
     "cutoff2": lambda g: cutoff_pair(0.2)[1],
     "bump": lambda g: bump_phi0(0.3),
     "scalar": lambda g: scalar_symbol(1.5 - 0.5j),
-    "shifted": lambda g: bochner_symbol(1.0).shifted(0.5),
-    "shifted-vector": lambda g: bump_phi0(0.4).dilated(2.0).shifted((0.7, -0.3)),
+    "shifted": lambda g: _off_centre(bochner_symbol(1.0), (0.5,)),
+    "shifted-vector": lambda g: _off_centre(bump_phi0(0.4).dilated(2.0), (0.7, -0.3)),
     "dilated": lambda g: bochner_symbol(1.0).dilated(2.5),
     "sum": lambda g: bochner_symbol(1.0) + cutoff_pair(0.3)[1],
     "difference": lambda g: scalar_symbol(0.5) - bochner_symbol(2.0),
@@ -274,13 +284,13 @@ _BOX_SYMBOLS = {
 def test_box_sample_equals_masked_full_lattice(grid, make):
     symbol = make(grid)
     full = np.broadcast_to(symbol.evaluate(grid.xi_mesh()), grid.shape)
-    assert np.array_equal(symbol.sample(grid), full)
+    assert np.array_equal(symbol.fresh_sample(grid), full)
 
 
 def test_box_sample_keeps_a_support_on_the_lattice():
     g = GridSpec(1, 64, 8.0)
     edge = _on_lattice(g, 3)
-    counts = [np.count_nonzero(Symbol(_unit_rule, r).sample(g))
+    counts = [np.count_nonzero(Symbol(_unit_rule, r).fresh_sample(g))
               for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
     assert counts == [5, 7, 7]
 
@@ -293,7 +303,7 @@ def test_box_sample_evaluates_only_the_box():
         shapes.append(np.broadcast(*coords).shape)
         return _unit_rule(coords)
 
-    Symbol(rule, 1.0).sample(g)
+    Symbol(rule, 1.0).fresh_sample(g)
     assert shapes == [(5, 5)]
 
 
@@ -303,16 +313,12 @@ def test_support_radius_must_be_a_nonnegative_number():
             Symbol(_unit_rule, bad)
 
 
-def test_product_and_shift_combinators():
+def test_product_and_dilation_combinators():
     g = GridSpec(1, 256, 16.0)
     b = bochner_symbol(1.0)
     two = scalar_symbol(2.0)
     prod = two * b
-    assert np.max(np.abs(prod.sample(g) - 2.0 * b.sample(g))) < 1e-15
-    shift = b.shifted(0.5)
-    xi = g.xi_axis()
-    direct = np.clip(1.0 - (xi - 0.5) ** 2, 0.0, None)
-    assert np.max(np.abs(shift.sample(g) - direct)) < 1e-14
+    assert np.max(np.abs(prod.fresh_sample(g) - 2.0 * b.fresh_sample(g))) < 1e-15
     dil = b.dilated(2.0)
     assert dil.support_radius == pytest.approx(0.5)
     assert ev1(dil, [0.3])[0] == pytest.approx(1.0 - 0.36)
@@ -337,10 +343,6 @@ def test_algebra_carries_support_and_nonsmooth_radii():
     assert _bookkeeping(ball.dilated(2.0) + ball) == (1.0, (0.5, 1.0))
     # dilation by 2 halves the support and every radius
     assert _bookkeeping((ball * psi2).dilated(2.0)) == (0.5, (0.5,))
-    # a shift widens a finite support by |xi0| and drops the off-center spheres
-    assert _bookkeeping(ball.shifted(0.5)) == (1.5, ())
-    assert _bookkeeping(ball.shifted([0.3, 0.4])) == (1.5, ())
-    assert _bookkeeping(resolvent.shifted(0.5)) == (np.inf, ())
 
 
 def test_a_symbol_is_frozen_to_its_rule_support_and_radii():
@@ -429,6 +431,34 @@ def test_mikhlin_sums_of_squares_keep_a_power_of_two_scale(dim, factor):
     report = mikhlin_check(factor * bochner_symbol(1.0), 2, dim=dim, refinements=2)
     assert report.sups == [[factor * s for s in level] for level in base.sups]
     assert report.growth == base.growth and report.flagged == base.flagged
+
+
+_KINK = radial_symbol(lambda r: np.abs(r - 0.5), np.inf)  # its kink at 0.5 is undeclared
+
+
+@pytest.mark.parametrize("symbol, kmax, flagged", [
+    (bochner_symbol(1.0), 3, []), (bochner_symbol(0.5), 3, [1, 2, 3]), (_KINK, 2, [2]),
+    (cutoff_pair(0.25)[1], 3, []), (bump_phi0(0.5), 3, [])],
+    ids=["ball", "square-root-ball", "kink", "cutoff2", "bump"])
+def test_mikhlin_reads_a_sup_at_its_rounding_floor_as_zero(symbol, kmax, flagged):
+    # every genuine growth stays far above the floor eps max|m| (d xi_max / h)^k
+    report = mikhlin_check(symbol, kmax)
+    assert [k for k in range(kmax + 1) if report.flagged[k]] == flagged
+    for n, floors in zip(report.points, report.floors):
+        peak = np.max(np.abs(ev1(symbol, np.linspace(-4.0, 4.0, n))))
+        assert floors == pytest.approx(
+            [np.finfo(float).eps * peak * ((n - 1) / 2.0) ** k for k in range(kmax + 1)],
+            rel=1e-12)
+
+
+@pytest.mark.parametrize("factor", [0.1, 1e306])
+def test_mikhlin_does_not_flag_rounding_noise(factor):
+    # the third differences of the rounded samples c (1 - x^2) grow like h^-3
+    # though the true derivative is 0 (they read 1.9e7 growth for c = 0.1);
+    # they stay under the floor, so they count as 0
+    report = mikhlin_check(factor * bochner_symbol(1.0), 3)
+    assert 0.0 < report.sups[-1][3] <= report.floors[-1][3]
+    assert report.growth[3] == 1.0 and not report.any_flagged
 
 
 def test_mikhlin_rejects_large_order():
